@@ -18,9 +18,7 @@ from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
 from .arith import galois_params, gl_params, multiplicative_order, prime_power_base
-from .errors import InputError, PreconditionError, ResourceLimitError
-
-SCHEMA_VERSION = 1
+from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 # concrete fields driven through the Sp-pattern clause of `verify`

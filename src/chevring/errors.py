@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the JSON schema version shared across the package."""
+
+# Version of every JSON document the package emits.
+SCHEMA_VERSION = 1
 
 
 class InputError(ValueError):

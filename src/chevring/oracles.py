@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import GaloisParams, is_prime, multiplicative_order
-from .errors import InputError, ResourceLimitError
+from .errors import SCHEMA_VERSION, InputError, ResourceLimitError
 from .poly import (
     ModPolynomial,
     TruncatedSeries,
@@ -46,8 +46,6 @@ __all__ = [
     "report_from_json_dict",
     "verify_restricted_chern",
 ]
-
-SCHEMA_VERSION = 1
 
 DEFAULT_MONOMIAL_LIMIT = 20_000
 
@@ -128,9 +126,18 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
     return list(dims.coefficients)
 
 
+def _difference_row(source: tuple[int, ...], image: tuple[int, ...], c: int, l: int) -> dict:
+    """The sparse row source - c*image over F_l, zero entries dropped: the
+    image of the monomial `source` under (id - g) when g sends it to c*image."""
+    row = {source: 1}
+    row[image] = (row.get(image, 0) - c) % l
+    return {e: v for e, v in row.items() if v}
+
+
 class _SpanAccumulator:
     """Incremental row reduction over F_l for sparse rows (dicts mapping
-    exponent tuples to nonzero coefficients).  Rows within one call are
+    exponent tuples to nonzero coefficients); the one eliminator behind both
+    the coinvariant and the invariant oracle.  Rows within one call are
     homogeneous, so the lexicographically largest exponent is a stable
     leading term."""
 
@@ -194,12 +201,9 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
             if acc.rank == dim:
                 break
             for b in basis[w]:
-                # gamma sends the monomial b to c * image; g = b - gamma.b
-                image = b
+                # gamma sends the monomial b to c * b; g = b - gamma.b
                 c = pow(q0, sum(e * wt for e, wt in zip(b, weights)), l)
-                g = {b: 1}
-                g[image] = (g.get(image, 0) - c) % l
-                g = {e: v for e, v in g.items() if v}
+                g = _difference_row(b, b, c, l)
                 if not g:
                     continue
                 for mono in basis[d - w]:
@@ -241,7 +245,12 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     """Series of the ring of invariants under the group generated by the
     coordinate scaling eta_1 -> q*eta_1 and the full symmetric group on the
     variables: in each degree, the joint kernel of (g - id) over the monomial
-    basis, for g running over the generators."""
+    basis, for g running over the generators.
+
+    Each generator sends a monomial e to a scalar multiple of a monomial,
+    bijectively on the basis, so the rows e - g(e) over all e are, up to
+    sign, the rows of the matrix of (g - id); their rank is subtracted from
+    the dimension of the degree."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
@@ -255,22 +264,16 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     coeffs = []
     for d in range(cutoff + 1):
         basis = _monomials_of_degree(problem.weights, d)
-        index = {e: i for i, e in enumerate(basis)}
-        n = len(basis)
-        stacked: list[list[int]] = []
-        # scaling on the first coordinate: e -> q^{e_1} e
-        block = [[0] * n for _ in range(n)]
-        for j, e in enumerate(basis):
-            block[j][j] = (pow(q0, e[0], l) - 1) % l if m else 0
-        stacked.extend(block)
-        for perm in perms:
-            block = [[0] * n for _ in range(n)]
-            for j, e in enumerate(basis):
-                image = tuple(e[perm[i]] for i in range(m))
-                block[index[image]][j] = (block[index[image]][j] + 1) % l
-                block[j][j] = (block[j][j] - 1) % l
-            stacked.extend(block)
-        coeffs.append(n - _dense_rank(stacked, l))
+        acc = _SpanAccumulator(l)
+        for e in basis:
+            rows = [_difference_row(e, tuple(e[i] for i in perm), 1, l) for perm in perms]
+            if m:
+                # scaling on the first coordinate: e -> q^{e_1} e
+                rows.append(_difference_row(e, e, pow(q0, e[0], l), l))
+            for row in rows:
+                if row:
+                    acc.add(row)
+        coeffs.append(len(basis) - acc.rank)
     return TruncatedSeries(cutoff, tuple(coeffs))
 
 
@@ -282,35 +285,6 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
     m = len(problem.weights)
     r = problem.order()
     return hilbert_series_of_free_polynomial_ring([i * r for i in range(1, m + 1)], problem.cutoff)
-
-
-def _dense_rank(rows: list[list[int]], l: int) -> int:
-    """Rank over F_l by plain Gaussian elimination on dense integer rows."""
-    if not rows:
-        return 0
-    rows = [row[:] for row in rows]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, l)
-        rows[rank] = [x * inv % l for x in rows[rank]]
-        lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % l for a, b in zip(rows[i], lead)]
-        rank += 1
-        if rank == ncols:
-            break
-    return rank
 
 
 # -- Chern classes of the restricted lift -----------------------------------

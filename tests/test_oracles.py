@@ -112,10 +112,10 @@ def test_invariants_two_blocks():
     assert invariants_hilbert_closedform(problem).coefficients == expected
 
 
-def test_invariants_match_product_formula_m_up_to_3():
+def test_invariants_match_product_formula_m_up_to_5():
     for l in (3, 5, 7):
         for q in _residues_one_per_order(l):
-            for m in (1, 2, 3):
+            for m in (1, 2, 3, 4, 5):
                 problem = GradedActionProblem(
                     weights=(1,) * m, l=l, q=q, cutoff=10, permutation=FULL_SYMMETRIC
                 )
