@@ -8,7 +8,10 @@ invariants on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 
 from .errors import InputError, PreconditionError
 
@@ -21,15 +24,27 @@ __all__ = [
     "l_valuation",
     "multiplicative_order",
     "prime_power_base",
+    "residues_one_per_order",
 ]
 
-# Strong-pseudoprime witnesses; testing against all of them is exact for
-# every n < 3.317e24, far beyond 2^64 (Sorenson-Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Strong-pseudoprime witnesses: the first 13 primes.  Testing against all of
+# them is exact for every n below _MR_EXACT_BOUND, about 3.317e24, far beyond
+# 2^64 (Sorenson-Webster, Math. Comp. 86, 2017; the first 12 alone are fooled
+# by 318665857834031151167461).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BOUND = 3317044064679887385961981
+
+# prime_power_base divides by every number below this, and takes roots only
+# of what has no such factor.
+_ROOT_BASE = 64
+
+# Factor search: trial division by 2 and the odd numbers up to this bound,
+# then Pollard-Brent on what is left.
+_TRIAL_DIVISION_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin primality test, exact for n < 3.317e24."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -55,34 +70,106 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _power_exponent(q: int, p: int) -> int:
+    """The k >= 1 with q = p^k, or 0 if there is none; p >= 2."""
+    k = 0
+    while q > 1 and q % p == 0:
+        q //= p
+        k += 1
+    return k if q == 1 else 0
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_base(q: int) -> tuple[int, int]:
     """Write q = p^k with p prime and k >= 1, or raise InputError.
 
-    Trial division up to sqrt(q); fine for the field sizes this package is
-    meant for.
+    Trial division by 2, ..., 63 settles every q with a factor below 64; the
+    least such factor is prime.  Otherwise p >= 64, so k <= log_64 q: take
+    integer j-th roots for those j, stripping every exact one, and q is a
+    prime power iff the base left is prime.  That base must lie where
+    is_prime is exact.
     """
     if q < 2:
         raise InputError(f"{q} is not a prime power")
-    p = 0
-    if q % 2 == 0:
-        p = 2
-    else:
-        c = 3
-        while c * c <= q:
-            if q % c == 0:
-                p = c
-                break
-            c += 2
-        if p == 0:
-            return q, 1  # q has no divisor up to sqrt(q), so it is prime
-    n = q
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    if n != 1:
+    for f in range(2, _ROOT_BASE):
+        if q % f == 0:
+            k = _power_exponent(q, f)
+            if not k:
+                raise InputError(f"{q} is not a prime power")
+            return f, k
+    p, k, j = q, 1, 2
+    while _ROOT_BASE**j <= p:
+        root = _iroot(p, j)
+        if root**j == p:
+            p, k = root, k * j
+        else:
+            j += 1
+    if p >= _MR_EXACT_BOUND:
+        raise InputError(
+            f"cannot tell whether {q} is a prime power: its base {p} is not below "
+            f"3.317e24, the bound up to which the primality test is exact"
+        )
+    if not is_prime(p):
         raise InputError(f"{q} is not a prime power")
     return p, k
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho in Brent's
+    form (BIT 20, 1980), with the gcd taken once per batch of steps."""
+    batch = 64
+    for c in count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - done)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                done += batch
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, in increasing order."""
+    found = set()
+    f = 2
+    while f <= _TRIAL_DIVISION_BOUND and f * f <= n:
+        if n % f == 0:
+            found.add(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            found.add(m)
+        else:
+            d = _pollard_brent(m)
+            rest += [d, m // d]
+    return sorted(found)
 
 
 def l_valuation(x: int, l: int) -> tuple[int, int]:
@@ -99,7 +186,11 @@ def l_valuation(x: int, l: int) -> tuple[int, int]:
 
 
 def multiplicative_order(q: int, l: int) -> int:
-    """Least r >= 1 with q^r = 1 mod l, for l prime not dividing q."""
+    """Least r >= 1 with q^r = 1 mod l, for l prime not dividing q.
+
+    Starts from l - 1 and strips each prime factor while q to the remaining
+    exponent stays 1 mod l: O(log l) modular powers once l - 1 is factored.
+    """
     if q < 1:
         raise InputError(f"q must be positive, got {q}")
     if not is_prime(l):
@@ -108,70 +199,106 @@ def multiplicative_order(q: int, l: int) -> int:
         raise PreconditionError(
             f"{l} divides q = {q}: the multiplicative order of q mod {l} is undefined"
         )
-    q0 = q % l
-    r = 1
-    x = q0
-    while x != 1:
-        x = x * q0 % l
-        r += 1
+    r = l - 1
+    for f in _prime_factors(l - 1):
+        while r % f == 0 and pow(q, r // f, l) == 1:
+            r //= f
     return r
+
+
+def residues_one_per_order(l: int) -> list[int]:
+    """The smallest residue mod l of each multiplicative order dividing l-1."""
+    seen: dict[int, int] = {}
+    for q in range(1, l):
+        seen.setdefault(multiplicative_order(q, l), q)
+    return [seen[r] for r in sorted(seen)]
+
+
+def _exponent_of_l(q: int, r: int, l: int) -> int:
+    """a = v_l(q^r - 1) for q^r = 1 mod l, from q^r mod l^k with k doubling,
+    without forming q^r."""
+    k = 2
+    while True:
+        rest = (pow(q, r, l**k) - 1) // l
+        if rest:
+            return 1 + l_valuation(rest, l)[0]
+        k *= 2
 
 
 @dataclass(frozen=True)
 class GaloisParams:
-    """The tuple (p, q, l, r, a, h): field F_q of characteristic p, coefficient
+    """The tuple (p, q, l, r, a): field F_q of characteristic p, coefficient
     prime l != p, r the multiplicative order of q mod l, and q^r - 1 = l^a * h
-    with h prime to l."""
+    with h prime to l.  h is formed on first read only: q^r can run to
+    millions of bits, and only the params report prints it."""
 
     p: int
     q: int
     l: int
     r: int
     a: int
-    h: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"p = {self.p} is not prime")
-        if not is_prime(self.l):
-            raise InputError(f"l = {self.l} is not prime")
-        if self.l == self.p:
+        p, q, l, r, a = self.p, self.q, self.l, self.r, self.a
+        if not is_prime(p):
+            raise InputError(f"p = {p} is not prime")
+        if not is_prime(l):
+            raise InputError(f"l = {l} is not prime")
+        if l == p:
             raise PreconditionError(
-                f"l = p = {self.l}: the coefficient prime must differ from the field characteristic"
+                f"l = p = {l}: the coefficient prime must differ from the field characteristic"
             )
-        base, _ = prime_power_base(self.q)
-        if base != self.p:
-            raise InputError(f"q = {self.q} is not a power of p = {self.p}")
-        if self.r != multiplicative_order(self.q, self.l):
-            raise InputError(
-                f"r = {self.r} is not the multiplicative order of {self.q} mod {self.l}"
-            )
-        if self.a < 1:
-            raise InputError(f"a must be >= 1, got {self.a}")
-        if self.h < 1 or self.h % self.l == 0:
-            raise InputError(f"h = {self.h} must be positive and prime to l = {self.l}")
-        if self.l**self.a * self.h != self.q**self.r - 1:
-            raise InputError(
-                f"l^a * h = {self.l}^{self.a} * {self.h} does not equal q^r - 1"
-            )
+        if not _power_exponent(q, p):
+            prime_power_base(q)  # a q that is no prime power is reported as such
+            raise InputError(f"q = {q} is not a power of p = {p}")
+        if not (
+            r >= 1
+            and (l - 1) % r == 0
+            and pow(q, r, l) == 1
+            and all(pow(q, r // f, l) != 1 for f in _prime_factors(r))
+        ):
+            raise InputError(f"r = {r} is not the multiplicative order of {q} mod {l}")
+        if a < 1:
+            raise InputError(f"a must be >= 1, got {a}")
+        # l^a divides q^r - 1 and l^(a+1) does not: h is an integer prime to l
+        if pow(q, r, l**a) != 1 or pow(q, r, l ** (a + 1)) == 1:
+            raise InputError(f"a = {a} is not the exponent of l = {l} in q^r - 1")
+
+    @cached_property
+    def h(self) -> int:
+        """The part (q^r - 1) / l^a of q^r - 1 prime to l."""
+        return (self.q**self.r - 1) // self.l**self.a
+
+    def h_digits(self) -> int:
+        """The number of decimal digits of h, read off
+        log10(h) = r log10(q) - a log10(l) without forming h.  Decimal
+        logarithms are correctly rounded, so at this precision the error is
+        below 1e-23; h is formed only when q^r < 2^200 or log10(h) lies
+        within 1e-20 of an integer."""
+        # imported here, so that importing chevring does not load decimal
+        from decimal import ROUND_FLOOR, Context
+
+        if self.r * (self.q.bit_length() - 1) < 100:
+            return len(str(self.h))
+        # q^r >= 2^100, so the -1 in q^r - 1 moves log10 by less than 1e-30
+        ctx = Context(prec=len(str(self.r * self.q.bit_length())) + 25)
+        log10_h = ctx.subtract(
+            ctx.multiply(self.r, ctx.log10(self.q)), ctx.multiply(self.a, ctx.log10(self.l))
+        )
+        nearest = int(log10_h.to_integral_value())
+        if abs(log10_h - nearest) > ctx.create_decimal("1e-20"):
+            return int(log10_h.to_integral_value(ROUND_FLOOR)) + 1
+        return nearest + 1 if self.h >= 10**nearest else nearest
 
 
 def galois_params(p: int, q: int, l: int) -> GaloisParams:
-    """Assemble GaloisParams from (p, q, l), computing r, a and h."""
-    if not is_prime(p):
-        raise InputError(f"p = {p} is not prime")
-    if not is_prime(l):
-        raise InputError(f"l = {l} is not prime")
-    if l == p:
-        raise PreconditionError(
-            f"l = p = {l}: the coefficient prime must differ from the field characteristic"
-        )
-    base, _ = prime_power_base(q)
-    if base != p:
-        raise InputError(f"q = {q} is not a power of p = {p}")
-    r = multiplicative_order(q, l)
-    a, h = l_valuation(q**r - 1, l)
-    return GaloisParams(p=p, q=q, l=l, r=r, a=a, h=h)
+    """Assemble GaloisParams from (p, q, l), computing r and a; GaloisParams
+    itself rejects any input that is not valid."""
+    r = a = 0  # stays 0 only for inputs that GaloisParams rejects before r
+    if is_prime(l) and q > 1 and q % l:
+        r = multiplicative_order(q, l)
+        a = _exponent_of_l(q, r, l)
+    return GaloisParams(p=p, q=q, l=l, r=r, a=a)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
-from .arith import galois_params, gl_params, multiplicative_order, prime_power_base
+from .arith import galois_params, gl_params, prime_power_base, residues_one_per_order
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
@@ -175,6 +175,14 @@ def _presentation(request: Request) -> presentations.GradedPresentation:
 
 def _run_params(request: Request) -> str:
     params = galois_params(_infer_p(request), request.q, request.l)
+    # CPython refuses to convert an int of more digits than this to str or
+    # JSON (0: no limit); check before h is formed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = params.h_digits() if limit else 0
+    if digits > limit:
+        raise ResourceLimitError(
+            f"h has {digits} decimal digits, more than this interpreter prints (limit {limit})"
+        )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "params",
@@ -266,15 +274,6 @@ def _run_compare(request: Request) -> str:
 # -- verify -----------------------------------------------------------------
 
 
-def _residues_one_per_order(l: int) -> list[int]:
-    """The smallest residue mod l of each multiplicative order dividing l-1."""
-    seen: dict[int, int] = {}
-    for q in range(1, l):
-        r = multiplicative_order(q, l)
-        seen.setdefault(r, q)
-    return [seen[r] for r in sorted(seen)]
-
-
 def _weight_lists(max_len: int, max_entry: int):
     for k in range(1, max_len + 1):
         yield from combinations_with_replacement(range(1, max_entry + 1), k)
@@ -291,7 +290,7 @@ def _run_verify(request: Request) -> tuple[bool, str]:
     checked = rootdata.validate_registry()
     clause("registry-invariants", True, checked)
 
-    sweep = [(l, q) for l in request.primes for q in _residues_one_per_order(l)]
+    sweep = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
 
     count, witness = 0, None
     for l, q in sweep:

@@ -119,6 +119,15 @@ def _expand_degrees(spec: str, n: int) -> list[int]:
     return out
 
 
+def _product(values: tuple[int, ...]) -> int:
+    """prod(values) by a balanced product tree over runs of 16, so that the
+    large multiplications pair factors of like size."""
+    level = [prod(values[i : i + 16]) for i in range(0, len(values), 16)]
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
 # -- registry records ------------------------------------------------------
 
 
@@ -148,14 +157,15 @@ class _Record:
             raise InputError(f"{self.family} rank {rank}: nonpositive fundamental degree")
         weyl = _eval_formula(self.weyl_spec, rank)
         roots = _eval_formula(self.roots_spec, rank)
-        if prod(degrees) != weyl:
+        degree_product = _product(degrees)
+        if degree_product != weyl:
             raise InputError(
-                f"{self.family} rank {rank}: prod(degrees) = {prod(degrees)} "
+                f"{self.family} rank {rank}: prod(degrees) = {degree_product} "
                 f"but the Weyl order column says {weyl}"
             )
-        if sum(d - 1 for d in degrees) != roots:
+        if sum(degrees) - rank != roots:
             raise InputError(
-                f"{self.family} rank {rank}: sum(d_i - 1) = {sum(d - 1 for d in degrees)} "
+                f"{self.family} rank {rank}: sum(d_i - 1) = {sum(degrees) - rank} "
                 f"but the positive-root column says {roots}"
             )
         return RootDatum(

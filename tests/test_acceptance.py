@@ -6,7 +6,13 @@ import time
 from importlib import resources
 from itertools import combinations_with_replacement
 
-from chevring.arith import galois_params, gl_params, multiplicative_order, prime_power_base
+from chevring.arith import (
+    galois_params,
+    gl_params,
+    multiplicative_order,
+    prime_power_base,
+    residues_one_per_order,
+)
 from chevring.errors import InputError, PreconditionError
 from chevring.oracles import (
     FULL_SYMMETRIC,
@@ -58,13 +64,6 @@ def _params(q, l):
     return galois_params(prime_power_base(q)[0], q, l)
 
 
-def _residues_one_per_order(l):
-    seen = {}
-    for q in range(1, l):
-        seen.setdefault(multiplicative_order(q, l), q)
-    return [seen[r] for r in sorted(seen)]
-
-
 def test_criterion_1_symplectic_example_block():
     def body():
         expected_orders = {81: 1, 9: 2, 3: 4, 27: 4}
@@ -106,7 +105,7 @@ def test_criterion_2_gl_trivial_case():
 def test_criterion_3_coinvariants_oracle_sweep():
     def body():
         for l in SWEEP_PRIMES:
-            for q in _residues_one_per_order(l):
+            for q in residues_one_per_order(l):
                 for k in range(1, 5):
                     for weights in combinations_with_replacement(range(1, 7), k):
                         problem = GradedActionProblem(weights=weights, l=l, q=q, cutoff=12)
@@ -120,7 +119,7 @@ def test_criterion_3_coinvariants_oracle_sweep():
 def test_criterion_4_fixed_ring_description():
     def body():
         for l in SWEEP_PRIMES:
-            for q in _residues_one_per_order(l):
+            for q in residues_one_per_order(l):
                 for m in (1, 2, 3):
                     problem = GradedActionProblem(
                         weights=(1,) * m, l=l, q=q, cutoff=12, permutation=FULL_SYMMETRIC

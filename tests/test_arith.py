@@ -26,6 +26,12 @@ def test_is_prime_basics():
     assert {n for n in range(2, 200) if is_prime(n)} == known
 
 
+def test_is_prime_rejects_the_strong_pseudoprime_to_the_first_12_primes():
+    n = 318665857834031151167461  # = 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(2**89 - 1)  # Mersenne prime above 3.2e23
+
+
 def test_prime_power_base():
     assert prime_power_base(81) == (3, 4)
     assert prime_power_base(64) == (2, 6)
@@ -90,13 +96,22 @@ def test_galois_params_reconstruction():
         assert gp.a >= 1
 
 
+def test_h_digits_when_h_is_a_power_of_ten():
+    # q = 3 * 10^36 + 1 is prime, so with l = 3: r = 1, a = 1 and h = 10^36,
+    # where log10(h) is an integer and the digit count must come from h itself
+    q = 3 * 10**36 + 1
+    gp = galois_params(q, q, 3)
+    assert (gp.r, gp.a, gp.h) == (1, 1, 10**36)
+    assert gp.h_digits() == 37
+
+
 def test_galois_params_validates_on_direct_construction():
     with pytest.raises(InputError):
-        GaloisParams(p=3, q=3, l=5, r=2, a=1, h=16)  # wrong r
+        GaloisParams(p=3, q=3, l=5, r=2, a=1)  # wrong r
     with pytest.raises(InputError):
-        GaloisParams(p=3, q=3, l=5, r=4, a=1, h=17)  # l^a*h != q^r - 1
+        GaloisParams(p=3, q=3, l=5, r=4, a=2)  # q^r - 1 = 80 = 5^1 * 16
     with pytest.raises(PreconditionError):
-        GaloisParams(p=5, q=5, l=5, r=1, a=1, h=1)
+        GaloisParams(p=5, q=5, l=5, r=1, a=1)
 
 
 def test_gl_params_long_division():

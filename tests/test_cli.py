@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -125,6 +127,56 @@ def test_exit_1_for_bad_inputs():
         "--theory", "chow",
     )
     assert code == 1 and "GL" in err
+
+
+@pytest.fixture
+def set_digit_limit():
+    """sys.set_int_max_str_digits, with the limit restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_params_refuses_an_h_too_long_to_print(fmt, set_digit_limit):
+    set_digit_limit(4300)
+    start = time.perf_counter()
+    code, out, err = run_cli("params", "--q", "3", "--l", "1000003", "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == (
+        "resource limit: h has 159035 decimal digits, more than this interpreter prints "
+        "(limit 4300)"
+    )
+
+
+def test_params_refuses_exactly_from_ten_to_the_limit(set_digit_limit):
+    # h has 640 digits for (q, l) = (7, 761) and 641 for (2, 2141); 640 is
+    # the smallest limit CPython accepts, and 0 means no limit
+    set_digit_limit(640)
+    code, out, _ = run_cli("params", "--q", "7", "--l", "761", "--format", "json")
+    assert code == 0 and len(str(json.loads(out)["h"])) == 640
+    code, _, err = run_cli("params", "--q", "2", "--l", "2141")
+    assert code == 1 and err.startswith("resource limit: h has 641 decimal digits")
+    set_digit_limit(0)
+    code, out, _ = run_cli("params", "--q", "2", "--l", "2141")
+    assert code == 0 and len(out.splitlines()[5]) == len("h = ") + 641
+
+
+def test_params_with_a_large_prime_q_is_fast():
+    start = time.perf_counter()
+    code, out, _ = run_cli("params", "--q", "1000000000000000003", "--l", "5")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "p = 1000000000000000003", "q = 1000000000000000003", "l = 5", "r = 4"
+    ]
+
+
+def test_base_beyond_exact_primality_exits_1():
+    code, out, err = run_cli("params", "--q", str(10**25 + 13), "--l", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:") and "3.317e24" in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chevring.arith import galois_params, multiplicative_order, prime_power_base
+from chevring.arith import galois_params, prime_power_base, residues_one_per_order
 from chevring.errors import InputError, ResourceLimitError
 from chevring.oracles import (
     FULL_SYMMETRIC,
@@ -23,13 +23,6 @@ from chevring.rootdata import lookup
 
 def _params(q, l):
     return galois_params(prime_power_base(q)[0], q, l)
-
-
-def _residues_one_per_order(l):
-    seen = {}
-    for q in range(1, l):
-        seen.setdefault(multiplicative_order(q, l), q)
-    return [seen[r] for r in sorted(seen)]
 
 
 # -- coinvariants -------------------------------------------------------------
@@ -65,7 +58,7 @@ def test_coinvariants_closedform_keeps_divisible_weights():
 
 def test_coinvariants_oracle_matches_closed_form_small_sweep():
     for l in (3, 5):
-        for q in _residues_one_per_order(l):
+        for q in residues_one_per_order(l):
             for k in range(1, 4):
                 for weights in combinations_with_replacement(range(1, 5), k):
                     problem = GradedActionProblem(weights=weights, l=l, q=q, cutoff=10)
@@ -114,7 +107,7 @@ def test_invariants_two_blocks():
 
 def test_invariants_match_product_formula_m_up_to_5():
     for l in (3, 5, 7):
-        for q in _residues_one_per_order(l):
+        for q in residues_one_per_order(l):
             for m in (1, 2, 3, 4, 5):
                 problem = GradedActionProblem(
                     weights=(1,) * m, l=l, q=q, cutoff=10, permutation=FULL_SYMMETRIC
