@@ -114,6 +114,12 @@ def test_galois_params_validates_on_direct_construction():
         GaloisParams(p=5, q=5, l=5, r=1, a=1)
 
 
+def test_galois_params_rejects_a_below_the_l_valuation():
+    assert galois_params(19, 19, 3).a == 2  # 19 - 1 = 3^2 * 2
+    with pytest.raises(InputError):
+        GaloisParams(p=19, q=19, l=3, r=1, a=1)
+
+
 def test_gl_params_long_division():
     gp = galois_params(3, 3, 5)  # r = 4
     glp = gl_params(gp, 3)
