@@ -64,6 +64,12 @@ CASES = [
     ("compare", "--rank", "9", "--q", "7", "--l", "19", "--format", "json"),
     ("compare", "--rank", "5", "--q", "3", "--l", "1000003"),
     ("compare", "--rank", "3", "--q", "3", "--l", "2"),
+    # verify
+    ("verify",),
+    ("verify", "--format", "json"),
+    ("verify", "--primes", "7,11", "--max-weight-len", "4", "--max-m", "3", "--cutoff", "10",
+     "--format", "json"),
+    ("verify", "--monomial-limit", "5"),
 ]
 
 
