@@ -24,6 +24,7 @@ __all__ = [
     "l_valuation",
     "multiplicative_order",
     "prime_power_base",
+    "require_prime",
     "residues_one_per_order",
 ]
 
@@ -68,6 +69,26 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(n: int, name: str = "") -> None:
+    """Raise InputError unless n is a prime that is_prime can vouch for.
+
+    is_prime never rejects a prime, so an n it rejects is composite at any
+    size.  From 3.317e24 on it may pass a composite, so an n there that it
+    passes is refused as undecidable.  The message names n as "name = n",
+    or as n alone.
+    """
+    prime = is_prime(n)
+    if prime and n < _MR_EXACT_BOUND:
+        return
+    label = f"{name} = {n}" if name else str(n)
+    if not prime:
+        raise InputError(f"{label} is not prime")
+    raise InputError(
+        f"cannot tell whether {label} is prime: it is not below 3.317e24, "
+        f"the bound up to which the primality test is exact"
+    )
 
 
 def _power_exponent(q: int, p: int) -> int:
@@ -176,8 +197,7 @@ def l_valuation(x: int, l: int) -> tuple[int, int]:
     """Split x = l^v * cofactor with the cofactor prime to l."""
     if x < 1:
         raise InputError(f"l_valuation needs a positive integer, got {x}")
-    if not is_prime(l):
-        raise InputError(f"{l} is not prime")
+    require_prime(l)
     v = 0
     while x % l == 0:
         x //= l
@@ -193,8 +213,7 @@ def multiplicative_order(q: int, l: int) -> int:
     """
     if q < 1:
         raise InputError(f"q must be positive, got {q}")
-    if not is_prime(l):
-        raise InputError(f"{l} is not prime")
+    require_prime(l)
     if q % l == 0:
         raise PreconditionError(
             f"{l} divides q = {q}: the multiplicative order of q mod {l} is undefined"
@@ -242,8 +261,7 @@ class GaloisParams:
         p, q, l, r, a = self.p, self.q, self.l, self.r, self.a
         if not is_prime(p):
             raise InputError(f"p = {p} is not prime")
-        if not is_prime(l):
-            raise InputError(f"l = {l} is not prime")
+        require_prime(l, "l")
         if l == p:
             raise PreconditionError(
                 f"l = p = {l}: the coefficient prime must differ from the field characteristic"
@@ -295,7 +313,7 @@ def galois_params(p: int, q: int, l: int) -> GaloisParams:
     """Assemble GaloisParams from (p, q, l), computing r and a; GaloisParams
     itself rejects any input that is not valid."""
     r = a = 0  # stays 0 only for inputs that GaloisParams rejects before r
-    if is_prime(l) and q > 1 and q % l:
+    if is_prime(l) and l < _MR_EXACT_BOUND and q > 1 and q % l:
         r = multiplicative_order(q, l)
         a = _exponent_of_l(q, r, l)
     return GaloisParams(p=p, q=q, l=l, r=r, a=a)

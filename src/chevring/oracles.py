@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import GaloisParams, is_prime, multiplicative_order
+from .arith import GaloisParams, multiplicative_order, require_prime
 from .errors import SCHEMA_VERSION, InputError, ResourceLimitError
 from .poly import (
     ModPolynomial,
@@ -70,8 +70,7 @@ class GradedActionProblem:
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if any(w < 1 for w in self.weights):
             raise InputError("variable weights must be positive")
-        if not is_prime(self.l):
-            raise InputError(f"l = {self.l} is not prime")
+        require_prime(self.l, "l")
         if self.q < 1 or gcd(self.q, self.l) != 1:
             raise InputError(f"q = {self.q} must be positive and prime to l = {self.l}")
         if self.cutoff < 0:
@@ -89,26 +88,33 @@ class GradedActionProblem:
 # -- monomial bookkeeping ---------------------------------------------------
 
 
-def _monomials_of_degree(weights: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of weighted degree exactly d, in a fixed order."""
-    n = len(weights)
-    out: list[tuple[int, ...]] = []
+def _packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
+    """The monomials of each weighted degree d <= cutoff, as packed ints: the
+    exponents are base-(cutoff + 1) digits, the first variable's the most
+    significant (Monagan-Pearce packed exponent vectors, CASC 2007).  No
+    exponent of a monomial of degree <= cutoff reaches the base, so adding
+    two keys multiplies the monomials whenever the product has degree <=
+    cutoff, and the order of keys is the lexicographic order of exponents.
+    Each degree's list is increasing."""
+    base = cutoff + 1
+    by_degree = [[0]] + [[] for _ in range(cutoff)]
+    place = 1
+    for w in reversed(weights):
+        by_degree = [
+            [e * place + k for e in range(d // w + 1) for k in by_degree[d - e * w]]
+            for d in range(cutoff + 1)
+        ]
+        place *= base
+    return by_degree
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == n:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        w = weights[i]
-        if i == n - 1:
-            if remaining % w == 0:
-                out.append(prefix + (remaining // w,))
-            return
-        for e in range(remaining // w + 1):
-            rec(i + 1, remaining - e * w, prefix + (e,))
 
-    rec(0, d, ())
-    return out
+def _exponents(key: int, n: int, base: int) -> tuple[int, ...]:
+    """The n exponents packed in key by _packed_monomials with this base."""
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        digits[i] = key % base
+        key //= base
+    return tuple(digits)
 
 
 def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
@@ -136,20 +142,30 @@ def _difference_row(source: tuple[int, ...], image: tuple[int, ...], c: int, l: 
 
 class _SpanAccumulator:
     """Incremental row reduction over F_l for sparse rows (dicts mapping
-    exponent tuples to nonzero coefficients); the one eliminator behind both
-    the coinvariant and the invariant oracle.  Rows within one call are
-    homogeneous, so the lexicographically largest exponent is a stable
-    leading term."""
+    monomial keys, packed ints or exponent tuples, to nonzero coefficients);
+    the one eliminator behind both the coinvariant and the invariant oracle.
+    Rows within one call are homogeneous, so the largest key is a stable
+    leading term.  A single-term row takes an O(1) step: it becomes the
+    pivot {lead: 1} when lead has none, and is dependent when lead's pivot is
+    single-term too; any other row is reduced term by term."""
 
     def __init__(self, l: int):
         self.l = l
-        self.pivots: dict[tuple[int, ...], dict] = {}
+        self.pivots: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, row: dict) -> bool:
+        if len(row) == 1:
+            (lead,) = row
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                self.pivots[lead] = {lead: 1}
+                return True
+            if len(pivot) == 1:
+                return False
         l = self.l
         row = dict(row)
         while row:
@@ -181,17 +197,20 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
     """Series of the coinvariant ring R/(a - gamma.a), one degree at a time.
 
     In degree d the ideal's graded piece is spanned by the products
-    M * (a - gamma.a) over all monomial pairs (M, a) with deg(M*a) = d; its
-    exact rank over F_l is subtracted from dim R_d.  Generators a - gamma.a
-    that vanish identically are skipped, and a degree stops early once the
-    accumulated rank already equals dim R_d; neither shortcut assumes
-    anything about the shape of the action.
+    M * (b - gamma.b) over all monomial pairs (M, b) with deg(M*b) = d; its
+    exact rank over F_l is subtracted from dim R_d.  gamma scales every
+    monomial b of degree w by q^w, so b - gamma.b = v*b with v = 1 - q^w mod
+    l, formed once per w; every product M*b then enters the eliminator as
+    the row {M*b: v}, coinciding products included.  A degree w with v = 0
+    gives only zero rows and is skipped, and a degree d stops early once the
+    accumulated rank already equals dim R_d; neither shortcut changes the
+    rank.
     """
     _require_cyclic(problem)
-    weights, l, cutoff = problem.weights, problem.l, problem.cutoff
+    l, cutoff = problem.l, problem.cutoff
     q0 = problem.q % l
     dims = _checked_dimensions(problem)
-    basis = {d: _monomials_of_degree(weights, d) for d in range(cutoff + 1)}
+    basis = _packed_monomials(problem.weights, cutoff)
 
     coeffs = []
     for d in range(cutoff + 1):
@@ -200,15 +219,12 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
         for w in range(d, 0, -1):
             if acc.rank == dim:
                 break
+            v = (1 - pow(q0, w, l)) % l
+            if not v:
+                continue
             for b in basis[w]:
-                # gamma sends the monomial b to c * b; g = b - gamma.b
-                c = pow(q0, sum(e * wt for e, wt in zip(b, weights)), l)
-                g = _difference_row(b, b, c, l)
-                if not g:
-                    continue
                 for mono in basis[d - w]:
-                    row = {tuple(x + y for x, y in zip(e, mono)): v for e, v in g.items()}
-                    acc.add(row)
+                    acc.add({b + mono: v})
                 if acc.rank == dim:
                     break
         coeffs.append(dim - acc.rank)
@@ -260,13 +276,14 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     q0 = problem.q % l
     _checked_dimensions(problem)
     perms = _symmetric_group_maps(m)
+    bases = _packed_monomials(problem.weights, cutoff)
 
     coeffs = []
-    for d in range(cutoff + 1):
-        basis = _monomials_of_degree(problem.weights, d)
+    for basis in bases:
         acc = _SpanAccumulator(l)
-        for e in basis:
-            rows = [_difference_row(e, tuple(e[i] for i in perm), 1, l) for perm in perms]
+        for key in basis:
+            e = _exponents(key, m, cutoff + 1)
+            rows = [_difference_row(e, tuple([e[i] for i in perm]), 1, l) for perm in perms]
             if m:
                 # scaling on the first coordinate: e -> q^{e_1} e
                 rows.append(_difference_row(e, e, pow(q0, e[0], l), l))

@@ -8,8 +8,10 @@ from chevring.arith import (
     l_valuation,
     multiplicative_order,
     prime_power_base,
+    require_prime,
 )
 from chevring.errors import InputError, PreconditionError
+from chevring.oracles import GradedActionProblem
 
 PRIMES_TO_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -30,6 +32,29 @@ def test_is_prime_rejects_the_strong_pseudoprime_to_the_first_12_primes():
     n = 318665857834031151167461  # = 399165290221 * 798330580441
     assert not is_prime(n)
     assert is_prime(2**89 - 1)  # Mersenne prime above 3.2e23
+
+
+def test_every_l_from_the_exact_bound_on_is_refused():
+    pseudoprime = 1287836182261 * 2575672364521  # passes all 13 witnesses
+    assert is_prime(pseudoprime)
+    for l in (pseudoprime, 2**89 - 1):  # the second is a prime past the bound
+        refusals = [
+            lambda: require_prime(l),
+            lambda: multiplicative_order(2, l),
+            lambda: l_valuation(6, l),
+            lambda: galois_params(2, 2, l),
+            lambda: GaloisParams(p=2, q=2, l=l, r=1, a=1),
+            lambda: GradedActionProblem(weights=(1,), l=l, q=2, cutoff=2),
+        ]
+        for refuse in refusals:
+            with pytest.raises(InputError, match="3.317e24"):
+                refuse()
+    # is_prime never rejects a prime, so a rejected n is composite at any size
+    with pytest.raises(InputError, match="^l = 6 is not prime$"):
+        require_prime(6, "l")
+    with pytest.raises(InputError, match=f"^{2**89 + 1} is not prime$"):
+        require_prime(2**89 + 1)
+    require_prime(2**61 - 1)
 
 
 def test_prime_power_base():

@@ -179,6 +179,21 @@ def test_base_beyond_exact_primality_exits_1():
     assert err.startswith("input error:") and "3.317e24" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("present", "--family", "GL", "--rank", "2", "--q", "2", "--theory", "cobordism"),
+    ("params", "--q", "2"),
+    ("params", "--q", "2", "--format", "json"),
+])
+def test_l_beyond_exact_primality_exits_1(argv):
+    # 1287836182261 * 2575672364521, a strong pseudoprime to all 13 witnesses
+    code, out, err = run_cli(*argv, "--l", "3317044064679887385961981")
+    assert (code, out) == (1, "")
+    assert err == (
+        "input error: cannot tell whether l = 3317044064679887385961981 is prime: "
+        "it is not below 3.317e24, the bound up to which the primality test is exact"
+    )
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["present", "--family", "Sp"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from chevring.errors import InputError, ResourceLimitError
 from chevring.oracles import (
     FULL_SYMMETRIC,
     GradedActionProblem,
+    _SpanAccumulator,
     brauer_chern_total_class,
     chern_scalar_checks,
     coinvariants_hilbert_bruteforce,
@@ -80,6 +81,35 @@ def test_resource_limit_names_the_offending_degree():
     assert exc.value.degree == 4  # 15 monomials of degree 4 in three variables
     assert exc.value.count == 15
     assert "degree 4" in str(exc.value)
+
+
+# -- the eliminator -------------------------------------------------------------
+
+
+def test_single_term_row_is_reduced_against_a_multi_term_pivot():
+    acc = _SpanAccumulator(5)
+    assert acc.add({(2, 0): 1, (1, 1): 3})
+    # (2, 0) has a two-term pivot: 2*(2, 0) reduces to -6*(1, 1) = 4*(1, 1)
+    assert acc.add({(2, 0): 2})
+    assert acc.rank == 2
+    assert acc.pivots[(1, 1)] == {(1, 1): 1}
+    # 3*(2, 0) reduces to -9*(1, 1) = (1, 1), which the new pivot cancels
+    assert not acc.add({(2, 0): 3})
+    assert acc.rank == 2
+
+
+def test_single_term_row_against_a_single_term_pivot_is_rejected():
+    acc = _SpanAccumulator(7)
+    assert acc.add({5: 3})
+    assert not acc.add({5: 6})
+    assert acc.rank == 1
+
+
+def test_single_term_row_with_a_new_lead_is_inserted():
+    acc = _SpanAccumulator(7)
+    assert acc.add({9: 4})
+    assert acc.add({4: 6})
+    assert acc.pivots == {9: {9: 1}, 4: {4: 1}}
 
 
 # -- invariants ---------------------------------------------------------------
