@@ -314,3 +314,76 @@ def test_verify_env_variable_limit(monkeypatch):
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "not-a-number")
     with pytest.raises(UsageError):
         parse_args(["verify"])
+
+
+@pytest.fixture
+def broken_oracles(monkeypatch):
+    """Make every verify clause fail: c_0 of both closed forms is shifted by
+    one, and the Chern checks fail from their second (scalar) or from their
+    l = 5 (restricted) instances on, so a first witness is not always the
+    first instance."""
+    from dataclasses import replace
+
+    from chevring import oracles
+
+    def shifted(closed_form):
+        def shifted_closed_form(problem):
+            series = closed_form(problem)
+            return replace(series, coefficients=(series[0] + 1,) + series.coefficients[1:])
+        return shifted_closed_form
+
+    def report(passed):
+        return oracles.VerificationReport("forced", (), (oracles.Clause("forced", passed),))
+
+    for name in ("coinvariants_hilbert_closedform", "invariants_hilbert_closedform"):
+        monkeypatch.setattr(oracles, name, shifted(getattr(oracles, name)))
+    monkeypatch.setattr(oracles, "chern_scalar_checks", lambda l, q: report(q == 1))
+    monkeypatch.setattr(oracles, "verify_restricted_chern", lambda m, params: report(params.l != 5))
+
+
+FAILING_SWEEP = (
+    "verify", "--primes", "3,5", "--max-weight-len", "1", "--max-weight-entry", "2",
+    "--cutoff", "4", "--max-m", "1", "--sp-max-rank", "1",
+)
+FAILING_CLAUSES = [
+    ("registry-invariants", True, 77, None),
+    ("coinvariants-oracle-vs-closed-form", False, 10,
+     "weights (1,), l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1"),
+    ("invariants-oracle-vs-closed-form", False, 5,
+     "m = 1, l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1"),
+    ("chern-scalar-identities", False, 6, "l = 3, q = 2"),
+    ("restricted-chern-class", False, 9, "m = 1, q = 2, l = 5"),
+    ("sp-pattern-consistency", False, 9,
+     "Sp rank 1, q = 2, l = 3: 2, 0, 1, 0, 1 != 1, 0, 1, 0, 1"),
+]
+
+
+def test_verify_reports_every_failing_clause_in_text(broken_oracles):
+    code, out, err = run_cli(*FAILING_SWEEP)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "registry-invariants: PASS (77 instances)",
+        "coinvariants-oracle-vs-closed-form: FAIL (10 instances) "
+        "[weights (1,), l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1]",
+        "invariants-oracle-vs-closed-form: FAIL (5 instances) "
+        "[m = 1, l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1]",
+        "chern-scalar-identities: FAIL (6 instances) [l = 3, q = 2]",
+        "restricted-chern-class: FAIL (9 instances) [m = 1, q = 2, l = 5]",
+        "sp-pattern-consistency: FAIL (9 instances) "
+        "[Sp rank 1, q = 2, l = 3: 2, 0, 1, 0, 1 != 1, 0, 1, 0, 1]",
+        "SOME CLAUSES FAILED",
+    ]
+
+
+def test_verify_reports_every_failing_clause_in_json(broken_oracles):
+    code, out, err = run_cli(*FAILING_SWEEP, "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "schema_version": 1,
+        "kind": "verification-summary",
+        "passed": False,
+        "clauses": [
+            {"name": name, "passed": passed, "instances": instances, "witness": witness}
+            for name, passed, instances, witness in FAILING_CLAUSES
+        ],
+    }
