@@ -13,14 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
 from .arith import galois_params, gl_params, prime_power_base, residues_one_per_order
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
-DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 # concrete fields driven through the Sp-pattern clause of `verify`
 _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
 
@@ -32,28 +30,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class Request:
-    subcommand: str
-    family: str | None = None
-    rank: int | None = None
-    p: int | None = None
-    q: int | None = None
-    l: int | None = None
-    b: int = 1
-    n: int | None = None
-    theory: str | None = None
-    grading: str | None = None
-    cutoff: int | None = None
-    fmt: str = "text"
-    primes: tuple[int, ...] = DEFAULT_PRIMES
-    max_weight_entry: int = 4
-    max_weight_len: int = 3
-    max_m: int = 2
-    sp_max_rank: int = 4
-    monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT
 
 
 def _default_monomial_limit() -> int:
@@ -107,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification sweeps")
-    p_verify.add_argument("--primes", default=",".join(str(x) for x in DEFAULT_PRIMES))
+    p_verify.add_argument("--primes", default="3,5,7,11,13")
     p_verify.add_argument("--max-weight-entry", type=int, default=4)
     p_verify.add_argument("--max-weight-len", type=int, default=3)
     p_verify.add_argument("--max-m", type=int, default=2)
@@ -119,32 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> Request:
-    ns = build_parser().parse_args(argv)
-    kwargs = {"subcommand": ns.subcommand, "fmt": ns.format}
-    for name in ("family", "rank", "p", "q", "l", "b", "n", "theory", "grading", "cutoff"):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            kwargs[name] = getattr(ns, name)
-    if ns.subcommand == "verify":
+def parse_args(argv) -> argparse.Namespace:
+    request = build_parser().parse_args(argv)
+    if request.subcommand == "verify":
         try:
-            primes = tuple(int(t) for t in ns.primes.split(","))
+            request.primes = tuple(int(t) for t in request.primes.split(","))
         except ValueError:
-            raise UsageError(f"--primes must be a comma-separated integer list, got {ns.primes!r}")
-        kwargs.update(
-            primes=primes,
-            max_weight_entry=ns.max_weight_entry,
-            max_weight_len=ns.max_weight_len,
-            max_m=ns.max_m,
-            cutoff=ns.cutoff,
-            sp_max_rank=ns.sp_max_rank,
-            monomial_limit=ns.monomial_limit
-            if ns.monomial_limit is not None
-            else _default_monomial_limit(),
-        )
-    return Request(**kwargs)
+            raise UsageError(
+                f"--primes must be a comma-separated integer list, got {request.primes!r}"
+            )
+        if request.monomial_limit is None:
+            request.monomial_limit = _default_monomial_limit()
+    return request
 
 
-def _infer_p(request: Request) -> int:
+def _infer_p(request: argparse.Namespace) -> int:
     base, _ = prime_power_base(request.q)
     if request.p is not None and request.p != base:
         raise InputError(
@@ -153,7 +118,7 @@ def _infer_p(request: Request) -> int:
     return base
 
 
-def _presentation(request: Request) -> presentations.GradedPresentation:
+def _presentation(request: argparse.Namespace) -> presentations.GradedPresentation:
     if request.theory == "chow":
         if request.family != "GL":
             raise InputError("chow presentations are available for the GL family only")
@@ -173,7 +138,7 @@ def _presentation(request: Request) -> presentations.GradedPresentation:
 # -- subcommand implementations ---------------------------------------------
 
 
-def _run_params(request: Request) -> str:
+def _run_params(request: argparse.Namespace) -> str:
     params = galois_params(_infer_p(request), request.q, request.l)
     # CPython refuses to convert an int of more digits than this to str or
     # JSON (0: no limit); check before h is formed.
@@ -196,36 +161,36 @@ def _run_params(request: Request) -> str:
     if request.n is not None:
         glp = gl_params(params, request.n)
         payload.update(n=glp.n, m=glp.m, e=glp.e)
-    if request.fmt == "json":
+    if request.format == "json":
         return json.dumps(payload, indent=2)
     order = ("p", "q", "l", "r", "a", "h", "n", "m", "e")
     return "\n".join(f"{k} = {payload[k]}" for k in order if k in payload)
 
 
-def _run_present(request: Request) -> str:
+def _run_present(request: argparse.Namespace) -> str:
     pres = _presentation(request)
-    if request.fmt == "latex":
+    if request.format == "latex":
         return presentations.render_latex(pres)
-    if request.fmt == "json":
-        payload = pres.to_json_dict()
-        if request.cutoff is not None:
-            grading = request.grading or pres.grading
-            series = presentations.poincare_series(pres, request.cutoff, grading)
-            payload["series"] = {"grading": grading, **series.to_json_dict()}
-        return json.dumps(payload, indent=2)
-    text = presentations.render_text(pres)
+    series = None
     if request.cutoff is not None:
         grading = request.grading or pres.grading
         series = presentations.poincare_series(pres, request.cutoff, grading)
+    if request.format == "json":
+        payload = pres.to_json_dict()
+        if series is not None:
+            payload["series"] = {"grading": grading, **series.to_json_dict()}
+        return json.dumps(payload, indent=2)
+    text = presentations.render_text(pres)
+    if series is not None:
         text += f"\nseries ({grading} grading, up to degree {request.cutoff}): {series}"
     return text
 
 
-def _run_series(request: Request) -> str:
+def _run_series(request: argparse.Namespace) -> str:
     pres = _presentation(request)
     grading = request.grading or pres.grading
     series = presentations.poincare_series(pres, request.cutoff, grading)
-    if request.fmt == "json":
+    if request.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": "series",
@@ -237,7 +202,7 @@ def _run_series(request: Request) -> str:
             "series": series.to_json_dict(),
         }
         return json.dumps(payload, indent=2)
-    if request.fmt == "latex":
+    if request.format == "latex":
         return _latex_series(series)
     return str(series)
 
@@ -256,10 +221,10 @@ def _latex_series(series) -> str:
     return " + ".join(terms)
 
 
-def _run_compare(request: Request) -> str:
+def _run_compare(request: argparse.Namespace) -> str:
     params = galois_params(_infer_p(request), request.q, request.l)
     report = presentations.compare_chow_cobordism_gl(gl_params(params, request.rank))
-    if request.fmt == "json":
+    if request.format == "json":
         return json.dumps(report.to_json_dict(), indent=2)
     verdict = "equal" if report.equal else "MISMATCH"
     return "\n".join(
@@ -279,134 +244,132 @@ def _weight_lists(max_len: int, max_entry: int):
         yield from combinations_with_replacement(range(1, max_entry + 1), k)
 
 
-def _run_verify(request: Request) -> tuple[bool, str]:
-    clauses: list[dict] = []
+def _sp_fields(primes):
+    """(q, l, params) for each concrete Sp field and each prime not dividing q."""
+    for p, q in _SP_FIELDS:
+        for l in primes:
+            if q % l:
+                yield q, l, galois_params(p, q, l)
 
-    def clause(name: str, passed: bool, instances: int, witness: str | None = None):
-        clauses.append(
-            {"name": name, "passed": passed, "instances": instances, "witness": witness}
-        )
 
-    checked = rootdata.validate_registry()
-    clause("registry-invariants", True, checked)
+def _mismatch(where: str, got, expected) -> str | None:
+    return None if got == expected else f"{where}: {got} != {expected}"
 
-    sweep = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
 
-    count, witness = 0, None
-    for l, q in sweep:
+def _clause(name: str, witnesses) -> oracles.Clause:
+    """Run a clause: `witnesses` yields None for each instance that passes
+    and a description for each that fails; the first failure is kept."""
+    instances, first = 0, None
+    for witness in witnesses:
+        instances += 1
+        if first is None:
+            first = witness
+    return oracles.Clause(name, first is None, first, instances)
+
+
+def _problem(
+    request: argparse.Namespace, weights, l: int, q: int, permutation=oracles.NO_PERMUTATION
+) -> oracles.GradedActionProblem:
+    return oracles.GradedActionProblem(
+        weights=weights,
+        l=l,
+        q=q,
+        cutoff=request.cutoff,
+        permutation=permutation,
+        monomial_limit=request.monomial_limit,
+    )
+
+
+def _oracle_witness(sweep: str, where: str, problem, bruteforce, closedform) -> str | None:
+    try:
+        brute = bruteforce(problem)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"{sweep} sweep at {where}: {exc}", degree=exc.degree, count=exc.count
+        ) from None
+    return _mismatch(where, brute, closedform(problem))
+
+
+def _coinvariant_witnesses(request: argparse.Namespace, fields):
+    for l, q in fields:
         for weights in _weight_lists(request.max_weight_len, request.max_weight_entry):
-            problem = oracles.GradedActionProblem(
-                weights=weights,
-                l=l,
-                q=q,
-                cutoff=request.cutoff,
-                monomial_limit=request.monomial_limit,
+            yield _oracle_witness(
+                "coinvariant",
+                f"weights {weights}, l = {l}, q = {q}",
+                _problem(request, weights, l, q),
+                oracles.coinvariants_hilbert_bruteforce,
+                oracles.coinvariants_hilbert_closedform,
             )
-            try:
-                brute = oracles.coinvariants_hilbert_bruteforce(problem)
-            except ResourceLimitError as exc:
-                raise ResourceLimitError(
-                    f"coinvariant sweep at weights {weights}, l = {l}, q = {q}: {exc}",
-                    degree=exc.degree,
-                    count=exc.count,
-                ) from None
-            closed = oracles.coinvariants_hilbert_closedform(problem)
-            count += 1
-            if brute != closed and witness is None:
-                witness = f"weights {weights}, l = {l}, q = {q}: {brute} != {closed}"
-    clause("coinvariants-oracle-vs-closed-form", witness is None, count, witness)
 
-    count, witness = 0, None
-    for l, q in sweep:
+
+def _invariant_witnesses(request: argparse.Namespace, fields):
+    for l, q in fields:
         for m in range(1, request.max_m + 1):
-            problem = oracles.GradedActionProblem(
-                weights=(1,) * m,
-                l=l,
-                q=q,
-                cutoff=request.cutoff,
-                permutation=oracles.FULL_SYMMETRIC,
-                monomial_limit=request.monomial_limit,
+            yield _oracle_witness(
+                "invariant",
+                f"m = {m}, l = {l}, q = {q}",
+                _problem(request, (1,) * m, l, q, oracles.FULL_SYMMETRIC),
+                oracles.invariants_hilbert_bruteforce,
+                oracles.invariants_hilbert_closedform,
             )
-            try:
-                brute = oracles.invariants_hilbert_bruteforce(problem)
-            except ResourceLimitError as exc:
-                raise ResourceLimitError(
-                    f"invariant sweep at m = {m}, l = {l}, q = {q}: {exc}",
-                    degree=exc.degree,
-                    count=exc.count,
-                ) from None
-            closed = oracles.invariants_hilbert_closedform(problem)
-            count += 1
-            if brute != closed and witness is None:
-                witness = f"m = {m}, l = {l}, q = {q}: {brute} != {closed}"
-    clause("invariants-oracle-vs-closed-form", witness is None, count, witness)
 
-    count, witness = 0, None
-    for l in request.primes:
+
+def _chern_scalar_witnesses(primes):
+    for l in primes:
         for q in range(1, l):
-            report = oracles.chern_scalar_checks(l, q)
-            count += 1
-            if not report.passed and witness is None:
-                witness = f"l = {l}, q = {q}"
-    clause("chern-scalar-identities", witness is None, count, witness)
+            yield None if oracles.chern_scalar_checks(l, q).passed else f"l = {l}, q = {q}"
 
-    count, witness = 0, None
-    for p, q in _SP_FIELDS:
-        for l in request.primes:
-            if q % l == 0:
-                continue
-            params = galois_params(p, q, l)
-            for m in range(1, request.max_m + 1):
-                report = oracles.verify_restricted_chern(m, params)
-                count += 1
-                if not report.passed and witness is None:
-                    witness = f"m = {m}, q = {q}, l = {l}"
-    clause("restricted-chern-class", witness is None, count, witness)
 
-    count, witness = 0, None
-    for p, q in _SP_FIELDS:
-        for l in request.primes:
-            if q % l == 0:
-                continue
-            params = galois_params(p, q, l)
-            for n in range(1, request.sp_max_rank + 1):
-                datum = rootdata.lookup("Sp", n)
-                problem = oracles.GradedActionProblem(
-                    weights=datum.degrees,
-                    l=l,
-                    q=q,
-                    cutoff=request.cutoff,
-                    monomial_limit=request.monomial_limit,
-                )
-                closed = oracles.coinvariants_hilbert_closedform(problem)
-                pres = presentations.cobordism_presentation(datum, params)
-                series = presentations.poincare_series(pres, request.cutoff, presentations.CHOW)
-                count += 1
-                if closed != series and witness is None:
-                    witness = f"Sp rank {n}, q = {q}, l = {l}: {closed} != {series}"
-    clause("sp-pattern-consistency", witness is None, count, witness)
+def _restricted_chern_witnesses(request: argparse.Namespace):
+    for q, l, params in _sp_fields(request.primes):
+        for m in range(1, request.max_m + 1):
+            report = oracles.verify_restricted_chern(m, params)
+            yield None if report.passed else f"m = {m}, q = {q}, l = {l}"
 
-    passed = all(c["passed"] for c in clauses)
-    if request.fmt == "json":
+
+def _sp_pattern_witnesses(request: argparse.Namespace):
+    for q, l, params in _sp_fields(request.primes):
+        for n in range(1, request.sp_max_rank + 1):
+            datum = rootdata.lookup("Sp", n)
+            closed = oracles.coinvariants_hilbert_closedform(_problem(request, datum.degrees, l, q))
+            pres = presentations.cobordism_presentation(datum, params)
+            series = presentations.poincare_series(pres, request.cutoff, presentations.CHOW)
+            yield _mismatch(f"Sp rank {n}, q = {q}, l = {l}", closed, series)
+
+
+def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
+    registry = oracles.Clause("registry-invariants", True, instances=rootdata.validate_registry())
+    fields = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
+    clauses = [
+        registry,
+        _clause("coinvariants-oracle-vs-closed-form", _coinvariant_witnesses(request, fields)),
+        _clause("invariants-oracle-vs-closed-form", _invariant_witnesses(request, fields)),
+        _clause("chern-scalar-identities", _chern_scalar_witnesses(request.primes)),
+        _clause("restricted-chern-class", _restricted_chern_witnesses(request)),
+        _clause("sp-pattern-consistency", _sp_pattern_witnesses(request)),
+    ]
+    passed = all(c.passed for c in clauses)
+    if request.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": "verification-summary",
             "passed": passed,
-            "clauses": clauses,
+            "clauses": [
+                {"name": c.name, "passed": c.passed, "instances": c.instances, "witness": c.witness}
+                for c in clauses
+            ],
         }
         return passed, json.dumps(payload, indent=2)
-    lines = []
-    for c in clauses:
-        status = "PASS" if c["passed"] else "FAIL"
-        line = f"{c['name']}: {status} ({c['instances']} instances)"
-        if c["witness"]:
-            line += f" [{c['witness']}]"
-        lines.append(line)
+    lines = [
+        f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.instances} instances)"
+        + (f" [{c.witness}]" if c.witness else "")
+        for c in clauses
+    ]
     lines.append("all clauses passed" if passed else "SOME CLAUSES FAILED")
     return passed, "\n".join(lines)
 
 
-def run(request: Request) -> tuple[int, str, str]:
+def run(request: argparse.Namespace) -> tuple[int, str, str]:
     """Execute a request; returns (exit code, rendered output, diagnostic).
 
     The rendered output belongs on stdout, the diagnostic on stderr; exactly

@@ -326,6 +326,7 @@ class Clause:
     name: str
     passed: bool
     witness: str | None = None
+    instances: int = 1
 
 
 @dataclass(frozen=True)
@@ -429,12 +430,14 @@ def chern_scalar_checks(l: int, q: int) -> VerificationReport:
     of q mod l, e_j(1, q, ..., q^{r-1}) vanishes mod l for 0 < j < r, and
     q^{r(r-1)/2} = (-1)^{r-1} mod l."""
     r = multiplicative_order(q, l)
-    powers = [pow(q, i, l) for i in range(r)]
-    failures = []
-    for j in range(1, r):
-        value = elementary_symmetric(j, powers) % l
-        if value != 0:
-            failures.append(f"e_{j} = {value}")
+    # e_0, ..., e_{r-1} of 1, q, ..., q^{r-1} mod l in one pass: multiply out
+    # prod_{i<r} (1 + q^i t) factor by factor, dropping t^r
+    es = [1] + [0] * (r - 1)
+    for k in range(r):
+        power = pow(q, k, l)
+        for j in range(min(k + 1, r - 1), 0, -1):
+            es[j] = (es[j] + power * es[j - 1]) % l
+    failures = [f"e_{j} = {value}" for j, value in enumerate(es) if j and value]
     clauses = [
         Clause(
             "intermediate_symmetric_values_vanish",

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chevring
 from chevring.cli import UsageError, main, parse_args, run
-from chevring.oracles import report_from_json_dict
 from chevring.presentations import comparison_from_json_dict, presentation_from_json_dict
 
 
@@ -319,9 +322,8 @@ def test_verify_env_variable_limit(monkeypatch):
 @pytest.fixture
 def broken_oracles(monkeypatch):
     """Make every verify clause fail: c_0 of both closed forms is shifted by
-    one, and the Chern checks fail from their second (scalar) or from their
-    l = 5 (restricted) instances on, so a first witness is not always the
-    first instance."""
+    one, the scalar Chern check fails for every q but 1, and the restricted
+    one at l = 5 only, so a first witness is not always the first instance."""
     from dataclasses import replace
 
     from chevring import oracles
@@ -387,3 +389,38 @@ def test_verify_reports_every_failing_clause_in_json(broken_oracles):
             for name, passed, instances, witness in FAILING_CLAUSES
         ],
     }
+
+
+# -- dependencies -------------------------------------------------------------------
+
+_IMPORTS_PROBE = """
+import sys
+before = set(sys.modules)
+from chevring.cli import parse_args, run
+for code, argv in [
+    (0, ["verify", "--primes", "3", "--max-weight-len", "1", "--cutoff", "4"]),
+    (0, ["params", "--q", "3", "--l", "5"]),
+    (1, ["params", "--q", "3", "--l", "1000003"]),
+    (0, ["present", "--family", "Sp", "--rank", "4", "--q", "3", "--l", "5",
+         "--theory", "cobordism", "--format", "latex"]),
+]:
+    assert run(parse_args(argv))[0] == code, argv
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter, diffed against the modules it had loaded before the
+    # import, since site hooks load some of their own first
+    env = dict(os.environ, PYTHONPATH=str(Path(chevring.__file__).parents[1]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_PROBE], env=env, capture_output=True, text=True
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = probe.stdout.split()
+    assert "chevring.cli" in loaded
+    outside = [
+        name for name in loaded
+        if name.partition(".")[0] not in {"chevring", *sys.stdlib_module_names}
+    ]
+    assert outside == []

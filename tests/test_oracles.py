@@ -1,3 +1,4 @@
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -234,6 +235,23 @@ def test_chern_scalar_checks_every_residue_up_to_13():
     for l in (2, 3, 5, 7, 11, 13):
         for q in range(1, l):
             assert chern_scalar_checks(l, q).passed, (l, q)
+
+
+def test_chern_scalar_checks_every_residue_at_211_is_fast():
+    start = time.perf_counter()
+    assert all(chern_scalar_checks(211, q).passed for q in range(1, 211))
+    assert time.perf_counter() - start < 2
+
+
+def test_chern_scalar_checks_names_each_nonvanishing_value(monkeypatch):
+    # with a wrong order r = 3 for q = 2, l = 3: prod (1 + t)(1 + 2t)(1 + t)
+    # = 1 + 4t + 5t^2 + 2t^3, so e_1 = 1 and e_2 = 2 mod 3
+    import chevring.oracles
+
+    monkeypatch.setattr(chevring.oracles, "multiplicative_order", lambda q, l: 3)
+    report = chern_scalar_checks(3, 2)
+    assert not report.passed
+    assert report.clauses[0].witness == "e_1 = 1; e_2 = 2"
 
 
 def test_report_json_round_trip():
