@@ -259,8 +259,7 @@ class GaloisParams:
 
     def __post_init__(self):
         p, q, l, r, a = self.p, self.q, self.l, self.r, self.a
-        if not is_prime(p):
-            raise InputError(f"p = {p} is not prime")
+        require_prime(p, "p")
         require_prime(l, "l")
         if l == p:
             raise PreconditionError(

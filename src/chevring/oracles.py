@@ -108,15 +108,6 @@ def _packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
     return by_degree
 
 
-def _exponents(key: int, n: int, base: int) -> tuple[int, ...]:
-    """The n exponents packed in key by _packed_monomials with this base."""
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        digits[i] = key % base
-        key //= base
-    return tuple(digits)
-
-
 def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
     """Dimension of each graded piece up to the cutoff, refusing oversize
     degrees before any enumeration happens."""
@@ -132,18 +123,10 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
     return list(dims.coefficients)
 
 
-def _difference_row(source: tuple[int, ...], image: tuple[int, ...], c: int, l: int) -> dict:
-    """The sparse row source - c*image over F_l, zero entries dropped: the
-    image of the monomial `source` under (id - g) when g sends it to c*image."""
-    row = {source: 1}
-    row[image] = (row.get(image, 0) - c) % l
-    return {e: v for e, v in row.items() if v}
-
-
 class _SpanAccumulator:
     """Incremental row reduction over F_l for sparse rows (dicts mapping
-    monomial keys, packed ints or exponent tuples, to nonzero coefficients);
-    the one eliminator behind both the coinvariant and the invariant oracle.
+    packed-int monomial keys, and only those, to nonzero coefficients); the
+    one eliminator behind both the coinvariant and the invariant oracle.
     Rows within one call are homogeneous, so the largest key is a stable
     leading term.  A single-term row takes an O(1) step: it becomes the
     pivot {lead: 1} when lead has none, and is dependent when lead's pivot is
@@ -244,52 +227,54 @@ def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSe
 # -- wreath-type invariants -------------------------------------------------
 
 
-def _symmetric_group_maps(m: int) -> list[list[int]]:
-    """Index permutations generating the full symmetric group on m letters:
-    a transposition and the m-cycle (either alone suffices only for m <= 2)."""
-    gens = []
-    if m >= 2:
-        swap = list(range(m))
-        swap[0], swap[1] = swap[1], swap[0]
-        gens.append(swap)
-    if m >= 3:
-        gens.append(list(range(1, m)) + [0])
-    return gens
-
-
 def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
     """Series of the ring of invariants under the group generated by the
     coordinate scaling eta_1 -> q*eta_1 and the full symmetric group on the
     variables: in each degree, the joint kernel of (g - id) over the monomial
     basis, for g running over the generators.
 
-    Each generator sends a monomial e to a scalar multiple of a monomial,
+    The symmetric group is generated by the transposition of the first two
+    variables and the m-cycle (either alone suffices only for m <= 2).  Each
+    generator sends a monomial e to a scalar multiple of a monomial,
     bijectively on the basis, so the rows e - g(e) over all e are, up to
     sign, the rows of the matrix of (g - id); their rank is subtracted from
-    the dimension of the degree."""
+    the dimension of the degree.  Images are formed on packed keys without
+    unpacking: with B = cutoff + 1 and P_i the place of variable i, the
+    transposition adds (e_1 - e_0)(P_0 - P_1) to a key, and the m-cycle
+    maps it to (key - e_0 P_0) B + e_0."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
         raise InputError("invariant oracle expects all variable weights equal to 1")
     m = len(problem.weights)
     l, cutoff = problem.l, problem.cutoff
-    q0 = problem.q % l
+    base = cutoff + 1
     _checked_dimensions(problem)
-    perms = _symmetric_group_maps(m)
     bases = _packed_monomials(problem.weights, cutoff)
+    # places of the first two variables in a packed key; with m = 0 the one
+    # key is 0, whose scaling row 1 - q^0 vanishes
+    p0 = base ** max(m - 1, 0)
+    p1 = p0 // base
+    scale = [(1 - pow(problem.q, k, l)) % l for k in range(base)]
 
     coeffs = []
     for basis in bases:
         acc = _SpanAccumulator(l)
         for key in basis:
-            e = _exponents(key, m, cutoff + 1)
-            rows = [_difference_row(e, tuple([e[i] for i in perm]), 1, l) for perm in perms]
-            if m:
-                # scaling on the first coordinate: e -> q^{e_1} e
-                rows.append(_difference_row(e, e, pow(q0, e[0], l), l))
-            for row in rows:
-                if row:
-                    acc.add(row)
+            e0 = key // p0
+            if m >= 2:
+                # the transposition of the first two variables
+                e1 = key // p1 % base
+                if e1 != e0:
+                    acc.add({key: 1, key + (e1 - e0) * (p0 - p1): l - 1})
+            if m >= 3:
+                # the m-cycle: e_0 moves from the first place to the last
+                image = (key - e0 * p0) * base + e0
+                if image != key:
+                    acc.add({key: 1, image: l - 1})
+            # the scaling on the first variable: e -> q^{e_0} e
+            if scale[e0]:
+                acc.add({key: scale[e0]})
         coeffs.append(len(basis) - acc.rank)
     return TruncatedSeries(cutoff, tuple(coeffs))
 

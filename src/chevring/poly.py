@@ -74,6 +74,15 @@ class ModPolynomial:
         self.variables = vs
         self.terms = clean
 
+    def _result(self, terms: dict) -> "ModPolynomial":
+        """A polynomial in this context from terms formed by arithmetic on
+        checked polynomials: the exponents are valid already, so only the
+        reduction mod the modulus and the dropping of zeros remain."""
+        out = object.__new__(ModPolynomial)
+        out.modulus, out.variables = self.modulus, self.variables
+        out.terms = {e: r for e, c in terms.items() if (r := c % self.modulus)}
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -86,7 +95,7 @@ class ModPolynomial:
         return cls(modulus, vs, {(0,) * len(vs): value})
 
     def one(self) -> "ModPolynomial":
-        return ModPolynomial(self.modulus, self.variables, {(0,) * len(self.variables): 1})
+        return self._result({(0,) * len(self.variables): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -107,17 +116,13 @@ class ModPolynomial:
         return self.terms.get(tuple(exps), 0)
 
     def homogeneous_component(self, d: int) -> "ModPolynomial":
-        picked = {e: c for e, c in self.terms.items() if self.monomial_degree(e) == d}
-        return ModPolynomial(self.modulus, self.variables, picked)
+        return self._result({e: c for e, c in self.terms.items() if self.monomial_degree(e) == d})
 
     def homogeneous_components(self) -> dict[int, "ModPolynomial"]:
         buckets: dict[int, dict] = {}
         for e, c in self.terms.items():
             buckets.setdefault(self.monomial_degree(e), {})[e] = c
-        return {
-            d: ModPolynomial(self.modulus, self.variables, t)
-            for d, t in sorted(buckets.items())
-        }
+        return {d: self._result(t) for d, t in sorted(buckets.items())}
 
     def is_homogeneous(self) -> bool:
         return len({self.monomial_degree(e) for e in self.terms}) <= 1
@@ -133,14 +138,16 @@ class ModPolynomial:
 
     def _combine(self, other, sign: int) -> "ModPolynomial":
         if isinstance(other, int):
-            other = ModPolynomial.constant(self.modulus, self.variables, other)
-        if not isinstance(other, ModPolynomial):
+            other = {(0,) * len(self.variables): other}
+        elif isinstance(other, ModPolynomial):
+            self._context_of(other)
+            other = other.terms
+        else:
             return NotImplemented
-        self._context_of(other)
         merged = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in other.items():
             merged[e] = merged.get(e, 0) + sign * c
-        return ModPolynomial(self.modulus, self.variables, merged)
+        return self._result(merged)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -154,15 +161,11 @@ class ModPolynomial:
         return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return ModPolynomial(
-            self.modulus, self.variables, {e: -c for e, c in self.terms.items()}
-        )
+        return self._result({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ModPolynomial(
-                self.modulus, self.variables, {e: c * other for e, c in self.terms.items()}
-            )
+            return self._result({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, ModPolynomial):
             return NotImplemented
         return multiply(self, other)
@@ -247,7 +250,7 @@ def multiply(f: ModPolynomial, g: ModPolynomial, cutoff: int | None = None) -> M
                 continue
             e = tuple(a + b for a, b in zip(ef, eg))
             out[e] = out.get(e, 0) + cf * cg
-    return ModPolynomial(f.modulus, f.variables, out)
+    return f._result(out)
 
 
 def elementary_symmetric(i: int, values):

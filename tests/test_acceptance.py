@@ -120,7 +120,7 @@ def test_criterion_4_fixed_ring_description():
     def body():
         for l in SWEEP_PRIMES:
             for q in residues_one_per_order(l):
-                for m in (1, 2, 3):
+                for m in range(1, 6):
                     problem = GradedActionProblem(
                         weights=(1,) * m, l=l, q=q, cutoff=12, permutation=FULL_SYMMETRIC
                     )

@@ -57,6 +57,17 @@ def test_every_l_from_the_exact_bound_on_is_refused():
     require_prime(2**61 - 1)
 
 
+def test_every_p_from_the_exact_bound_on_is_refused():
+    # the composite L passes all 13 witnesses, so only the bound of the
+    # exact range can refuse it; 2^89 - 1 is a prime past that bound
+    pseudoprime = 1287836182261 * 2575672364521
+    for p in (pseudoprime, 2**89 - 1):
+        with pytest.raises(InputError, match=f"^cannot tell whether p = {p} is prime"):
+            galois_params(p, p, 5)
+    with pytest.raises(InputError, match="^p = 15 is not prime$"):
+        GaloisParams(p=15, q=15, l=7, r=1, a=1)
+
+
 def test_prime_power_base():
     assert prime_power_base(81) == (3, 4)
     assert prime_power_base(64) == (2, 6)
@@ -122,12 +133,12 @@ def test_galois_params_reconstruction():
 
 
 def test_h_digits_when_h_is_a_power_of_ten():
-    # q = 3 * 10^36 + 1 is prime, so with l = 3: r = 1, a = 1 and h = 10^36,
+    # q = 3 * 10^10 + 1 is prime, so with l = 3: r = 1, a = 1 and h = 10^10,
     # where log10(h) is an integer and the digit count must come from h itself
-    q = 3 * 10**36 + 1
+    q = 3 * 10**10 + 1
     gp = galois_params(q, q, 3)
-    assert (gp.r, gp.a, gp.h) == (1, 1, 10**36)
-    assert gp.h_digits() == 37
+    assert (gp.r, gp.a, gp.h) == (1, 1, 10**10)
+    assert gp.h_digits() == 11
 
 
 def test_galois_params_validates_on_direct_construction():

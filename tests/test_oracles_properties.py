@@ -1,4 +1,5 @@
 """Property tests of the packed monomial enumerator behind both oracles,
+and of the generator images the invariant oracle forms on packed keys,
 driven by hypothesis against a brute-force enumeration of exponent tuples.
 
 hypothesis is a test-only dependency (the `test` extra); the module is
@@ -6,6 +7,7 @@ skipped where it is missing.
 """
 
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 
@@ -14,7 +16,29 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from chevring.oracles import _exponents, _packed_monomials  # noqa: E402
+from chevring import oracles  # noqa: E402
+from chevring.oracles import (  # noqa: E402
+    FULL_SYMMETRIC,
+    GradedActionProblem,
+    _packed_monomials,
+    invariants_hilbert_bruteforce,
+)
+
+
+def _exponents(key, n, base):
+    """The n exponents packed in key by _packed_monomials with this base."""
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        digits[i] = key % base
+        key //= base
+    return tuple(digits)
+
+
+def _pack(exps, base):
+    key = 0
+    for x in exps:
+        key = key * base + x
+    return key
 
 
 def _tuples_by_degree(weights, cutoff):
@@ -69,3 +93,65 @@ def test_packed_monomials_match_exponent_tuples(weights, cutoff, data):
         assert _exponents(a + b, n, base) == tuple(
             x + y for x, y in zip(unpack[a], unpack[b])
         )
+
+
+def _rows_fed_to_eliminator(problem):
+    """Every row invariants_hilbert_bruteforce gives its eliminator, in order."""
+    rows = []
+
+    class Recorder:
+        rank = 0
+
+        def __init__(self, l):
+            pass
+
+        def add(self, row):
+            rows.append(row)
+
+    with patch.object(oracles, "_SpanAccumulator", Recorder):
+        invariants_hilbert_bruteforce(problem)
+    return rows
+
+
+def _expected_rows(m, l, q, cutoff):
+    """Every nonzero row e - g(e) of the invariant oracle, in the order it
+    forms them, with the images found by unpack -> permute -> repack."""
+    base = cutoff + 1
+    rows = []
+    for keys in _packed_monomials((1,) * m, cutoff):
+        for key in keys:
+            e = _exponents(key, m, base)
+            images = []
+            if m >= 2:
+                images.append((e[1], e[0], *e[2:]))
+            if m >= 3:
+                images.append((*e[1:], e[0]))
+            rows += [{key: 1, _pack(g, base): l - 1} for g in images if g != e]
+            scale = (1 - pow(q, e[0], l)) % l
+            if scale:
+                rows.append({key: scale})
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    cutoff=st.integers(0, 14),
+    lq=st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda l: st.tuples(st.just(l), st.integers(1, l - 1))
+    ),
+)
+# every run holds monomials with an exponent equal to the cutoff, in each
+# place; these put the largest such digits at the largest and smallest m
+@example(m=1, cutoff=14, lq=(13, 2))
+@example(m=2, cutoff=14, lq=(2, 1))
+@example(m=3, cutoff=14, lq=(11, 10))
+@example(m=6, cutoff=14, lq=(7, 3))
+@example(m=6, cutoff=1, lq=(3, 2))
+@example(m=4, cutoff=0, lq=(5, 1))
+def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
+    l, q = lq
+    problem = GradedActionProblem(
+        weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
+    )
+    assert _rows_fed_to_eliminator(problem) == _expected_rows(m, l, q, cutoff)

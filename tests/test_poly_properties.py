@@ -1,0 +1,77 @@
+"""Differential tests of ModPolynomial arithmetic against sympy's Poly over
+F_l, driven by hypothesis.  Every result below is built by arithmetic, so
+these guard the path that skips the constructor's re-validation.
+
+Both are test-only dependencies (the `test` extra); the module is skipped
+where either is missing.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chevring.poly import ModPolynomial  # noqa: E402
+
+NAMES = ("x", "y", "z")
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(l, weights, f, g): two integer term dicts in the same variables,
+    with exponents up to 3 and coefficients of either sign, unreduced."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    weights = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    exps = st.tuples(*(st.integers(0, 3) for _ in weights))
+    terms = st.dictionaries(exps, st.integers(-30, 30), max_size=5)
+    return l, weights, draw(terms), draw(terms)
+
+
+def _reduced(poly, l):
+    """sympy's terms as ModPolynomial stores them: residues 1..l-1, no zeros."""
+    return {e: int(c) % l for e, c in poly.as_dict().items() if int(c) % l}
+
+
+def _weighted_degree(e, weights):
+    return sum(x * w for x, w in zip(e, weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polynomial_pairs(), k=st.integers(0, 4), c=st.integers(-40, 40))
+def test_arithmetic_matches_sympy(case, k, c):
+    l, weights, fterms, gterms = case
+    variables = tuple(zip(NAMES, weights))
+    gens = sympy.symbols(NAMES[: len(weights)])
+    f, g = (ModPolynomial(l, variables, t) for t in (fterms, gterms))
+    sf, sg = (sympy.Poly.from_dict(t or {(0,) * len(weights): 0}, gens, modulus=l)
+              for t in (fterms, gterms))
+
+    results = [
+        (f + g, sf + sg),
+        (f - g, sf - sg),
+        (f * g, sf * sg),
+        (f**k, sf**k),
+        (c * f, sf * c),
+        (f * c, sf * c),
+        (c + f, sf + c),
+        (c - f, c - sf),
+        (f - c, sf - c),
+        (-f, -sf),
+    ]
+    expected_f = _reduced(sf, l)
+    by_degree = {}
+    for e, v in expected_f.items():
+        by_degree.setdefault(_weighted_degree(e, weights), {})[e] = v
+    for d in range(0, 3 * sum(weights) + 2):
+        results.append((f.homogeneous_component(d), by_degree.get(d, {})))
+    assert {d: h.terms for d, h in f.homogeneous_components().items()} == by_degree
+
+    for got, want in results:
+        want = want if isinstance(want, dict) else _reduced(want, l)
+        assert got.terms == want
+        assert got.variables == variables and got.modulus == l
+        # the result is one the validating constructor accepts unchanged
+        assert ModPolynomial(l, variables, got.terms) == got
