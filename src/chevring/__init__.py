@@ -25,10 +25,8 @@ from .oracles import (
     verify_restricted_chern,
 )
 from .poly import (
-    DiagonalAction,
     ModPolynomial,
     TruncatedSeries,
-    apply_diagonal,
     elementary_symmetric,
     hilbert_series_of_free_polynomial_ring,
     multiply,

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import GaloisParams, multiplicative_order, require_prime
-from .errors import SCHEMA_VERSION, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .poly import (
     ModPolynomial,
     TruncatedSeries,
     elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
+    packed_monomials,
 )
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "coinvariants_hilbert_closedform",
     "invariants_hilbert_bruteforce",
     "invariants_hilbert_closedform",
-    "report_from_json_dict",
     "verify_restricted_chern",
 ]
 
@@ -86,26 +86,6 @@ class GradedActionProblem:
 
 
 # -- monomial bookkeeping ---------------------------------------------------
-
-
-def _packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
-    """The monomials of each weighted degree d <= cutoff, as packed ints: the
-    exponents are base-(cutoff + 1) digits, the first variable's the most
-    significant (Monagan-Pearce packed exponent vectors, CASC 2007).  No
-    exponent of a monomial of degree <= cutoff reaches the base, so adding
-    two keys multiplies the monomials whenever the product has degree <=
-    cutoff, and the order of keys is the lexicographic order of exponents.
-    Each degree's list is increasing."""
-    base = cutoff + 1
-    by_degree = [[0]] + [[] for _ in range(cutoff)]
-    place = 1
-    for w in reversed(weights):
-        by_degree = [
-            [e * place + k for e in range(d // w + 1) for k in by_degree[d - e * w]]
-            for d in range(cutoff + 1)
-        ]
-        place *= base
-    return by_degree
 
 
 def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
@@ -193,7 +173,7 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
     l, cutoff = problem.l, problem.cutoff
     q0 = problem.q % l
     dims = _checked_dimensions(problem)
-    basis = _packed_monomials(problem.weights, cutoff)
+    basis = packed_monomials(problem.weights, cutoff)
 
     coeffs = []
     for d in range(cutoff + 1):
@@ -250,7 +230,7 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     l, cutoff = problem.l, problem.cutoff
     base = cutoff + 1
     _checked_dimensions(problem)
-    bases = _packed_monomials(problem.weights, cutoff)
+    bases = packed_monomials(problem.weights, cutoff)
     # places of the first two variables in a packed key; with m = 0 the one
     # key is 0, whose scaling row 1 - q^0 vanishes
     p0 = base ** max(m - 1, 0)
@@ -299,8 +279,10 @@ def brauer_chern_total_class(m: int, params: GaloisParams) -> ModPolynomial:
         raise InputError(f"m must be >= 1, got {m}")
     l, r = params.l, params.r
     variables = tuple((f"eta_{j}", 1) for j in range(1, m + 1))
-    total = ModPolynomial.constant(l, variables, 1)
-    for eta in generators(l, variables):
+    # m*r linear factors: the product has degree exactly m*r
+    etas = generators(l, variables, m * r)
+    total = etas[0].one()
+    for eta in etas:
         for i in range(r):
             total = total * (1 + pow(params.q, i, l) * eta)
     return total
@@ -323,28 +305,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.clauses)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "parameters": {k: v for k, v in self.parameters},
-            "passed": self.passed,
-            "clauses": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.clauses
-            ],
-        }
-
-
-def report_from_json_dict(d: dict) -> VerificationReport:
-    return VerificationReport(
-        kind=d["kind"],
-        parameters=tuple((k, int(v)) for k, v in d["parameters"].items()),
-        clauses=tuple(
-            Clause(c["name"], bool(c["passed"]), c["witness"]) for c in d["clauses"]
-        ),
-    )
 
 
 def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
@@ -373,7 +333,7 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
         )
     )
 
-    etas = generators(l, total.variables)
+    etas = generators(l, total.variables, total.cutoff)
     eta_r = [eta**r for eta in etas]
     mismatches = []
     for i in range(1, m + 1):

@@ -1,10 +1,23 @@
-"""Dense multivariate polynomial arithmetic over Z/l^b with weighted variables.
+"""Multivariate polynomial arithmetic over Z/l^b with weighted variables and
+a bound on the weighted degree, on monomials packed into integers.
 
-A polynomial carries its whole context: the modulus l^b and an ordered tuple
-of (name, weight) variable pairs.  Two polynomials interoperate only when
-their contexts agree exactly.  Exponent vectors are dense tuples indexed by
-the context; the canonical term order (used for printing) is graded
-lexicographic on (weighted degree, exponent vector).
+A polynomial carries its whole context: the modulus l^b, an ordered tuple
+of (name, weight) variable pairs, and the cutoff D, the largest weighted
+degree a term may have.  Two polynomials interoperate only when their
+contexts agree exactly.  Arithmetic whose result would have a term above D
+raises InputError; nothing is truncated.
+
+This module is the one place that knows the monomial layout.  With base
+B = D + 1, the exponents of a monomial of weighted degree <= D are
+base-B digits, the first variable's the most significant (Monagan-Pearce
+packed exponent vectors, CASC 2007); `packed_monomials` enumerates these
+keys for the oracles.  A `ModPolynomial` term on n variables puts the
+weighted degree d in front as one more digit: its key is d * B^n plus the
+packed exponents.  No exponent of a monomial of degree <= D reaches the
+base, so adding two keys multiplies the monomials whenever the product has
+degree <= D, key // B^n is the degree, a key is below B^(n+1) exactly when
+its degree is <= D, and the order of keys is graded lexicographic order on
+(weighted degree, exponent vector), the order terms print in.
 
 The grading convention throughout the package is algebraic degree: a Chern
 class c_i has degree i, a class of topological degree 2d is stored with
@@ -14,23 +27,38 @@ degree d.  Doubling happens only at the presentation layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import InputError
 
 __all__ = [
-    "DiagonalAction",
     "ModPolynomial",
     "TruncatedSeries",
-    "apply_diagonal",
     "elementary_symmetric",
     "generators",
     "hilbert_series_of_free_polynomial_ring",
     "multiply",
+    "packed_monomials",
 ]
 
 Variables = tuple[tuple[str, int], ...]
+
+
+def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
+    """The monomials of each weighted degree d <= cutoff, as packed ints:
+    the exponents are base-(cutoff + 1) digits, the first variable's the most
+    significant.  Each degree's list is increasing, and the order of keys is
+    the lexicographic order of exponents."""
+    base = cutoff + 1
+    by_degree = [[0]] + [[] for _ in range(cutoff)]
+    place = 1
+    for w in reversed(weights):
+        by_degree = [
+            [e * place + k for e in range(d // w + 1) for k in by_degree[d - e * w]]
+            for d in range(cutoff + 1)
+        ]
+        place *= base
+    return by_degree
 
 
 def _validated_variables(variables) -> Variables:
@@ -44,20 +72,28 @@ def _validated_variables(variables) -> Variables:
 
 
 class ModPolynomial:
-    """Immutable polynomial over Z/modulus in a fixed weighted-variable context.
+    """Immutable polynomial over Z/modulus in a fixed weighted-variable
+    context whose terms have weighted degree at most ``cutoff``.
 
-    ``terms`` maps exponent tuples to coefficients; no stored coefficient is
-    zero mod the modulus.  Integers mix freely as scalars in +, -, *.
+    The constructor takes ``terms`` as (exponent tuple, coefficient) pairs
+    or a mapping of them.  The stored ``terms`` map the packed keys of the
+    module docstring to coefficients, none zero mod the modulus.  Integers
+    mix freely as scalars in +, -, *.
     """
 
-    __slots__ = ("modulus", "variables", "terms")
+    __slots__ = ("modulus", "variables", "cutoff", "terms")
 
-    def __init__(self, modulus: int, variables, terms=()):
+    def __init__(self, modulus: int, variables, cutoff: int, terms=()):
         if modulus < 2:
             raise InputError(f"modulus must be >= 2, got {modulus}")
-        vs = _validated_variables(variables)
-        nvars = len(vs)
-        clean: dict[tuple[int, ...], int] = {}
+        if cutoff < 0:
+            raise InputError(f"cutoff must be >= 0, got {cutoff}")
+        self.modulus = modulus
+        self.variables = _validated_variables(variables)
+        self.cutoff = cutoff
+        nvars = len(self.variables)
+        limit = self._place() * (cutoff + 1)
+        merged: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coef in items:
             e = tuple(int(x) for x in exps)
@@ -65,88 +101,80 @@ class ModPolynomial:
                 raise InputError(f"exponent vector {e} does not match {nvars} variables")
             if any(x < 0 for x in e):
                 raise InputError(f"negative exponent in {e}")
-            c = (clean.get(e, 0) + int(coef)) % modulus
-            if c:
-                clean[e] = c
-            elif e in clean:
-                del clean[e]
-        self.modulus = modulus
-        self.variables = vs
-        self.terms = clean
+            key = self._key(e)
+            if key >= limit:
+                raise InputError(f"monomial {e} has weighted degree above the cutoff {cutoff}")
+            merged[key] = merged.get(key, 0) + int(coef)
+        self.terms = {k: r for k, c in merged.items() if (r := c % modulus)}
 
     def _result(self, terms: dict) -> "ModPolynomial":
         """A polynomial in this context from terms formed by arithmetic on
-        checked polynomials: the exponents are valid already, so only the
+        checked polynomials: the keys are valid already, so only the
         reduction mod the modulus and the dropping of zeros remain."""
         out = object.__new__(ModPolynomial)
-        out.modulus, out.variables = self.modulus, self.variables
-        out.terms = {e: r for e, c in terms.items() if (r := c % self.modulus)}
+        out.modulus, out.variables, out.cutoff = self.modulus, self.variables, self.cutoff
+        out.terms = {k: r for k, c in terms.items() if (r := c % self.modulus)}
         return out
 
-    # -- constructors -------------------------------------------------
+    def _place(self) -> int:
+        """B^n, the place of the degree digit of a key."""
+        return (self.cutoff + 1) ** len(self.variables)
 
-    @classmethod
-    def zero(cls, modulus: int, variables) -> "ModPolynomial":
-        return cls(modulus, variables, {})
-
-    @classmethod
-    def constant(cls, modulus: int, variables, value: int) -> "ModPolynomial":
-        vs = _validated_variables(variables)
-        return cls(modulus, vs, {(0,) * len(vs): value})
+    def _key(self, exps: tuple[int, ...]) -> int:
+        """The key of the monomial with these n nonnegative exponents."""
+        base = self.cutoff + 1
+        key = sum(x * w for x, (_, w) in zip(exps, self.variables))
+        for x in exps:
+            key = key * base + x
+        return key
 
     def one(self) -> "ModPolynomial":
-        return self._result({(0,) * len(self.variables): 1})
+        return self._result({0: 1})
 
     # -- inspection ---------------------------------------------------
 
-    def weights(self) -> tuple[int, ...]:
-        return tuple(weight for _, weight in self.variables)
-
-    def monomial_degree(self, exps) -> int:
-        return sum(e * w for e, w in zip(exps, self.weights()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Largest weighted degree of a term, or -1 for the zero polynomial."""
-        return max((self.monomial_degree(e) for e in self.terms), default=-1)
-
     def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
+        """The coefficient of the monomial with these exponents; 0 for one
+        outside the context or above the cutoff, whose key no term has."""
+        e = tuple(exps)
+        if len(e) != len(self.variables) or any(x < 0 for x in e):
+            return 0
+        return self.terms.get(self._key(e), 0)
 
     def homogeneous_component(self, d: int) -> "ModPolynomial":
-        return self._result({e: c for e, c in self.terms.items() if self.monomial_degree(e) == d})
+        place = self._place()
+        return self._result({k: c for k, c in self.terms.items() if k // place == d})
 
     def homogeneous_components(self) -> dict[int, "ModPolynomial"]:
+        place = self._place()
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            buckets.setdefault(self.monomial_degree(e), {})[e] = c
+        for k, c in self.terms.items():
+            buckets.setdefault(k // place, {})[k] = c
         return {d: self._result(t) for d, t in sorted(buckets.items())}
-
-    def is_homogeneous(self) -> bool:
-        return len({self.monomial_degree(e) for e in self.terms}) <= 1
 
     # -- arithmetic ---------------------------------------------------
 
     def _context_of(self, other: "ModPolynomial"):
-        if self.modulus != other.modulus or self.variables != other.variables:
+        if (self.modulus, self.variables, self.cutoff) != (
+            other.modulus, other.variables, other.cutoff
+        ):
             raise InputError(
                 "polynomial contexts differ: "
-                f"mod {self.modulus} on {self.variables} vs mod {other.modulus} on {other.variables}"
+                f"mod {self.modulus} on {self.variables} up to degree {self.cutoff} vs "
+                f"mod {other.modulus} on {other.variables} up to degree {other.cutoff}"
             )
 
     def _combine(self, other, sign: int) -> "ModPolynomial":
         if isinstance(other, int):
-            other = {(0,) * len(self.variables): other}
+            other = {0: other}
         elif isinstance(other, ModPolynomial):
             self._context_of(other)
             other = other.terms
         else:
             return NotImplemented
         merged = dict(self.terms)
-        for e, c in other.items():
-            merged[e] = merged.get(e, 0) + sign * c
+        for k, c in other.items():
+            merged[k] = merged.get(k, 0) + sign * c
         return self._result(merged)
 
     def __add__(self, other):
@@ -161,11 +189,11 @@ class ModPolynomial:
         return (-self)._combine(other, 1)
 
     def __neg__(self):
-        return self._result({e: -c for e, c in self.terms.items()})
+        return self._result({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self._result({e: c * other for e, c in self.terms.items()})
+            return self._result({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, ModPolynomial):
             return NotImplemented
         return multiply(self, other)
@@ -186,33 +214,30 @@ class ModPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self == ModPolynomial.constant(self.modulus, self.variables, other)
-        if not isinstance(other, ModPolynomial):
+            other = self._result({0: other})
+        elif not isinstance(other, ModPolynomial):
             return NotImplemented
         return (
             self.modulus == other.modulus
             and self.variables == other.variables
+            and self.cutoff == other.cutoff
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.modulus, self.variables, frozenset(self.terms.items())))
-
     # -- rendering ----------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ec: (self.monomial_degree(ec[0]), ec[0]))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        base = self.cutoff + 1
         parts = []
-        for exps, coef in self._sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for (name, _), e in zip(self.variables, exps)
-                if e
-            ]
+        for key, coef in sorted(self.terms.items()):
+            factors = []
+            for name, _ in reversed(self.variables):
+                key, e = divmod(key, base)
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            factors.reverse()
             if not factors:
                 parts.append(str(coef))
             elif coef == 1:
@@ -225,31 +250,37 @@ class ModPolynomial:
         return f"<ModPolynomial mod {self.modulus}: {self}>"
 
 
-def generators(modulus: int, variables) -> list[ModPolynomial]:
+def generators(modulus: int, variables, cutoff: int) -> list[ModPolynomial]:
     """The variable polynomials of a fresh context, in context order."""
-    vs = _validated_variables(variables)
-    n = len(vs)
+    zero = ModPolynomial(modulus, variables, cutoff)
+    if any(w > cutoff for _, w in zero.variables):
+        raise InputError(f"a variable weight exceeds the cutoff {cutoff}")
+    place = zero._place()
     return [
-        ModPolynomial(modulus, vs, {tuple(1 if j == i else 0 for j in range(n)): 1})
-        for i in range(n)
+        zero._result({w * place + place // (cutoff + 1) ** i: 1})
+        for i, (_, w) in enumerate(zero.variables, start=1)
     ]
 
 
-def multiply(f: ModPolynomial, g: ModPolynomial, cutoff: int | None = None) -> ModPolynomial:
-    """Exact product; terms of weighted degree above ``cutoff`` are dropped."""
+def multiply(f: ModPolynomial, g: ModPolynomial) -> ModPolynomial:
+    """Exact product, refused with InputError when the degrees of f and g
+    sum past the cutoff (over a field, the degree of the product)."""
     f._context_of(g)
-    weights = f.weights()
-    out: dict[tuple[int, ...], int] = {}
-    gdegs = None
-    if cutoff is not None:
-        gdegs = {e: sum(x * w for x, w in zip(e, weights)) for e in g.terms}
-    for ef, cf in f.terms.items():
-        fdeg = sum(x * w for x, w in zip(ef, weights)) if cutoff is not None else 0
-        for eg, cg in g.terms.items():
-            if cutoff is not None and fdeg + gdegs[eg] > cutoff:
-                continue
-            e = tuple(a + b for a, b in zip(ef, eg))
-            out[e] = out.get(e, 0) + cf * cg
+    if f.terms and g.terms:
+        top_f, top_g = max(f.terms), max(g.terms)
+        place = f._place()
+        # the largest keys hold the largest degrees; their sum reaches the
+        # bound B^(n+1) exactly when those degrees sum past the cutoff
+        if top_f + top_g >= place * (f.cutoff + 1):
+            raise InputError(
+                f"a product of degree {top_f // place + top_g // place} "
+                f"exceeds the cutoff {f.cutoff}"
+            )
+    out: dict[int, int] = {}
+    for kf, cf in f.terms.items():
+        for kg, cg in g.terms.items():
+            k = kf + kg
+            out[k] = out.get(k, 0) + cf * cg
     return f._result(out)
 
 
@@ -269,32 +300,6 @@ def elementary_symmetric(i: int, values):
         for j in range(min(k, i), 0, -1):
             es[j] = es[j] + v * es[j - 1]
     return es[i]
-
-
-@dataclass(frozen=True)
-class DiagonalAction:
-    """Scaling action: a monomial of weighted degree w is multiplied by
-    scalar^w.  The scalar is the image of q in Z/l^b and must be a unit."""
-
-    scalar: int
-    weights: tuple[int, ...]
-
-
-def apply_diagonal(action: DiagonalAction, f: ModPolynomial) -> ModPolynomial:
-    """Apply a diagonal action monomial by monomial."""
-    if tuple(action.weights) != f.weights():
-        raise InputError(
-            f"action weights {action.weights} do not match variable weights {f.weights()}"
-        )
-    if gcd(action.scalar, f.modulus) != 1:
-        raise InputError(
-            f"scalar {action.scalar} is not a unit mod {f.modulus}"
-        )
-    s = action.scalar % f.modulus
-    out = {
-        e: c * pow(s, f.monomial_degree(e), f.modulus) for e, c in f.terms.items()
-    }
-    return ModPolynomial(f.modulus, f.variables, out)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,7 @@ def test_criterion_5_chern_identities():
                     assert elementary_symmetric(j, powers) % l == 0, (l, q, j)
                 assert pow(q, r * (r - 1) // 2, l) == (-1) ** (r - 1) % l, (l, q)
         total = brauer_chern_total_class(1, _params(3, 5))
-        (eta,) = generators(5, total.variables)
+        (eta,) = generators(5, total.variables, total.cutoff)
         assert total == 1 + 4 * eta**4
 
     _criterion(5, "Chern vanishing and sign identities", 1.0, body)

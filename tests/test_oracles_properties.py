@@ -1,6 +1,7 @@
 """Property tests of the packed monomial enumerator behind both oracles,
-and of the generator images the invariant oracle forms on packed keys,
-driven by hypothesis against a brute-force enumeration of exponent tuples.
+of the degree-led keys ModPolynomial stores, and of the generator images
+the invariant oracle forms on packed keys, driven by hypothesis against a
+brute-force enumeration of exponent tuples.
 
 hypothesis is a test-only dependency (the `test` extra); the module is
 skipped where it is missing.
@@ -20,13 +21,13 @@ from chevring import oracles  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
-    _packed_monomials,
     invariants_hilbert_bruteforce,
 )
+from chevring.poly import ModPolynomial, generators, packed_monomials  # noqa: E402
 
 
 def _exponents(key, n, base):
-    """The n exponents packed in key by _packed_monomials with this base."""
+    """The n exponents packed in key by packed_monomials with this base."""
     digits = [0] * n
     for i in range(n - 1, -1, -1):
         digits[i] = key % base
@@ -64,7 +65,7 @@ def _tuples_by_degree(weights, cutoff):
 @example(weights=(3, 1, 2, 1), cutoff=9, data=None)
 def test_packed_monomials_match_exponent_tuples(weights, cutoff, data):
     n, base = len(weights), cutoff + 1
-    packed = _packed_monomials(weights, cutoff)
+    packed = packed_monomials(weights, cutoff)
     expected = _tuples_by_degree(weights, cutoff)
     unpack = {k: _exponents(k, n, base) for keys in packed for k in keys}
 
@@ -95,6 +96,30 @@ def test_packed_monomials_match_exponent_tuples(weights, cutoff, data):
         )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+    cutoff=st.integers(0, 14),
+)
+@example(weights=(1,), cutoff=14)
+@example(weights=(1, 1), cutoff=1)
+@example(weights=(3, 1, 2, 1), cutoff=9)
+def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
+    """The ModPolynomial monomial with exponents e of degree d is stored
+    under d * (cutoff + 1)^n plus the packed_monomials key of e: both sides
+    share one layout."""
+    n, base = len(weights), cutoff + 1
+    variables = tuple((f"x{i}", w) for i, w in enumerate(weights))
+    for d, keys in enumerate(packed_monomials(weights, cutoff)):
+        for k in keys:
+            monomial = ModPolynomial(7, variables, cutoff, {_exponents(k, n, base): 1})
+            assert monomial.terms == {d * base**n + k: 1}
+    if max(weights) <= cutoff:
+        for i, x in enumerate(generators(7, variables, cutoff)):
+            unit = tuple(int(j == i) for j in range(n))
+            assert x == ModPolynomial(7, variables, cutoff, {unit: 1})
+
+
 def _rows_fed_to_eliminator(problem):
     """Every row invariants_hilbert_bruteforce gives its eliminator, in order."""
     rows = []
@@ -118,7 +143,7 @@ def _expected_rows(m, l, q, cutoff):
     forms them, with the images found by unpack -> permute -> repack."""
     base = cutoff + 1
     rows = []
-    for keys in _packed_monomials((1,) * m, cutoff):
+    for keys in packed_monomials((1,) * m, cutoff):
         for key in keys:
             e = _exponents(key, m, base)
             images = []

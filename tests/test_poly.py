@@ -5,10 +5,8 @@ import pytest
 
 from chevring.errors import InputError
 from chevring.poly import (
-    DiagonalAction,
     ModPolynomial,
     TruncatedSeries,
-    apply_diagonal,
     elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
@@ -18,8 +16,8 @@ from chevring.poly import (
 ETA = (("eta", 1),)
 
 
-def eta_poly(modulus=5):
-    (g,) = generators(modulus, ETA)
+def eta_poly(modulus=5, cutoff=8):
+    (g,) = generators(modulus, ETA, cutoff)
     return g
 
 
@@ -42,23 +40,35 @@ def test_multiply_rejects_mixed_contexts():
     b = eta_poly(7)
     with pytest.raises(InputError):
         multiply(a, b)
-    c = generators(5, (("x", 1), ("y", 2)))[0]
+    c = generators(5, (("x", 1), ("y", 2)), 8)[0]
     with pytest.raises(InputError):
         a * c
+    with pytest.raises(InputError):
+        a + eta_poly(5, cutoff=9)
+    assert a.one() != eta_poly(5, cutoff=9).one()
 
 
-def test_multiply_with_cutoff_drops_high_terms():
-    eta = eta_poly()
-    f = (1 + eta) ** 3
-    truncated = multiply(f, f, cutoff=2)
-    full = f * f
-    assert truncated == sum(
-        (full.homogeneous_component(d) for d in range(3)), full.zero(5, ETA)
-    )
+def test_products_above_the_cutoff_are_refused():
+    eta = eta_poly(cutoff=4)
+    assert (1 + eta) ** 4 == (1 + eta) ** 2 * (1 + eta) ** 2
+    with pytest.raises(InputError, match="degree 5 exceeds the cutoff 4"):
+        multiply(eta**3, 1 + eta**2)
+    with pytest.raises(InputError, match="cutoff 4"):
+        eta**5
+    # with two variables and cutoff 3, the key of x^3 * x carries from the
+    # exponent digits into the degree digit, which then reads 5
+    x, y = generators(5, (("x", 1), ("y", 1)), 3)
+    assert x**2 * y == multiply(x**2, y)
+    with pytest.raises(InputError) as refused:
+        x**3 * x
+    assert "degree 4 exceeds the cutoff 3" in str(refused.value)
+    assert "5" not in str(refused.value)
+    with pytest.raises(InputError, match="cutoff 3"):
+        generators(5, (("x", 1), ("y", 4)), 3)
 
 
 def test_elementary_symmetric_polynomials():
-    e1, e2 = generators(5, (("eta_1", 1), ("eta_2", 1)))
+    e1, e2 = generators(5, (("eta_1", 1), ("eta_2", 1)), 8)
     assert elementary_symmetric(1, [e1**4, e2**4]) == e1**4 + e2**4
     assert elementary_symmetric(2, [e1, e2]) == e1 * e2
     assert elementary_symmetric(0, [e1, e2]) == 1
@@ -77,54 +87,13 @@ def test_elementary_symmetric_scalar_roots_of_unity():
     assert elementary_symmetric(3, values) % 5 == 0
 
 
-def test_apply_diagonal_examples():
-    eta = eta_poly()
-    act = DiagonalAction(scalar=3, weights=(1,))
-    assert apply_diagonal(act, eta**2) == 4 * eta**2  # 3^2 = 9 = 4 mod 5
-    assert apply_diagonal(DiagonalAction(1, (1,)), 2 + eta) == 2 + eta
-    (s,) = generators(5, (("s", 4),))
-    assert apply_diagonal(DiagonalAction(3, (4,)), s) == s  # 3^4 = 81 = 1 mod 5
-
-
-def test_apply_diagonal_errors():
-    eta = eta_poly()
-    with pytest.raises(InputError):
-        apply_diagonal(DiagonalAction(3, (1, 1)), eta)
-    with pytest.raises(InputError):
-        apply_diagonal(DiagonalAction(5, (1,)), eta)  # 5 is not a unit mod 5
-
-
-def test_apply_diagonal_is_ring_homomorphism():
-    rng = random.Random(7)
-    vars_ = (("x", 1), ("y", 3))
-    x, y = generators(7, vars_)
-    act = DiagonalAction(scalar=3, weights=(1, 3))
-    for _ in range(200):
-        f = sum(rng.randrange(7) * x**a * y**b for a in range(3) for b in range(2))
-        g = sum(rng.randrange(7) * x**a * y**b for a in range(3) for b in range(2))
-        f, g = f + rng.randrange(7), g + rng.randrange(7)
-        assert apply_diagonal(act, f * g) == apply_diagonal(act, f) * apply_diagonal(act, g)
-        assert apply_diagonal(act, f + g) == apply_diagonal(act, f) + apply_diagonal(act, g)
-
-
-def test_apply_diagonal_fixes_the_r_divisible_subring():
-    # scalar of order 4 mod 5; variables of weight 4 and 8 span a fixed subring
-    vars_ = (("u", 4), ("v", 8))
-    u, v = generators(5, vars_)
-    act = DiagonalAction(scalar=3, weights=(4, 8))
-    for a in range(4):
-        for b in range(3):
-            monomial = u**a * v**b
-            assert apply_diagonal(act, monomial) == monomial
-
-
 def test_ring_axioms_on_random_triples():
     rng = random.Random(20250809)
     vars_ = (("x", 1), ("y", 2))
-    x, y = generators(7, vars_)
+    x, y = generators(7, vars_, 21)
 
     def random_poly():
-        f = ModPolynomial.zero(7, vars_)
+        f = ModPolynomial(7, vars_, 21)
         for _ in range(rng.randrange(1, 5)):
             f = f + rng.randrange(7) * x ** rng.randrange(4) * y ** rng.randrange(3)
         return f
@@ -139,23 +108,20 @@ def test_ring_axioms_on_random_triples():
 
 
 def test_polynomial_inspection_helpers():
-    x, y = generators(5, (("x", 1), ("y", 2)))
+    x, y = generators(5, (("x", 1), ("y", 2)), 6)
     f = 1 + x * y + 3 * x**2
-    assert f.degree() == 3
     assert f.homogeneous_component(2) == 3 * x**2
+    assert f.homogeneous_component(7) == 0
     assert set(f.homogeneous_components()) == {0, 2, 3}
-    assert not f.is_homogeneous()
-    assert (x * y).is_homogeneous()
     assert f.coefficient((2, 0)) == 3
     assert f.coefficient((5, 5)) == 0
-    assert ModPolynomial.zero(5, (("x", 1),)).degree() == -1
 
 
 def test_rendering_is_graded_lex_and_explicit():
-    x, y = generators(5, (("x", 1), ("y", 2)))
+    x, y = generators(5, (("x", 1), ("y", 2)), 4)
     f = 4 * x**2 * y + x + 3
     assert str(f) == "3 + x + 4*x^2*y"
-    assert str(ModPolynomial.zero(5, (("x", 1),))) == "0"
+    assert str(ModPolynomial(5, (("x", 1),), 0)) == "0"
     eta = eta_poly()
     assert str(1 + 4 * eta**4) == "1 + 4*eta^4"
 
@@ -170,15 +136,23 @@ def test_polynomial_equality_and_scalars():
 
 def test_constructor_validation():
     with pytest.raises(InputError):
-        ModPolynomial(1, ETA)
+        ModPolynomial(1, ETA, 4)
     with pytest.raises(InputError):
-        ModPolynomial(5, (("x", 0),))
+        ModPolynomial(5, (("x", 0),), 4)
     with pytest.raises(InputError):
-        ModPolynomial(5, (("x", 1), ("x", 2)))
+        ModPolynomial(5, (("x", 1), ("x", 2)), 4)
     with pytest.raises(InputError):
-        ModPolynomial(5, ETA, {(1, 2): 1})
+        ModPolynomial(5, ETA, 4, {(1, 2): 1})
     with pytest.raises(InputError):
-        ModPolynomial(5, ETA, {(-1,): 1})
+        ModPolynomial(5, ETA, 4, {(-1,): 1})
+    with pytest.raises(InputError, match="cutoff must be >= 0"):
+        ModPolynomial(5, ETA, -1)
+    with pytest.raises(InputError, match="above the cutoff 4"):
+        ModPolynomial(5, ETA, 4, {(5,): 1})
+    with pytest.raises(InputError, match="above the cutoff 3"):
+        ModPolynomial(5, (("x", 1), ("y", 2)), 3, {(0, 2): 1})
+    eta = eta_poly(5, 4)
+    assert ModPolynomial(5, ETA, 4, {(4,): 3, (1,): 2, (0,): 5}) == 2 * eta + 3 * eta**4
 
 
 def test_hilbert_series_examples():

@@ -1,6 +1,8 @@
 """Differential tests of ModPolynomial arithmetic against sympy's Poly over
 F_l, driven by hypothesis.  Every result below is built by arithmetic, so
-these guard the path that skips the constructor's re-validation.
+these guard the path that skips the constructor's re-validation.  Results
+are compared through `coefficient` and the term count, never through the
+stored keys, so the monomial layout may change under them.
 
 Both are test-only dependencies (the `test` extra); the module is skipped
 where either is missing.
@@ -44,8 +46,10 @@ def _weighted_degree(e, weights):
 def test_arithmetic_matches_sympy(case, k, c):
     l, weights, fterms, gterms = case
     variables = tuple(zip(NAMES, weights))
+    # exponents up to 3 and powers up to 4 reach degree 12 * sum(weights)
+    cutoff = 12 * sum(weights)
     gens = sympy.symbols(NAMES[: len(weights)])
-    f, g = (ModPolynomial(l, variables, t) for t in (fterms, gterms))
+    f, g = (ModPolynomial(l, variables, cutoff, t) for t in (fterms, gterms))
     sf, sg = (sympy.Poly.from_dict(t or {(0,) * len(weights): 0}, gens, modulus=l)
               for t in (fterms, gterms))
 
@@ -67,11 +71,14 @@ def test_arithmetic_matches_sympy(case, k, c):
         by_degree.setdefault(_weighted_degree(e, weights), {})[e] = v
     for d in range(0, 3 * sum(weights) + 2):
         results.append((f.homogeneous_component(d), by_degree.get(d, {})))
-    assert {d: h.terms for d, h in f.homogeneous_components().items()} == by_degree
+    components = f.homogeneous_components()
+    assert sorted(components) == sorted(by_degree)
+    results += [(h, by_degree[d]) for d, h in components.items()]
 
     for got, want in results:
         want = want if isinstance(want, dict) else _reduced(want, l)
-        assert got.terms == want
-        assert got.variables == variables and got.modulus == l
-        # the result is one the validating constructor accepts unchanged
-        assert ModPolynomial(l, variables, got.terms) == got
+        assert len(got.terms) == len(want)
+        assert all(got.coefficient(e) == c for e, c in want.items())
+        assert (got.modulus, got.variables, got.cutoff) == (l, variables, cutoff)
+        # the validating constructor builds the same polynomial from sympy's terms
+        assert ModPolynomial(l, variables, cutoff, want) == got
