@@ -104,6 +104,10 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(
                 f"--primes must be a comma-separated integer list, got {request.primes!r}"
             )
+        for flag in ("max_m", "max_weight_len", "max_weight_entry", "sp_max_rank"):
+            value = getattr(request, flag)
+            if value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
         if request.monomial_limit is None:
             request.monomial_limit = _default_monomial_limit()
     return request
@@ -405,7 +409,14 @@ def main(argv=None) -> int:
         return 1
     code, output, diagnostic = run(request)
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: point stdout at devnull, so that the flush
+            # at interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     if diagnostic:
         print(diagnostic, file=sys.stderr)
     return code

@@ -110,7 +110,18 @@ class _SpanAccumulator:
     Rows within one call are homogeneous, so the largest key is a stable
     leading term.  A single-term row takes an O(1) step: it becomes the
     pivot {lead: 1} when lead has none, and is dependent when lead's pivot is
-    single-term too; any other row is reduced term by term."""
+    single-term too.
+
+    Any other row of one or two terms takes the two-term step, the first
+    step of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
+    1990): it is held as scalars a > b with coefficients c_a, c_b and never
+    copied into a dict.  Reducing it against a one-term pivot drops a;
+    against a two-term pivot {a: 1, c: x} it leaves b and -c_a*x at c,
+    merged when b == c, and dependent when they cancel.  So the row has at
+    most two terms while it follows the chain of pivots, and a new pivot is
+    {a: 1, b: c_b/c_a}, as the general loop would store it.  A row of three
+    or more terms, or one that meets a pivot of three or more, is reduced
+    term by term in the general loop."""
 
     def __init__(self, l: int):
         self.l = l
@@ -121,16 +132,55 @@ class _SpanAccumulator:
         return len(self.pivots)
 
     def add(self, row: dict) -> bool:
+        pivots = self.pivots
         if len(row) == 1:
-            (lead,) = row
-            pivot = self.pivots.get(lead)
+            (a,) = row
+            pivot = pivots.get(a)
             if pivot is None:
-                self.pivots[lead] = {lead: 1}
+                pivots[a] = {a: 1}
                 return True
             if len(pivot) == 1:
                 return False
+            ca, b, cb = row[a], 0, 0
+        elif len(row) == 2:
+            (a, ca), (b, cb) = row.items()
+            if a < b:
+                a, ca, b, cb = b, cb, a, ca
+            pivot = pivots.get(a)
+        else:
+            return self._reduce(dict(row))
+        # the row is c_a*a + c_b*b, with c_b = 0 when it has one term
         l = self.l
-        row = dict(row)
+        while pivot is not None:
+            n = len(pivot)
+            if n == 1:
+                if not cb:
+                    return False
+                a, ca, cb = b, cb, 0
+            elif n == 2:
+                c, k = pivot
+                if c == a:
+                    c = k
+                cc = -ca * pivot[c] % l
+                if not cb or b < c:
+                    a, ca = c, cc
+                elif b > c:
+                    a, ca, b, cb = b, cb, c, cc
+                else:
+                    ca = (cb + cc) % l
+                    if not ca:
+                        return False
+                    a, cb = b, 0
+            else:
+                return self._reduce({a: ca, b: cb} if cb else {a: ca})
+            pivot = pivots.get(a)
+        inv = pow(ca, -1, l)
+        pivots[a] = {a: 1, b: cb * inv % l} if cb else {a: 1}
+        return True
+
+    def _reduce(self, row: dict) -> bool:
+        """The general loop: reduce row, which it may change, term by term."""
+        l = self.l
         while row:
             lead = max(row)
             pivot = self.pivots.get(lead)

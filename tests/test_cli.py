@@ -319,6 +319,30 @@ def test_verify_env_variable_limit(monkeypatch):
         parse_args(["verify"])
 
 
+@pytest.mark.parametrize(
+    "flag", ["--max-m", "--max-weight-len", "--max-weight-entry", "--sp-max-rank"]
+)
+def test_verify_refuses_a_negative_sweep_size(flag, capsys):
+    with pytest.raises(UsageError, match=f"^{flag} must be >= 0, got -1$"):
+        parse_args(["verify", flag, "-1"])
+    assert main(["verify", flag, "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {flag} must be >= 0, got -1\n")
+
+
+def test_verify_sweep_sizes_of_zero_skip_their_clauses():
+    code, out, err = run_cli(
+        "verify", "--primes", "3", "--max-m", "0", "--max-weight-len", "0",
+        "--max-weight-entry", "0", "--sp-max-rank", "0",
+    )
+    assert (code, err) == (0, "")
+    for clause in (
+        "coinvariants-oracle-vs-closed-form", "invariants-oracle-vs-closed-form",
+        "restricted-chern-class", "sp-pattern-consistency",
+    ):
+        assert f"{clause}: PASS (0 instances)" in out.splitlines()
+
+
 @pytest.fixture
 def broken_oracles(monkeypatch):
     """Make every verify clause fail: c_0 of both closed forms is shifted by
@@ -424,3 +448,22 @@ def test_cli_imports_only_the_standard_library():
         if name.partition(".")[0] not in {"chevring", *sys.stdlib_module_names}
     ]
     assert outside == []
+
+
+def test_a_closed_pipe_ends_without_a_traceback():
+    # a quarter of a megabyte in 12520 lines, far more than a pipe holds, so
+    # the writer is still writing when the reader goes away after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(chevring.__file__).parents[1]))
+    argv = [
+        "present", "--family", "Sp", "--rank", "5000", "--q", "3", "--l", "5",
+        "--theory", "cobordism", "--format", "json",
+    ]
+    with subprocess.Popen(
+        [sys.executable, "-m", "chevring.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")

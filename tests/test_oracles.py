@@ -87,14 +87,15 @@ def test_resource_limit_names_the_offending_degree():
 
 
 def test_single_term_row_is_reduced_against_a_multi_term_pivot():
+    # packed keys with base 10: 20 is x^2 and 11 is xy
     acc = _SpanAccumulator(5)
-    assert acc.add({(2, 0): 1, (1, 1): 3})
-    # (2, 0) has a two-term pivot: 2*(2, 0) reduces to -6*(1, 1) = 4*(1, 1)
-    assert acc.add({(2, 0): 2})
+    assert acc.add({20: 1, 11: 3})
+    # 20 has a two-term pivot: 2*x^2 reduces to -6*xy = 4*xy
+    assert acc.add({20: 2})
     assert acc.rank == 2
-    assert acc.pivots[(1, 1)] == {(1, 1): 1}
-    # 3*(2, 0) reduces to -9*(1, 1) = (1, 1), which the new pivot cancels
-    assert not acc.add({(2, 0): 3})
+    assert acc.pivots[11] == {11: 1}
+    # 3*x^2 reduces to -9*xy = xy, which the new pivot cancels
+    assert not acc.add({20: 3})
     assert acc.rank == 2
 
 
@@ -110,6 +111,78 @@ def test_single_term_row_with_a_new_lead_is_inserted():
     assert acc.add({9: 4})
     assert acc.add({4: 6})
     assert acc.pivots == {9: {9: 1}, 4: {4: 1}}
+
+
+def test_two_term_row_that_cancels_against_a_two_term_pivot_is_dependent():
+    acc = _SpanAccumulator(7)
+    assert acc.add({9: 1, 4: 3})
+    # c_b = 6 = c_a * x = 2 * 3: the row is twice the pivot
+    assert not acc.add({9: 2, 4: 6})
+    assert not acc.add({4: 5, 9: 4})
+    assert acc.pivots == {9: {9: 1, 4: 3}}
+
+
+def test_two_term_row_against_a_two_term_pivot_keeps_two_terms():
+    acc = _SpanAccumulator(7)
+    assert acc.add({9: 1, 6: 2})
+    # b < c: 9 + 2 reduces to -2*6 + 2, led by 6
+    assert acc.add({9: 1, 2: 1})
+    assert acc.pivots[6] == {6: 1, 2: 3}
+    # b > c: 9 + 7 reduces to 7 - 2*6, led by 7
+    assert acc.add({9: 1, 7: 1})
+    assert acc.pivots[7] == {7: 1, 6: 5}
+    # b == c: 2*9 + 6 reduces to (1 - 4)*6 = 4*6, then against 6's pivot
+    # to -12*2 = 2*2
+    assert acc.add({9: 2, 6: 1})
+    assert acc.pivots[2] == {2: 1}
+    assert acc.rank == 4
+
+
+def test_two_term_row_against_a_one_term_pivot_drops_its_lead():
+    acc = _SpanAccumulator(5)
+    assert acc.add({8: 2})
+    assert acc.add({8: 3, 3: 2})
+    assert acc.pivots == {8: {8: 1}, 3: {3: 1}}
+    assert not acc.add({3: 4, 8: 1})
+
+
+def test_single_term_row_is_chased_through_a_chain_of_two_term_pivots():
+    acc = _SpanAccumulator(7)
+    assert acc.add({9: 1, 6: 2})
+    assert acc.add({6: 1, 3: 4})
+    assert acc.add({3: 1, 1: 5})
+    # the row follows 9 -> 6 -> 3 -> 1 with coefficients 1, -2, 8 = 1 and
+    # -5 = 2, and 1 has no pivot
+    assert acc.add({9: 1})
+    assert acc.pivots[1] == {1: 1}
+    assert acc.rank == 4
+    # now every key of the chain is in the span
+    assert not any(acc.add({k: 3}) for k in (9, 6, 3, 1))
+
+
+def test_two_term_row_falls_back_to_the_general_loop_at_a_three_term_pivot():
+    acc = _SpanAccumulator(7)
+    assert acc.add({9: 1, 5: 1, 2: 1})
+    assert acc.add({8: 1, 9: 1})
+    # (8 + 9) - (9 + 5 + 2) = 8 - 5 - 2
+    assert acc.pivots[8] == {8: 1, 5: 6, 2: 6}
+    # 9 + 3 reduces to 3 - 5 - 2, led by 5 once the chain passes 9
+    assert acc.add({9: 1, 3: 1})
+    assert acc.pivots[5] == {5: 1, 3: 6, 2: 1}
+    assert not acc.add({9: 2, 5: 2, 2: 2})
+    assert acc.rank == 3
+
+
+def test_permutation_rows_over_f_2():
+    # l = 2: the image's coefficient l - 1 is 1, so e - g(e) is e + g(e)
+    acc = _SpanAccumulator(2)
+    assert acc.add({3: 1, 1: 1})
+    assert acc.add({3: 1, 2: 1})
+    assert acc.pivots[2] == {2: 1, 1: 1}
+    assert not acc.add({2: 1, 1: 1})
+    assert acc.add({1: 1})
+    assert not acc.add({3: 1})
+    assert acc.rank == 3
 
 
 # -- invariants ---------------------------------------------------------------

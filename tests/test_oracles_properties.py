@@ -1,10 +1,13 @@
 """Property tests of the packed monomial enumerator behind both oracles,
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
-brute-force enumeration of exponent tuples.
+brute-force enumeration of exponent tuples; and a differential test of the
+F_l eliminator against sympy's rank over GF(l) and against its general
+loop alone.
 
-hypothesis is a test-only dependency (the `test` extra); the module is
-skipped where it is missing.
+hypothesis and sympy are test-only dependencies (the `test` extra); the
+module is skipped where hypothesis is missing, and the eliminator's test
+where sympy is.
 """
 
 from itertools import product
@@ -21,6 +24,7 @@ from chevring import oracles  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
+    _SpanAccumulator,
     invariants_hilbert_bruteforce,
 )
 from chevring.poly import ModPolynomial, generators, packed_monomials  # noqa: E402
@@ -180,3 +184,63 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
     assert _rows_fed_to_eliminator(problem) == _expected_rows(m, l, q, cutoff)
+
+
+# -- the eliminator -------------------------------------------------------------
+
+KEYS = 8
+
+
+def _general_loop(l, pivots, row):
+    """Reduce row against pivots term by term, as the eliminator's general
+    loop does for every row: add its normalised remainder as a new pivot and
+    return True, or return False when it reduces to zero."""
+    row = dict(row)
+    while row:
+        lead = max(row)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            inv = pow(row[lead], -1, l)
+            pivots[lead] = {e: c * inv % l for e, c in row.items()}
+            return True
+        f = row[lead]
+        for e, pc in pivot.items():
+            c = (row.get(e, 0) - f * pc) % l
+            if c:
+                row[e] = c
+            elif e in row:
+                del row[e]
+    return False
+
+
+@st.composite
+def eliminations(draw):
+    """(l, rows): rows of one to three terms on the keys 0..KEYS-1, few
+    enough keys that rows meet pivots of every length and cancel often."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    rows = st.dictionaries(
+        st.integers(0, KEYS - 1), st.integers(1, l - 1), min_size=1, max_size=3
+    )
+    return l, draw(st.lists(rows, min_size=1, max_size=24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eliminations())
+def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    GF = pytest.importorskip("sympy").GF
+    l, rows = case
+    field = GF(l)
+    acc = _SpanAccumulator(l)
+    reference = {}
+    rank = 0
+    for i, row in enumerate(rows, 1):
+        grew = acc.add(row)
+        matrix = DomainMatrix(
+            [[field(r.get(k, 0)) for k in range(KEYS)] for r in rows[:i]], (i, KEYS), field
+        )
+        before, rank = rank, matrix.rank()
+        assert acc.rank == rank
+        assert grew == (rank > before)
+        assert grew == _general_loop(l, reference, row)
+        assert acc.pivots == reference
