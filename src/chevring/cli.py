@@ -13,10 +13,17 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
-from .arith import galois_params, gl_params, prime_power_base, residues_one_per_order
+from .arith import (
+    galois_params,
+    gl_params,
+    prime_power_base,
+    require_prime,
+    residues_one_per_order,
+)
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
 # concrete fields driven through the Sp-pattern clause of `verify`
@@ -32,17 +39,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_monomial_limit() -> int:
-    raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
-    if raw is None:
-        return oracles.DEFAULT_MONOMIAL_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"CHEVRING_MONOMIAL_LIMIT must be an integer, got {raw!r}")
+def _monomial_limit(request: argparse.Namespace) -> int:
+    """--monomial-limit, else CHEVRING_MONOMIAL_LIMIT, else the oracles' default;
+    the variable is read on every call, never frozen into the parser."""
+    source, value = "--monomial-limit", request.monomial_limit
+    if value is None:
+        raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
+        if raw is None:
+            return oracles.DEFAULT_MONOMIAL_LIMIT
+        source = "CHEVRING_MONOMIAL_LIMIT"
+        try:
+            value = int(raw)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {raw!r}")
+    if value < 1:
+        raise UsageError(f"{source} must be >= 1, got {value}")
+    return value
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: argparse leaves
+    no state in it between parses, so every request reuses it."""
     parser = _Parser(prog="chevring", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -104,12 +122,11 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(
                 f"--primes must be a comma-separated integer list, got {request.primes!r}"
             )
-        for flag in ("max_m", "max_weight_len", "max_weight_entry", "sp_max_rank"):
+        for flag in ("max_m", "max_weight_len", "max_weight_entry", "sp_max_rank", "cutoff"):
             value = getattr(request, flag)
             if value < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-        if request.monomial_limit is None:
-            request.monomial_limit = _default_monomial_limit()
+        request.monomial_limit = _monomial_limit(request)
     return request
 
 
@@ -342,6 +359,8 @@ def _sp_pattern_witnesses(request: argparse.Namespace):
 
 
 def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
+    for l in request.primes:
+        require_prime(l, "l")
     registry = oracles.Clause("registry-invariants", True, instances=rootdata.validate_registry())
     fields = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
     clauses = [

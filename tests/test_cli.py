@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import chevring
-from chevring.cli import UsageError, main, parse_args, run
+from chevring import cli
+from chevring.cli import UsageError, build_parser, main, parse_args, run
 from chevring.presentations import comparison_from_json_dict, presentation_from_json_dict
 
 
@@ -269,6 +270,69 @@ def test_identical_requests_render_identically():
     assert run_cli(*args) == run_cli(*args)
 
 
+# -- the shared parser ------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """The process's parser cleared before and after, so that the test builds it."""
+    build_parser.cache_clear()
+    yield
+    build_parser.cache_clear()
+
+
+_ONE_OF_EACH = [
+    ("params", "--q", "3", "--l", "5", "--n", "3"),
+    ("present", "--family", "Sp", "--rank", "4", "--q", "3", "--l", "5", "--theory", "chow"),
+    ("series", "--family", "GL", "--rank", "2", "--q", "4", "--l", "3", "--theory", "chow",
+     "--cutoff", "6", "--format", "json"),
+    ("compare", "--rank", "4", "--q", "3", "--l", "5"),
+    ("verify", "--primes", "3,5", "--cutoff", "4"),
+]
+
+
+def test_the_parser_is_built_once_per_process(fresh_parser, monkeypatch):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    for i in range(50):
+        parse_args(list(_ONE_OF_EACH[i % len(_ONE_OF_EACH)]))
+    # one root parser, and the five subcommand parsers it makes in its build
+    assert built == ["chevring"] + [f"chevring {argv[0]}" for argv in _ONE_OF_EACH]
+
+
+def test_a_reused_parser_parses_as_a_new_one(fresh_parser):
+    params = _ONE_OF_EACH[0]
+    parse_args(list(_ONE_OF_EACH[1]))
+    request = vars(parse_args(list(params)))
+    assert "theory" not in request and "family" not in request
+    assert request == vars(build_parser.__wrapped__().parse_args(params))
+
+
+def test_a_refused_parse_leaves_the_next_one_correct(fresh_parser):
+    with pytest.raises(UsageError):
+        parse_args(["present", "--family", "Sp", "--rank", "4", "--theory", "bogus"])
+    with pytest.raises(UsageError):
+        parse_args(["verify", "--cutoff", "-1"])
+    for argv in _ONE_OF_EACH[:4]:
+        assert vars(parse_args(list(argv))) == vars(build_parser.__wrapped__().parse_args(argv))
+    assert parse_args(["verify"]).cutoff == 8
+
+
+def test_the_env_variable_limit_is_read_on_every_request(fresh_parser, monkeypatch):
+    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "10")
+    assert parse_args(["verify"]).monomial_limit == 10
+    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "20000")
+    assert parse_args(["verify"]).monomial_limit == 20000
+    monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT")
+    assert parse_args(["verify"]).monomial_limit == cli.oracles.DEFAULT_MONOMIAL_LIMIT
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -342,6 +406,34 @@ def test_verify_sweep_sizes_of_zero_skip_their_clauses():
     ):
         assert f"{clause}: PASS (0 instances)" in out.splitlines()
 
+
+@pytest.mark.parametrize("primes, l", [("0", 0), ("1", 1), ("1,1", 1), ("4", 4), ("3,9", 9)])
+def test_verify_refuses_a_non_prime_before_any_clause(primes, l, capsys):
+    assert main(["verify", "--primes", primes]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: l = {l} is not prime\n")
+
+
+_EMPTY_SWEEPS = ("--max-m", "0", "--max-weight-len", "0", "--sp-max-rank", "0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--monomial-limit", "-3"), "--monomial-limit must be >= 1, got -3"),
+    (("--monomial-limit", "0"), "--monomial-limit must be >= 1, got 0"),
+    (("--cutoff", "-1"), "--cutoff must be >= 0, got -1"),
+])
+def test_verify_refuses_bad_limits_that_no_sweep_uses(argv, message, capsys):
+    assert main(["verify", *argv, *_EMPTY_SWEEPS]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+
+def test_verify_refuses_a_nonpositive_env_variable_limit(monkeypatch):
+    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "-3")
+    with pytest.raises(UsageError, match="^CHEVRING_MONOMIAL_LIMIT must be >= 1, got -3$"):
+        parse_args(["verify", *_EMPTY_SWEEPS])
+    # the flag takes precedence over the variable
+    assert parse_args(["verify", "--monomial-limit", "7"]).monomial_limit == 7
 
 @pytest.fixture
 def broken_oracles(monkeypatch):
