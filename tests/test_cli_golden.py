@@ -70,6 +70,11 @@ CASES = [
     ("verify", "--primes", "7,11", "--max-weight-len", "4", "--max-m", "3", "--cutoff", "10",
      "--format", "json"),
     ("verify", "--monomial-limit", "5"),
+    ("verify", "--primes", "0"),
+    ("verify", "--primes", "1"),
+    ("verify", "--monomial-limit", "-3", "--max-m", "0", "--max-weight-len", "0",
+     "--sp-max-rank", "0"),
+    ("verify", "--cutoff", "-1", "--max-m", "0", "--max-weight-len", "0", "--sp-max-rank", "0"),
 ]
 
 
