@@ -17,13 +17,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
-from .arith import (
-    galois_params,
-    gl_params,
-    prime_power_base,
-    require_prime,
-    residues_one_per_order,
-)
+from .arith import galois_params, gl_params, prime_power_base, require_prime, residues_one_per_order
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
 # concrete fields driven through the Sp-pattern clause of `verify`

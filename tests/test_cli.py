@@ -381,10 +381,15 @@ def test_verify_env_variable_limit(monkeypatch):
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "not-a-number")
     with pytest.raises(UsageError):
         parse_args(["verify"])
+    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "-3")
+    with pytest.raises(UsageError, match="^CHEVRING_MONOMIAL_LIMIT must be >= 1, got -3$"):
+        parse_args(["verify"])
+    # the flag takes precedence over the variable
+    assert parse_args(["verify", "--monomial-limit", "7"]).monomial_limit == 7
 
 
 @pytest.mark.parametrize(
-    "flag", ["--max-m", "--max-weight-len", "--max-weight-entry", "--sp-max-rank"]
+    "flag", ["--max-m", "--max-weight-len", "--max-weight-entry", "--sp-max-rank", "--cutoff"]
 )
 def test_verify_refuses_a_negative_sweep_size(flag, capsys):
     with pytest.raises(UsageError, match=f"^{flag} must be >= 0, got -1$"):
@@ -414,26 +419,16 @@ def test_verify_refuses_a_non_prime_before_any_clause(primes, l, capsys):
     assert (captured.out, captured.err) == ("", f"input error: l = {l} is not prime\n")
 
 
-_EMPTY_SWEEPS = ("--max-m", "0", "--max-weight-len", "0", "--sp-max-rank", "0")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("--monomial-limit", "-3"), "--monomial-limit must be >= 1, got -3"),
-    (("--monomial-limit", "0"), "--monomial-limit must be >= 1, got 0"),
-    (("--cutoff", "-1"), "--cutoff must be >= 0, got -1"),
-])
-def test_verify_refuses_bad_limits_that_no_sweep_uses(argv, message, capsys):
-    assert main(["verify", *argv, *_EMPTY_SWEEPS]) == 1
+@pytest.mark.parametrize("limit", ["-3", "0"])
+def test_verify_refuses_a_monomial_limit_below_1_when_no_sweep_uses_it(limit, capsys):
+    argv = ["verify", "--monomial-limit", limit, "--max-m", "0", "--max-weight-len", "0",
+            "--sp-max-rank", "0"]
+    assert main(argv) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+    assert (captured.out, captured.err) == (
+        "", f"usage error: --monomial-limit must be >= 1, got {limit}\n"
+    )
 
-
-def test_verify_refuses_a_nonpositive_env_variable_limit(monkeypatch):
-    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "-3")
-    with pytest.raises(UsageError, match="^CHEVRING_MONOMIAL_LIMIT must be >= 1, got -3$"):
-        parse_args(["verify", *_EMPTY_SWEEPS])
-    # the flag takes precedence over the variable
-    assert parse_args(["verify", "--monomial-limit", "7"]).monomial_limit == 7
 
 @pytest.fixture
 def broken_oracles(monkeypatch):
