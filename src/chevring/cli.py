@@ -355,6 +355,11 @@ def _sp_pattern_witnesses(request: argparse.Namespace):
 def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
     for l in request.primes:
         require_prime(l, "l")
+    seen = set()
+    for l in request.primes:
+        if l in seen:
+            raise InputError(f"l = {l} is repeated in --primes")
+        seen.add(l)
     registry = oracles.Clause("registry-invariants", True, instances=rootdata.validate_registry())
     fields = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
     clauses = [

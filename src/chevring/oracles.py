@@ -104,64 +104,60 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
 
 
 class _SpanAccumulator:
-    """Incremental row reduction over F_l for sparse rows (dicts mapping
-    packed-int monomial keys, and only those, to nonzero coefficients); the
+    """Incremental row reduction over F_l on packed-int monomial keys; the
     one eliminator behind both the coinvariant and the invariant oracle.
     Rows within one call are homogeneous, so the largest key is a stable
-    leading term.  A single-term row takes an O(1) step: it becomes the
-    pivot {lead: 1} when lead has none, and is dependent when lead's pivot is
-    single-term too.
+    leading term.
 
-    Any other row of one or two terms takes the two-term step, the first
-    step of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
-    1990): it is held as scalars a > b with coefficients c_a, c_b and never
-    copied into a dict.  Reducing it against a one-term pivot drops a;
-    against a two-term pivot {a: 1, c: x} it leaves b and -c_a*x at c,
-    merged when b == c, and dependent when they cancel.  So the row has at
-    most two terms while it follows the chain of pivots, and a new pivot is
-    {a: 1, b: c_b/c_a}, as the general loop would store it.  A row of three
-    or more terms, or one that meets a pivot of three or more, is reduced
-    term by term in the general loop."""
+    ``pivots`` maps each lead key a to the tail of its pivot as a flat tuple
+    (k1, c1, k2, c2, ...) with a > k1 > k2 > ... and nonzero coefficients;
+    the lead coefficient is an implicit 1.  So () is the pivot {a: 1} and
+    (b, x) is {a: 1, b: x}.
+
+    Every row of the oracles has one or two terms and enters through
+    ``add_terms`` as scalars, never as a dict: the first step of structured
+    Gaussian elimination (LaMacchia and Odlyzko, CRYPTO 1990).  Reducing
+    c_a*a + c_b*b against the pivot () drops a; against (c, x) it leaves b
+    and -c_a*x at c, merged when b == c, and dependent when they cancel.  So
+    the row keeps at most two terms while it follows the chain of pivots,
+    and a new pivot is () or (b, c_b/c_a), as the general loop would store
+    it.  A row that meets a pivot of three or more terms, and a dict row of
+    three or more given to ``add``, are reduced term by term in
+    ``_reduce``."""
 
     def __init__(self, l: int):
         self.l = l
-        self.pivots: dict = {}
+        self.pivots: dict[int, tuple[int, ...]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def add(self, row: dict) -> bool:
-        pivots = self.pivots
+        """Add a row given as a dict from keys to nonzero coefficients;
+        return whether the span grew."""
         if len(row) == 1:
-            (a,) = row
-            pivot = pivots.get(a)
-            if pivot is None:
-                pivots[a] = {a: 1}
-                return True
-            if len(pivot) == 1:
-                return False
-            ca, b, cb = row[a], 0, 0
-        elif len(row) == 2:
+            ((a, ca),) = row.items()
+            return self.add_terms(a, ca)
+        if len(row) == 2:
             (a, ca), (b, cb) = row.items()
-            if a < b:
-                a, ca, b, cb = b, cb, a, ca
-            pivot = pivots.get(a)
-        else:
-            return self._reduce(dict(row))
-        # the row is c_a*a + c_b*b, with c_b = 0 when it has one term
+            return self.add_terms(a, ca, b, cb) if a > b else self.add_terms(b, cb, a, ca)
+        return self._reduce(dict(row))
+
+    def add_terms(self, a: int, ca: int, b: int = 0, cb: int = 0) -> bool:
+        """Add the row c_a*a + c_b*b, with a > b and c_a nonzero; c_b = 0
+        makes it the one-term row c_a*a.  Return whether the span grew."""
+        pivots = self.pivots
+        pivot = pivots.get(a)
         l = self.l
         while pivot is not None:
-            n = len(pivot)
-            if n == 1:
+            if not pivot:
                 if not cb:
                     return False
                 a, ca, cb = b, cb, 0
-            elif n == 2:
-                c, k = pivot
-                if c == a:
-                    c = k
-                cc = -ca * pivot[c] % l
+            elif len(pivot) == 2:
+                c, x = pivot
+                cc = -ca * x % l
                 if not cb or b < c:
                     a, ca = c, cc
                 elif b > c:
@@ -174,22 +170,25 @@ class _SpanAccumulator:
             else:
                 return self._reduce({a: ca, b: cb} if cb else {a: ca})
             pivot = pivots.get(a)
-        inv = pow(ca, -1, l)
-        pivots[a] = {a: 1, b: cb * inv % l} if cb else {a: 1}
+        pivots[a] = (b, cb * pow(ca, -1, l) % l) if cb else ()
         return True
 
     def _reduce(self, row: dict) -> bool:
         """The general loop: reduce row, which it may change, term by term."""
         l = self.l
+        pivots = self.pivots
         while row:
             lead = max(row)
-            pivot = self.pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, l)
-                self.pivots[lead] = {e: c * inv % l for e, c in row.items()}
+            f = row.pop(lead)
+            tail = pivots.get(lead)
+            if tail is None:
+                inv = pow(f, -1, l)
+                pivots[lead] = tuple(
+                    x for e in sorted(row, reverse=True) for x in (e, row[e] * inv % l)
+                )
                 return True
-            f = row[lead]
-            for e, pc in pivot.items():
+            it = iter(tail)
+            for e, pc in zip(it, it):
                 c = (row.get(e, 0) - f * pc) % l
                 if c:
                     row[e] = c
@@ -214,10 +213,10 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
     exact rank over F_l is subtracted from dim R_d.  gamma scales every
     monomial b of degree w by q^w, so b - gamma.b = v*b with v = 1 - q^w mod
     l, formed once per w; every product M*b then enters the eliminator as
-    the row {M*b: v}, coinciding products included.  A degree w with v = 0
-    gives only zero rows and is skipped, and a degree d stops early once the
-    accumulated rank already equals dim R_d; neither shortcut changes the
-    rank.
+    the one-term scalar row add_terms(M*b, v), coinciding products included.
+    A degree w with v = 0 gives only zero rows and is skipped, and a degree
+    d stops early once the accumulated rank already equals dim R_d; neither
+    shortcut changes the rank.
     """
     _require_cyclic(problem)
     l, cutoff = problem.l, problem.cutoff
@@ -229,6 +228,7 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
     for d in range(cutoff + 1):
         dim = dims[d]
         acc = _SpanAccumulator(l)
+        add_terms = acc.add_terms
         for w in range(d, 0, -1):
             if acc.rank == dim:
                 break
@@ -237,7 +237,7 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
                 continue
             for b in basis[w]:
                 for mono in basis[d - w]:
-                    acc.add({b + mono: v})
+                    add_terms(b + mono, v)
                 if acc.rank == dim:
                     break
         coeffs.append(dim - acc.rank)
@@ -271,7 +271,10 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     the dimension of the degree.  Images are formed on packed keys without
     unpacking: with B = cutoff + 1 and P_i the place of variable i, the
     transposition adds (e_1 - e_0)(P_0 - P_1) to a key, and the m-cycle
-    maps it to (key - e_0 P_0) B + e_0."""
+    maps it to (key - e_0 P_0) B + e_0.  Every row enters the eliminator as
+    scalars, never as a dict: e - g(e) as the two-term row e + (l - 1) g(e),
+    its larger key first, and the scaling row (1 - q^{e_0}) e as a one-term
+    row."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
@@ -290,21 +293,27 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     coeffs = []
     for basis in bases:
         acc = _SpanAccumulator(l)
+        add_terms = acc.add_terms
         for key in basis:
             e0 = key // p0
             if m >= 2:
-                # the transposition of the first two variables
+                # the transposition of the first two variables; the image
+                # is the larger key when e_1 > e_0
                 e1 = key // p1 % base
-                if e1 != e0:
-                    acc.add({key: 1, key + (e1 - e0) * (p0 - p1): l - 1})
+                if e1 < e0:
+                    add_terms(key, 1, key + (e1 - e0) * (p0 - p1), l - 1)
+                elif e1 > e0:
+                    add_terms(key + (e1 - e0) * (p0 - p1), l - 1, key, 1)
             if m >= 3:
                 # the m-cycle: e_0 moves from the first place to the last
                 image = (key - e0 * p0) * base + e0
-                if image != key:
-                    acc.add({key: 1, image: l - 1})
+                if image < key:
+                    add_terms(key, 1, image, l - 1)
+                elif image > key:
+                    add_terms(image, l - 1, key, 1)
             # the scaling on the first variable: e -> q^{e_0} e
             if scale[e0]:
-                acc.add({key: scale[e0]})
+                add_terms(key, scale[e0])
         coeffs.append(len(basis) - acc.rank)
     return TruncatedSeries(cutoff, tuple(coeffs))
 

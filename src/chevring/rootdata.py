@@ -43,24 +43,33 @@ class RootDatum:
     unipotent_exponent: int  # number N of positive roots
 
 
-# -- integer formula evaluation ------------------------------------------
+# -- integer formulas, parsed once per record -----------------------------
 
 _FORMULA_CHARS = re.compile(r"[0-9n\s+\-*/^()!]*\Z")
 
 
-def _eval_formula(expr: str, n: int) -> int:
-    """Evaluate an integer formula in n.  Supports + - * ( ), ^ for powers,
-    / for exact integer division, and ! for factorial."""
-    if not _FORMULA_CHARS.match(expr):
-        raise InputError(f"illegal character in formula {expr!r}")
-    py = expr.replace("^", "**")
-    py = re.sub(r"\(([^()]*)\)!", r"factorial(\1)", py)
-    py = re.sub(r"(\w+)!", r"factorial(\1)", py)
-    try:
-        tree = ast.parse(py.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise InputError(f"cannot parse formula {expr!r}: {exc}") from None
-    return _eval_node(tree.body, n, expr)
+class _Formula:
+    """An integer formula in n, parsed when the record is loaded; calling it
+    evaluates it at a rank.  Supports + - * ( ), ^ for powers, / for exact
+    integer division, and ! for factorial."""
+
+    __slots__ = ("text", "node")
+
+    def __init__(self, text: str):
+        if not _FORMULA_CHARS.match(text):
+            raise InputError(f"illegal character in formula {text!r}")
+        py = text.replace("^", "**")
+        py = re.sub(r"\(([^()]*)\)!", r"factorial(\1)", py)
+        py = re.sub(r"(\w+)!", r"factorial(\1)", py)
+        try:
+            tree = ast.parse(py.strip(), mode="eval")
+        except SyntaxError as exc:
+            raise InputError(f"cannot parse formula {text!r}: {exc}") from None
+        self.text = text
+        self.node = tree.body
+
+    def __call__(self, n: int) -> int:
+        return _eval_node(self.node, n, self.text)
 
 
 def _eval_node(node: ast.AST, n: int, expr: str) -> int:
@@ -90,6 +99,8 @@ def _eval_node(node: ast.AST, n: int, expr: str) -> int:
                 raise InputError(f"negative exponent in {expr!r}")
             return a**b
         if isinstance(node.op, ast.Div):
+            if not b:
+                raise InputError(f"division by zero in {expr!r}")
             q, rem = divmod(a, b)
             if rem:
                 raise InputError(f"inexact division {a}/{b} in {expr!r}")
@@ -100,22 +111,35 @@ def _eval_node(node: ast.AST, n: int, expr: str) -> int:
 _RANGE_RE = re.compile(r"(?P<lo>[^.]+)\.\.(?P<hi>.+?)(?:\s+step\s+(?P<step>.+))?\Z")
 
 
-def _expand_degrees(spec: str, n: int) -> list[int]:
-    out: list[int] = []
+def _parse_degrees(spec: str) -> tuple[tuple[str, _Formula, _Formula | None, _Formula | None], ...]:
+    """The items of a degree list as (text, lo, hi, step): a formula is
+    (text, f, None, None), and a range 'LO..HI step S' has step None when S
+    is absent."""
+    items = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             raise InputError(f"empty item in degree list {spec!r}")
         m = _RANGE_RE.match(item)
         if m and ".." in item:
-            lo = _eval_formula(m.group("lo"), n)
-            hi = _eval_formula(m.group("hi"), n)
-            step = _eval_formula(m.group("step"), n) if m.group("step") else 1
-            if step < 1:
-                raise InputError(f"range step must be positive in {item!r}")
-            out.extend(range(lo, hi + 1, step))
+            lo, hi, step = m.group("lo", "hi", "step")
+            items.append((item, _Formula(lo), _Formula(hi), _Formula(step) if step else None))
         else:
-            out.append(_eval_formula(item, n))
+            items.append((item, _Formula(item), None, None))
+    return tuple(items)
+
+
+def _expand_degrees(items: tuple, n: int) -> list[int]:
+    out: list[int] = []
+    for item, lo, hi, step in items:
+        if hi is None:
+            out.append(lo(n))
+            continue
+        first, last = lo(n), hi(n)
+        stride = step(n) if step else 1
+        if stride < 1:
+            raise InputError(f"range step must be positive in {item!r}")
+        out.extend(range(first, last + 1, stride))
     return out
 
 
@@ -136,9 +160,9 @@ class _Record:
     family: str
     min_rank: int
     fixed_rank: bool
-    degrees_spec: str
-    weyl_spec: str
-    roots_spec: str
+    degrees: tuple
+    weyl: _Formula
+    roots: _Formula
     torsion_primes: frozenset[int]
 
     def admits(self, rank: int) -> bool:
@@ -148,15 +172,15 @@ class _Record:
         if not self.admits(rank):
             pat = f"= {self.min_rank}" if self.fixed_rank else f">= {self.min_rank}"
             raise InputError(f"family {self.family} needs rank {pat}, got {rank}")
-        degrees = tuple(sorted(_expand_degrees(self.degrees_spec, rank)))
+        degrees = tuple(sorted(_expand_degrees(self.degrees, rank)))
         if len(degrees) != rank:
             raise InputError(
                 f"{self.family} rank {rank}: {len(degrees)} fundamental degrees, expected {rank}"
             )
         if any(d < 1 for d in degrees):
             raise InputError(f"{self.family} rank {rank}: nonpositive fundamental degree")
-        weyl = _eval_formula(self.weyl_spec, rank)
-        roots = _eval_formula(self.roots_spec, rank)
+        weyl = self.weyl(rank)
+        roots = self.roots(rank)
         degree_product = _product(degrees)
         if degree_product != weyl:
             raise InputError(
@@ -220,9 +244,9 @@ class Registry:
                     family=family,
                     min_rank=int(m.group("k")),
                     fixed_rank=m.group("op") == "=",
-                    degrees_spec=degrees_spec,
-                    weyl_spec=weyl_spec,
-                    roots_spec=roots_spec,
+                    degrees=_parse_degrees(degrees_spec),
+                    weyl=_Formula(weyl_spec),
+                    roots=_Formula(roots_spec),
                     torsion_primes=torsion,
                 )
             )

@@ -412,11 +412,20 @@ def test_verify_sweep_sizes_of_zero_skip_their_clauses():
         assert f"{clause}: PASS (0 instances)" in out.splitlines()
 
 
-@pytest.mark.parametrize("primes, l", [("0", 0), ("1", 1), ("1,1", 1), ("4", 4), ("3,9", 9)])
+@pytest.mark.parametrize(
+    "primes, l", [("0", 0), ("1", 1), ("1,1", 1), ("4", 4), ("3,9", 9), ("3,3,4", 4)]
+)
 def test_verify_refuses_a_non_prime_before_any_clause(primes, l, capsys):
     assert main(["verify", "--primes", primes]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"input error: l = {l} is not prime\n")
+
+
+@pytest.mark.parametrize("primes, l", [("3,3", 3), ("5,3,5", 5), ("7,07", 7)])
+def test_verify_refuses_a_repeated_prime_before_any_clause(primes, l, capsys):
+    assert main(["verify", "--primes", primes]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"input error: l = {l} is repeated in --primes\n")
 
 
 @pytest.mark.parametrize("limit", ["-3", "0"])

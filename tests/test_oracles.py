@@ -93,7 +93,7 @@ def test_single_term_row_is_reduced_against_a_multi_term_pivot():
     # 20 has a two-term pivot: 2*x^2 reduces to -6*xy = 4*xy
     assert acc.add({20: 2})
     assert acc.rank == 2
-    assert acc.pivots[11] == {11: 1}
+    assert acc.pivots[11] == ()
     # 3*x^2 reduces to -9*xy = xy, which the new pivot cancels
     assert not acc.add({20: 3})
     assert acc.rank == 2
@@ -110,7 +110,7 @@ def test_single_term_row_with_a_new_lead_is_inserted():
     acc = _SpanAccumulator(7)
     assert acc.add({9: 4})
     assert acc.add({4: 6})
-    assert acc.pivots == {9: {9: 1}, 4: {4: 1}}
+    assert acc.pivots == {9: (), 4: ()}
 
 
 def test_two_term_row_that_cancels_against_a_two_term_pivot_is_dependent():
@@ -119,7 +119,7 @@ def test_two_term_row_that_cancels_against_a_two_term_pivot_is_dependent():
     # c_b = 6 = c_a * x = 2 * 3: the row is twice the pivot
     assert not acc.add({9: 2, 4: 6})
     assert not acc.add({4: 5, 9: 4})
-    assert acc.pivots == {9: {9: 1, 4: 3}}
+    assert acc.pivots == {9: (4, 3)}
 
 
 def test_two_term_row_against_a_two_term_pivot_keeps_two_terms():
@@ -127,14 +127,14 @@ def test_two_term_row_against_a_two_term_pivot_keeps_two_terms():
     assert acc.add({9: 1, 6: 2})
     # b < c: 9 + 2 reduces to -2*6 + 2, led by 6
     assert acc.add({9: 1, 2: 1})
-    assert acc.pivots[6] == {6: 1, 2: 3}
+    assert acc.pivots[6] == (2, 3)
     # b > c: 9 + 7 reduces to 7 - 2*6, led by 7
     assert acc.add({9: 1, 7: 1})
-    assert acc.pivots[7] == {7: 1, 6: 5}
+    assert acc.pivots[7] == (6, 5)
     # b == c: 2*9 + 6 reduces to (1 - 4)*6 = 4*6, then against 6's pivot
     # to -12*2 = 2*2
     assert acc.add({9: 2, 6: 1})
-    assert acc.pivots[2] == {2: 1}
+    assert acc.pivots[2] == ()
     assert acc.rank == 4
 
 
@@ -142,7 +142,7 @@ def test_two_term_row_against_a_one_term_pivot_drops_its_lead():
     acc = _SpanAccumulator(5)
     assert acc.add({8: 2})
     assert acc.add({8: 3, 3: 2})
-    assert acc.pivots == {8: {8: 1}, 3: {3: 1}}
+    assert acc.pivots == {8: (), 3: ()}
     assert not acc.add({3: 4, 8: 1})
 
 
@@ -154,7 +154,7 @@ def test_single_term_row_is_chased_through_a_chain_of_two_term_pivots():
     # the row follows 9 -> 6 -> 3 -> 1 with coefficients 1, -2, 8 = 1 and
     # -5 = 2, and 1 has no pivot
     assert acc.add({9: 1})
-    assert acc.pivots[1] == {1: 1}
+    assert acc.pivots[1] == ()
     assert acc.rank == 4
     # now every key of the chain is in the span
     assert not any(acc.add({k: 3}) for k in (9, 6, 3, 1))
@@ -165,10 +165,10 @@ def test_two_term_row_falls_back_to_the_general_loop_at_a_three_term_pivot():
     assert acc.add({9: 1, 5: 1, 2: 1})
     assert acc.add({8: 1, 9: 1})
     # (8 + 9) - (9 + 5 + 2) = 8 - 5 - 2
-    assert acc.pivots[8] == {8: 1, 5: 6, 2: 6}
+    assert acc.pivots[8] == (5, 6, 2, 6)
     # 9 + 3 reduces to 3 - 5 - 2, led by 5 once the chain passes 9
     assert acc.add({9: 1, 3: 1})
-    assert acc.pivots[5] == {5: 1, 3: 6, 2: 1}
+    assert acc.pivots[5] == (3, 6, 2, 1)
     assert not acc.add({9: 2, 5: 2, 2: 2})
     assert acc.rank == 3
 
@@ -178,7 +178,7 @@ def test_permutation_rows_over_f_2():
     acc = _SpanAccumulator(2)
     assert acc.add({3: 1, 1: 1})
     assert acc.add({3: 1, 2: 1})
-    assert acc.pivots[2] == {2: 1, 1: 1}
+    assert acc.pivots[2] == (1, 1)
     assert not acc.add({2: 1, 1: 1})
     assert acc.add({1: 1})
     assert not acc.add({3: 1})

@@ -1,9 +1,9 @@
 """Property tests of the packed monomial enumerator behind both oracles,
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
-brute-force enumeration of exponent tuples; and a differential test of the
-F_l eliminator against sympy's rank over GF(l) and against its general
-loop alone.
+brute-force enumeration of exponent tuples; and differential tests of the
+F_l eliminator against sympy's rank over GF(l), against its general loop
+alone, and of its scalar entry add_terms against its dict entry add.
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the eliminator's test
@@ -132,10 +132,12 @@ def _rows_fed_to_eliminator(problem):
         rank = 0
 
         def __init__(self, l):
-            pass
+            self.l = l
 
-        def add(self, row):
-            rows.append(row)
+        def add_terms(self, a, ca, b=0, cb=0):
+            assert 0 < ca < self.l and 0 <= cb < self.l
+            assert not cb or a > b
+            rows.append({a: ca, b: cb} if cb else {a: ca})
 
     with patch.object(oracles, "_SpanAccumulator", Recorder):
         invariants_hilbert_bruteforce(problem)
@@ -191,6 +193,18 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
 KEYS = 8
 
 
+def _flat(pivots):
+    """Pivots stored as dicts {lead: 1, k1: c1, ...}, as the general loop
+    stores them, in the eliminator's flat form {lead: (k1, c1, ...)} with
+    the tail keys decreasing."""
+    flat = {}
+    for lead, pivot in pivots.items():
+        assert pivot[lead] == 1 and max(pivot) == lead
+        tail = sorted((e for e in pivot if e != lead), reverse=True)
+        flat[lead] = tuple(x for e in tail for x in (e, pivot[e]))
+    return flat
+
+
 def _general_loop(l, pivots, row):
     """Reduce row against pivots term by term, as the eliminator's general
     loop does for every row: add its normalised remainder as a new pivot and
@@ -243,4 +257,41 @@ def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
         assert acc.rank == rank
         assert grew == (rank > before)
         assert grew == _general_loop(l, reference, row)
-        assert acc.pivots == reference
+        assert acc.pivots == _flat(reference)
+
+
+@st.composite
+def short_rows(draw):
+    """(l, rows): rows of one or two terms on the keys 0..KEYS-1, key 0
+    included, as (a, c_a, b, c_b) with a > b and c_b = 0 for one term."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    coefficient = st.integers(1, l - 1)
+    one = st.tuples(st.integers(0, KEYS - 1), coefficient, st.just(0), st.just(0))
+    two = st.tuples(
+        st.lists(st.integers(0, KEYS - 1), min_size=2, max_size=2, unique=True),
+        coefficient,
+        coefficient,
+    ).map(lambda t: (max(t[0]), t[1], min(t[0]), t[2]))
+    return l, draw(st.lists(st.one_of(one, two), min_size=1, max_size=24))
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_rows())
+# rows on key 0: as the lone term, as the second term, and as the lead that
+# a chain of two-term pivots ends on
+@example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
+@example((5, [(1, 2, 0, 3), (2, 1, 1, 4), (2, 3, 0, 0), (1, 1, 0, 0)]))
+def test_add_terms_matches_add_on_a_dict(case):
+    """Rows fed as scalars through add_terms and as dicts, smaller key
+    first, through add give the same pivots, the same grow flags and the
+    same rank, row by row, and the pivots of the general loop."""
+    l, rows = case
+    scalar, general = _SpanAccumulator(l), _SpanAccumulator(l)
+    reference = {}
+    for a, ca, b, cb in rows:
+        row = {b: cb, a: ca} if cb else {a: ca}
+        grew = scalar.add_terms(a, ca, b, cb)
+        assert grew == general.add(row)
+        assert grew == _general_loop(l, reference, row)
+        assert scalar.pivots == general.pivots == _flat(reference)
+        assert scalar.rank == general.rank == len(reference)

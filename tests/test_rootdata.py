@@ -148,6 +148,8 @@ def test_registry_parser_grammar_errors():
     with pytest.raises(InputError):
         # 9 degrees multiply to |W| but the division n/4 is inexact
         Registry.from_text("X | n = 2 | 3, 3 | 9 | n/4 | -")
+    with pytest.raises(InputError, match="^division by zero in '4/\\(n-2\\)'$"):
+        Registry.from_text("X | n = 2 | 3, 3 | 9 | 4/(n-2) | -")
 
 
 def test_registry_formula_features():
