@@ -75,6 +75,7 @@ CASES = [
     ("verify", "--monomial-limit", "-3", "--max-m", "0", "--max-weight-len", "0",
      "--sp-max-rank", "0"),
     ("verify", "--cutoff", "-1", "--max-m", "0", "--max-weight-len", "0", "--sp-max-rank", "0"),
+    ("verify", "--primes", "3,3"),
 ]
 
 
