@@ -2,14 +2,15 @@
 
 All values are plain Python ``int`` (arbitrary precision), so products like
 q^r - 1 never wrap.  The two dataclasses bundle the arithmetic attached to a
-choice of finite field F_q and coefficient prime l, and validate their own
-invariants on construction.
+choice of finite field F_q and coefficient prime l: ``GaloisParams(p, q, l)``
+checks its inputs and derives r and a, and ``GLParams(base, n)`` checks n and
+derives m and e.  Derived fields are computed once and never re-checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
@@ -246,19 +247,19 @@ def _exponent_of_l(q: int, r: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class GaloisParams:
-    """The tuple (p, q, l, r, a): field F_q of characteristic p, coefficient
-    prime l != p, r the multiplicative order of q mod l, and q^r - 1 = l^a * h
-    with h prime to l.  h is formed on first read only: q^r can run to
-    millions of bits, and only the params report prints it."""
+    """The field F_q of characteristic p and a coefficient prime l != p, with
+    the derived fields r, the multiplicative order of q mod l, and a, where
+    q^r - 1 = l^a * h with h prime to l.  h is formed on first read only:
+    q^r can run to millions of bits, and only the params report prints it."""
 
     p: int
     q: int
     l: int
-    r: int
-    a: int
+    r: int = field(init=False)
+    a: int = field(init=False)
 
     def __post_init__(self):
-        p, q, l, r, a = self.p, self.q, self.l, self.r, self.a
+        p, q, l = self.p, self.q, self.l
         require_prime(p, "p")
         require_prime(l, "l")
         if l == p:
@@ -268,18 +269,9 @@ class GaloisParams:
         if not _power_exponent(q, p):
             prime_power_base(q)  # a q that is no prime power is reported as such
             raise InputError(f"q = {q} is not a power of p = {p}")
-        if not (
-            r >= 1
-            and (l - 1) % r == 0
-            and pow(q, r, l) == 1
-            and all(pow(q, r // f, l) != 1 for f in _prime_factors(r))
-        ):
-            raise InputError(f"r = {r} is not the multiplicative order of {q} mod {l}")
-        if a < 1:
-            raise InputError(f"a must be >= 1, got {a}")
-        # l^a divides q^r - 1 and l^(a+1) does not: h is an integer prime to l
-        if pow(q, r, l**a) != 1 or pow(q, r, l ** (a + 1)) == 1:
-            raise InputError(f"a = {a} is not the exponent of l = {l} in q^r - 1")
+        r = multiplicative_order(q, l)  # q is a power of p != l, so l does not divide it
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", _exponent_of_l(q, r, l))
 
     @cached_property
     def h(self) -> int:
@@ -309,38 +301,29 @@ class GaloisParams:
 
 
 def galois_params(p: int, q: int, l: int) -> GaloisParams:
-    """Assemble GaloisParams from (p, q, l), computing r and a; GaloisParams
-    itself rejects any input that is not valid."""
-    r = a = 0  # stays 0 only for inputs that GaloisParams rejects before r
-    if is_prime(l) and l < _MR_EXACT_BOUND and q > 1 and q % l:
-        r = multiplicative_order(q, l)
-        a = _exponent_of_l(q, r, l)
-    return GaloisParams(p=p, q=q, l=l, r=r, a=a)
+    """GaloisParams(p, q, l): the checked inputs with r and a derived."""
+    return GaloisParams(p=p, q=q, l=l)
 
 
 @dataclass(frozen=True)
 class GLParams:
-    """GaloisParams together with a matrix size n and the long division
-    n = r*m + e, 0 <= e < r."""
+    """GaloisParams together with a matrix size n >= 1 and the derived long
+    division n = r*m + e, 0 <= e < r."""
 
     base: GaloisParams
     n: int
-    m: int
-    e: int
+    m: int = field(init=False)
+    e: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
-        r = self.base.r
-        if not (0 <= self.e < r) or self.n != r * self.m + self.e:
-            raise InputError(
-                f"(m, e) = ({self.m}, {self.e}) is not the long division of {self.n} by {r}"
-            )
+        m, e = divmod(self.n, self.base.r)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "e", e)
 
 
 def gl_params(params: GaloisParams, n: int) -> GLParams:
-    """Attach a matrix size n to params, computing m = floor(n/r) and e."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    m, e = divmod(n, params.r)
-    return GLParams(base=params, n=n, m=m, e=e)
+    """GLParams(params, n): the checked matrix size with m = floor(n/r) and e
+    derived."""
+    return GLParams(base=params, n=n)

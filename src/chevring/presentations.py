@@ -178,7 +178,8 @@ def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
             "l must be odd: the mod-l Chow presentation for GL is stated for odd primes only"
         )
     if b >= 2:
-        if base.q % base.l**b != 1:
+        # l^b divides q - 1 iff q = 1 mod l and v_l(q - 1) >= b; l^b is never formed
+        if not (base.r == 1 and base.a >= b):
             raise PreconditionError(
                 f"l^b = {base.l}^{b} does not divide q - 1 = {base.q - 1}: "
                 f"the field must contain the {base.l}^{b}-th roots of unity"

@@ -1,6 +1,8 @@
 import pytest
 
+from chevring import arith
 from chevring.arith import (
+    GLParams,
     GaloisParams,
     galois_params,
     gl_params,
@@ -43,7 +45,7 @@ def test_every_l_from_the_exact_bound_on_is_refused():
             lambda: multiplicative_order(2, l),
             lambda: l_valuation(6, l),
             lambda: galois_params(2, 2, l),
-            lambda: GaloisParams(p=2, q=2, l=l, r=1, a=1),
+            lambda: GaloisParams(p=2, q=2, l=l),
             lambda: GradedActionProblem(weights=(1,), l=l, q=2, cutoff=2),
         ]
         for refuse in refusals:
@@ -65,7 +67,7 @@ def test_every_p_from_the_exact_bound_on_is_refused():
         with pytest.raises(InputError, match=f"^cannot tell whether p = {p} is prime"):
             galois_params(p, p, 5)
     with pytest.raises(InputError, match="^p = 15 is not prime$"):
-        GaloisParams(p=15, q=15, l=7, r=1, a=1)
+        GaloisParams(p=15, q=15, l=7)
 
 
 def test_prime_power_base():
@@ -142,18 +144,31 @@ def test_h_digits_when_h_is_a_power_of_ten():
 
 
 def test_galois_params_validates_on_direct_construction():
-    with pytest.raises(InputError):
-        GaloisParams(p=3, q=3, l=5, r=2, a=1)  # wrong r
-    with pytest.raises(InputError):
-        GaloisParams(p=3, q=3, l=5, r=4, a=2)  # q^r - 1 = 80 = 5^1 * 16
     with pytest.raises(PreconditionError):
-        GaloisParams(p=5, q=5, l=5, r=1, a=1)
+        GaloisParams(p=5, q=5, l=5)
+    with pytest.raises(TypeError):  # r and a are derived, never given
+        GaloisParams(p=3, q=3, l=5, r=4, a=1)
+    assert GaloisParams(p=3, q=3, l=5) == galois_params(3, 3, 5)
 
 
 def test_galois_params_rejects_a_below_the_l_valuation():
     assert galois_params(19, 19, 3).a == 2  # 19 - 1 = 3^2 * 2
-    with pytest.raises(InputError):
-        GaloisParams(p=19, q=19, l=3, r=1, a=1)
+
+
+def test_galois_params_checks_each_input_once(monkeypatch):
+    # 7 for p, then 99991 for l in require_prime, multiplicative_order and
+    # l_valuation, and 101 as the cofactor of 99990 = 2 * 3^2 * 5 * 11 * 101;
+    # re-checking r and a cost two more calls
+    calls = []
+    counted = arith.is_prime
+
+    def is_prime(n):
+        calls.append(n)
+        return counted(n)
+
+    monkeypatch.setattr(arith, "is_prime", is_prime)
+    galois_params(7, 343, 99991)
+    assert len(calls) <= 5, calls
 
 
 def test_gl_params_long_division():
@@ -168,6 +183,9 @@ def test_gl_params_long_division():
     assert (glp.m, glp.e) == (7, 0)
     with pytest.raises(InputError):
         gl_params(gp, 0)
+    with pytest.raises(TypeError):  # m and e are derived, never given
+        GLParams(base=gp, n=7, m=7, e=0)
+    assert GLParams(base=gp, n=7) == glp
 
 
 def test_gl_params_invariant_over_ranges():

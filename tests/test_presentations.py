@@ -155,6 +155,30 @@ def test_chow_mod_lb_hypothesis_failure():
         chow_gl_presentation(gl_params(_params(11, 5), 2), b=2)
 
 
+def test_chow_mod_lb_needs_l_to_the_b_dividing_q_minus_1():
+    for q in _prime_powers(200):
+        for l in (3, 5, 7, 11, 13):
+            if q % l == 0:
+                continue
+            glp = gl_params(_params(q, l), 2)
+            for b in range(2, 6):
+                if (q - 1) % l**b == 0:
+                    assert chow_gl_presentation(glp, b).modulus == l**b
+                else:
+                    with pytest.raises(PreconditionError, match="roots of unity"):
+                        chow_gl_presentation(glp, b)
+
+
+def test_chow_refuses_a_huge_b_without_forming_l_to_the_b():
+    # 3^(10^8) has 48 million digits; forming it ran for more than a minute
+    msg = (
+        r"^l\^b = 3\^100000000 does not divide q - 1 = 3: "
+        r"the field must contain the 3\^100000000-th roots of unity$"
+    )
+    with pytest.raises(PreconditionError, match=msg):
+        chow_gl_presentation(gl_params(_params(4, 3), 2), b=10**8)
+
+
 def test_chow_rejects_l_equal_2_and_bad_b():
     with pytest.raises(PreconditionError, match="odd"):
         chow_gl_presentation(gl_params(_params(3, 2), 2))

@@ -6,6 +6,7 @@ from chevring.arith import galois_params, gl_params, prime_power_base
 from chevring.errors import InputError
 from chevring.rootdata import (
     Registry,
+    _Record,
     check_torsion_free,
     default_registry,
     group_order,
@@ -87,7 +88,7 @@ def test_torsion_primes():
 
 
 def test_registry_identities_hold_for_all_shipped_records():
-    checked = validate_registry(max_rank=12)
+    checked = validate_registry()
     assert checked >= 70
     cases = [(f, r) for f in ("GL", "SL", "Sp", "SO_odd", "Spin") for r in range(1, 13)]
     cases += [("SO_even", r) for r in range(2, 13)]
@@ -96,6 +97,16 @@ def test_registry_identities_hold_for_all_shipped_records():
         datum = lookup(family, rank)
         assert prod(datum.degrees) == datum.weyl_order, (family, rank)
         assert sum(d - 1 for d in datum.degrees) == datum.unipotent_exponent, (family, rank)
+
+
+def test_validate_registry_reports_the_load_time_validation(monkeypatch):
+    loaded = default_registry().instances
+
+    def expand(self, rank):
+        raise AssertionError(f"{self.family} rank {rank} expanded again")
+
+    monkeypatch.setattr(_Record, "expand", expand)
+    assert validate_registry() == loaded == 77
 
 
 def test_order_divisibility_iff_degree_divisible():
