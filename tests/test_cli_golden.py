@@ -48,6 +48,8 @@ CASES = [
     ("present", "--family", "E8", "--rank", "8", "--q", "4", "--l", "5", "--theory", "cobordism"),
     ("present", "--family", "GL", "--rank", "3", "--q", "2", "--l", "2", "--theory", "chow"),
     ("present", "--family", "SO_even", "--rank", "1", "--q", "3", "--l", "5", "--theory", "cobordism"),
+    ("present", "--family", "GL", "--rank", "2", "--q", "4", "--l", "3", "--theory", "chow",
+     "--b", "100000000"),
     # series
     ("series", "--family", "Sp", "--rank", "1", "--q", "81", "--l", "5", "--theory", "cobordism",
      "--cutoff", "8", "--grading", "topological"),
