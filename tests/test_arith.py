@@ -156,9 +156,9 @@ def test_galois_params_rejects_a_below_the_l_valuation():
 
 
 def test_galois_params_checks_each_input_once(monkeypatch):
-    # 7 for p, then 99991 for l in require_prime, multiplicative_order and
-    # l_valuation, and 101 as the cofactor of 99990 = 2 * 3^2 * 5 * 11 * 101;
-    # re-checking r and a cost two more calls
+    # 7 for p, 99991 for l in require_prime, multiplicative_order and
+    # l_valuation, and 101, the factor of 99990 = 2 * 3^2 * 5 * 11 * 101 that
+    # trial division leaves
     calls = []
     counted = arith.is_prime
 
