@@ -2,17 +2,19 @@
 
 Three families of checks, all exact over F_l:
 
-* graded coinvariants of a cyclic diagonal action, by enumerating the
-  products monomial * (a - gamma.a) in each degree and row-reducing;
+* graded coinvariants of a cyclic diagonal action, by building each
+  graded piece J_d of the ideal J = (a - gamma.a) from its generators of
+  degree d and the products x_i * J_{d - w_i}, which span J_d for every
+  ideal with homogeneous generators, and row-reducing;
 * invariants of the wreath-type action (coordinate scaling plus the full
   symmetric group on the variables), by joint kernels of (g - id);
 * the total Chern class of the restricted lift on m blocks, expanded as an
   honest product of linear factors and checked clause by clause.
 
 None of these share logic with the closed forms they are compared against:
-the coinvariant spanning set is the generic one (all monomial pairs), not
-the one-line diagonal shortcut, and the Chern class is multiplied out
-factor by factor.
+the coinvariant spanning set is the generic degree-by-degree one, which
+never reads r, not the one-line diagonal shortcut, and the Chern class is
+multiplied out factor by factor.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import InputError, ResourceLimitError
 from .poly import (
     ModPolynomial,
     TruncatedSeries,
+    _checked_weights,
     elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
@@ -67,9 +70,7 @@ class GradedActionProblem:
     monomial_limit: int = DEFAULT_MONOMIAL_LIMIT
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(w < 1 for w in self.weights):
-            raise InputError("variable weights must be positive")
+        object.__setattr__(self, "weights", _checked_weights(self.weights))
         require_prime(self.l, "l")
         if self.q < 1 or gcd(self.q, self.l) != 1:
             raise InputError(f"q = {self.q} must be positive and prime to l = {self.l}")
@@ -206,40 +207,50 @@ def _require_cyclic(problem: GradedActionProblem):
 
 
 def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
-    """Series of the coinvariant ring R/(a - gamma.a), one degree at a time.
+    """Series of the coinvariant ring R/J, J = (a - gamma.a), one degree at a
+    time: the exact rank of J_d over F_l is subtracted from dim R_d.
 
-    In degree d the ideal's graded piece is spanned by the products
-    M * (b - gamma.b) over all monomial pairs (M, b) with deg(M*b) = d; its
-    exact rank over F_l is subtracted from dim R_d.  gamma scales every
-    monomial b of degree w by q^w, so b - gamma.b = v*b with v = 1 - q^w mod
-    l, formed once per w; every product M*b then enters the eliminator as
-    the one-term scalar row add_terms(M*b, v), coinciding products included.
-    A degree w with v = 0 gives only zero rows and is skipped, and a degree
-    d stops early once the accumulated rank already equals dim R_d; neither
-    shortcut changes the rank.
+    gamma scales every monomial b of degree w by q^w, so J is generated by
+    the rows b - gamma.b = v_w*b, v_w = 1 - q^w mod l.  J_d is built from the
+    degrees below it (Macaulay 1916; Lazard 1983):
+
+        J_d = span{v_d*b : deg b = d} + sum_i x_i * J_{d - w_i}.
+
+    This holds for every ideal generated by homogeneous elements g: a
+    product M*g with deg M > 0 is x_i*(M'*g) for some variable x_i dividing
+    M, and M'*g lies in J_{d - w_i}.  So the rows fed in degree d are the
+    generator rows v_d*b, skipped when v_d = 0, and the pivot keys of each
+    J_{d - w_i} plus the place of x_i, which on packed keys is the product
+    by x_i.  Every row has one term, so every pivot is a lone key ().  A
+    degree stops once its rank equals dim R_d, which leaves all of R_d among
+    its pivots.  Degree d thus takes at most dim R_d + sum_i dim R_{d - w_i}
+    rows, linear in the monomials the limit admits.
     """
     _require_cyclic(problem)
-    l, cutoff = problem.l, problem.cutoff
+    weights, l, cutoff = problem.weights, problem.l, problem.cutoff
     q0 = problem.q % l
     dims = _checked_dimensions(problem)
-    basis = packed_monomials(problem.weights, cutoff)
+    basis = packed_monomials(weights, cutoff)
+    k = len(weights)
+    shifts = [(w, (cutoff + 1) ** (k - 1 - i)) for i, w in enumerate(weights)]
 
+    spans = []  # the pivots of J_0, ..., J_{d-1}
     coeffs = []
     for d in range(cutoff + 1):
         dim = dims[d]
         acc = _SpanAccumulator(l)
         add_terms = acc.add_terms
-        for w in range(d, 0, -1):
+        v = (1 - pow(q0, d, l)) % l
+        if v:
+            for b in basis[d]:
+                add_terms(b, v)
+        for w, place in shifts:
             if acc.rank == dim:
                 break
-            v = (1 - pow(q0, w, l)) % l
-            if not v:
-                continue
-            for b in basis[w]:
-                for mono in basis[d - w]:
-                    add_terms(b + mono, v)
-                if acc.rank == dim:
-                    break
+            if w <= d:
+                for a in spans[d - w]:
+                    add_terms(a + place, 1)
+        spans.append(acc.pivots)
         coeffs.append(dim - acc.rank)
     return TruncatedSeries(cutoff, tuple(coeffs))
 

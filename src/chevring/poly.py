@@ -27,6 +27,7 @@ degree d.  Doubling happens only at the presentation layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -61,14 +62,24 @@ def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
     return by_degree
 
 
+def _checked_weights(weights) -> tuple[int, ...]:
+    """The weights as a tuple of ints, refusing any that is not a positive
+    integer: a weight of 1.5 is refused, not truncated to 1."""
+    try:
+        ws = tuple(map(index, weights))
+    except TypeError as exc:
+        raise InputError(f"variable weights must be positive integers: {exc}") from None
+    if any(w < 1 for w in ws):
+        raise InputError("variable weights must be positive integers")
+    return ws
+
+
 def _validated_variables(variables) -> Variables:
-    vs = tuple((str(name), int(weight)) for name, weight in variables)
-    names = [name for name, _ in vs]
+    variables = tuple(variables)
+    names = [str(name) for name, _ in variables]
     if len(set(names)) != len(names):
         raise InputError(f"duplicate variable names in {names}")
-    if any(weight < 1 for _, weight in vs):
-        raise InputError("variable weights must be positive integers")
-    return vs
+    return tuple(zip(names, _checked_weights(weight for _, weight in variables)))
 
 
 class ModPolynomial:

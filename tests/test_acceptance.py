@@ -116,6 +116,18 @@ def test_criterion_3_coinvariants_oracle_sweep():
     _criterion(3, "coinvariants oracle equals closed form", 60.0, body)
 
 
+def test_criterion_3_largest_admitted_coinvariant_instance():
+    """19,160 monomials in the top degree pass the default limit of 20,000.
+    Feeding every monomial pair of each degree takes 44.7 M rows on it; the
+    degree-by-degree construction takes 345 k."""
+
+    def body():
+        problem = GradedActionProblem(weights=(1, 1, 1, 1, 2), l=3, q=2, cutoff=28)
+        assert coinvariants_hilbert_bruteforce(problem) == coinvariants_hilbert_closedform(problem)
+
+    _criterion(3, "coinvariants oracle at the default monomial limit", 2.0, body)
+
+
 def test_criterion_4_fixed_ring_description():
     def body():
         for l in SWEEP_PRIMES:

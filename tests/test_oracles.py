@@ -17,7 +17,7 @@ from chevring.oracles import (
     invariants_hilbert_closedform,
     verify_restricted_chern,
 )
-from chevring.poly import generators
+from chevring.poly import generators, hilbert_series_of_free_polynomial_ring
 from chevring.presentations import CHOW, cobordism_presentation, poincare_series
 from chevring.rootdata import lookup
 
@@ -32,8 +32,6 @@ def _params(q, l):
 def test_coinvariants_trivial_action_is_full_ring():
     problem = GradedActionProblem(weights=(1, 1, 2), l=7, q=1, cutoff=6)
     brute = coinvariants_hilbert_bruteforce(problem)
-    from chevring.poly import hilbert_series_of_free_polynomial_ring
-
     assert brute == hilbert_series_of_free_polynomial_ring((1, 1, 2), 6)
 
 
@@ -72,6 +70,31 @@ def test_coinvariants_rejects_permutation_component():
         coinvariants_hilbert_bruteforce(problem)
     with pytest.raises(InputError):
         coinvariants_hilbert_closedform(problem)
+
+
+@pytest.mark.parametrize("weights, l, q", [((1, 1, 1, 2), 5, 4), ((1, 1, 1, 1), 3, 2)])
+def test_coinvariant_rows_grow_with_the_monomials(monkeypatch, weights, l, q):
+    """Degree d takes at most dim R_d generator rows plus one shifted row
+    per pivot of each J_{d - w_i}: at most sum_d (dim R_d + sum_i dim
+    R_{d - w_i}) rows in all.  Feeding every product M*b of each degree
+    instead gives 15166 rows on (1, 1, 1, 2), against a bound of 3969."""
+    rows = 0
+    add_terms = _SpanAccumulator.add_terms
+
+    def counted(self, *row):
+        nonlocal rows
+        rows += 1
+        return add_terms(self, *row)
+
+    monkeypatch.setattr(_SpanAccumulator, "add_terms", counted)
+    cutoff = 12
+    problem = GradedActionProblem(weights=weights, l=l, q=q, cutoff=cutoff)
+    assert coinvariants_hilbert_bruteforce(problem) == coinvariants_hilbert_closedform(problem)
+    dims = hilbert_series_of_free_polynomial_ring(weights, cutoff).coefficients
+    bound = sum(
+        dims[d] + sum(dims[d - w] for w in weights if w <= d) for d in range(cutoff + 1)
+    )
+    assert rows <= bound
 
 
 def test_resource_limit_names_the_offending_degree():
@@ -238,6 +261,8 @@ def test_problem_validation():
         GradedActionProblem(weights=(1,), l=5, q=3, cutoff=-1)
     with pytest.raises(InputError):
         GradedActionProblem(weights=(1,), l=5, q=3, cutoff=4, permutation="cyclic")
+    with pytest.raises(InputError):
+        GradedActionProblem(weights=(1.5, 2), l=5, q=2, cutoff=4)  # not truncated to (1, 2)
 
 
 # -- Chern classes ------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Property tests of the packed monomial enumerator behind both oracles,
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
-brute-force enumeration of exponent tuples; and differential tests of the
-F_l eliminator against sympy's rank over GF(l), against its general loop
-alone, and of its scalar entry add_terms against its dict entry add.
+brute-force enumeration of exponent tuples; a differential test of the
+coinvariant oracle against the enumeration of every monomial pair; and
+differential tests of the F_l eliminator against sympy's rank over GF(l),
+against its general loop alone, and of its scalar entry add_terms against
+its dict entry add.
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the eliminator's test
@@ -24,10 +26,17 @@ from chevring import oracles  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
+    _checked_dimensions,
     _SpanAccumulator,
+    coinvariants_hilbert_bruteforce,
     invariants_hilbert_bruteforce,
 )
-from chevring.poly import ModPolynomial, generators, packed_monomials  # noqa: E402
+from chevring.poly import (  # noqa: E402
+    ModPolynomial,
+    TruncatedSeries,
+    generators,
+    packed_monomials,
+)
 
 
 def _exponents(key, n, base):
@@ -186,6 +195,57 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
     assert _rows_fed_to_eliminator(problem) == _expected_rows(m, l, q, cutoff)
+
+
+# -- the coinvariant oracle -----------------------------------------------------
+
+
+def _coinvariants_all_pairs(problem):
+    """The coinvariant oracle as it fed every product M*b of each degree
+    d: the reference for the degree-by-degree construction."""
+    l, cutoff = problem.l, problem.cutoff
+    q0 = problem.q % l
+    dims = _checked_dimensions(problem)
+    basis = packed_monomials(problem.weights, cutoff)
+
+    coeffs = []
+    for d in range(cutoff + 1):
+        dim = dims[d]
+        acc = _SpanAccumulator(l)
+        add_terms = acc.add_terms
+        for w in range(d, 0, -1):
+            if acc.rank == dim:
+                break
+            v = (1 - pow(q0, w, l)) % l
+            if not v:
+                continue
+            for b in basis[w]:
+                for mono in basis[d - w]:
+                    add_terms(b + mono, v)
+                if acc.rank == dim:
+                    break
+        coeffs.append(dim - acc.rank)
+    return TruncatedSeries(cutoff, tuple(coeffs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 9), max_size=4).map(tuple),
+    lq=st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda l: st.tuples(st.just(l), st.integers(1, 4 * l).filter(lambda q: q % l))
+    ),
+    cutoff=st.integers(0, 13),
+)
+# no variables; weights above the cutoff, alone and beside small ones; and
+# q = 1 mod l, where no generator row survives
+@example(weights=(), lq=(5, 2), cutoff=13)
+@example(weights=(9,), lq=(7, 3), cutoff=5)
+@example(weights=(9, 1, 8), lq=(3, 2), cutoff=7)
+@example(weights=(1, 1, 2), lq=(11, 12), cutoff=13)
+def test_coinvariants_match_the_all_pairs_enumeration(weights, lq, cutoff):
+    l, q = lq
+    problem = GradedActionProblem(weights=weights, l=l, q=q, cutoff=cutoff)
+    assert coinvariants_hilbert_bruteforce(problem) == _coinvariants_all_pairs(problem)
 
 
 # -- the eliminator -------------------------------------------------------------

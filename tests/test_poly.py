@@ -140,6 +140,8 @@ def test_constructor_validation():
     with pytest.raises(InputError):
         ModPolynomial(5, (("x", 0),), 4)
     with pytest.raises(InputError):
+        ModPolynomial(5, (("x", 1.5),), 4)  # not truncated to weight 1
+    with pytest.raises(InputError):
         ModPolynomial(5, (("x", 1), ("x", 2)), 4)
     with pytest.raises(InputError):
         ModPolynomial(5, ETA, 4, {(1, 2): 1})
