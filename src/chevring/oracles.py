@@ -5,9 +5,11 @@ Three families of checks, all exact over F_l:
 * graded coinvariants of a cyclic diagonal action, by building each
   graded piece J_d of the ideal J = (a - gamma.a) from its generators of
   degree d and the products x_i * J_{d - w_i}, which span J_d for every
-  ideal with homogeneous generators, and row-reducing;
+  ideal with homogeneous generators; both are monomials, so J_d is closed
+  as a set of monomials, with no row reduction;
 * invariants of the wreath-type action (coordinate scaling plus the full
-  symmetric group on the variables), by joint kernels of (g - id);
+  symmetric group on the variables), by joint kernels of (g - id), the
+  one row reduction here;
 * the total Chern class of the restricted lift on m blocks, expanded as an
   honest product of linear factors and checked clause by clause.
 
@@ -28,6 +30,7 @@ from .poly import (
     ModPolynomial,
     TruncatedSeries,
     _checked_weights,
+    _integer,
     elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
@@ -71,6 +74,8 @@ class GradedActionProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _checked_weights(self.weights))
+        for name in ("l", "q", "cutoff", "monomial_limit"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         require_prime(self.l, "l")
         if self.q < 1 or gcd(self.q, self.l) != 1:
             raise InputError(f"q = {self.q} must be positive and prime to l = {self.l}")
@@ -105,26 +110,22 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
 
 
 class _SpanAccumulator:
-    """Incremental row reduction over F_l on packed-int monomial keys; the
-    one eliminator behind both the coinvariant and the invariant oracle.
-    Rows within one call are homogeneous, so the largest key is a stable
-    leading term.
+    """Incremental row reduction over F_l on packed-int monomial keys, for
+    the invariant oracle.  Rows within one call are homogeneous, so the
+    largest key is a stable leading term.
 
-    ``pivots`` maps each lead key a to the tail of its pivot as a flat tuple
-    (k1, c1, k2, c2, ...) with a > k1 > k2 > ... and nonzero coefficients;
+    ``pivots`` maps each lead key a to the tail of its pivot as a flat tuple;
     the lead coefficient is an implicit 1.  So () is the pivot {a: 1} and
-    (b, x) is {a: 1, b: x}.
+    (b, x) is {a: 1, b: x}, with a > b and x nonzero.
 
-    Every row of the oracles has one or two terms and enters through
-    ``add_terms`` as scalars, never as a dict: the first step of structured
-    Gaussian elimination (LaMacchia and Odlyzko, CRYPTO 1990).  Reducing
-    c_a*a + c_b*b against the pivot () drops a; against (c, x) it leaves b
-    and -c_a*x at c, merged when b == c, and dependent when they cancel.  So
-    the row keeps at most two terms while it follows the chain of pivots,
-    and a new pivot is () or (b, c_b/c_a), as the general loop would store
-    it.  A row that meets a pivot of three or more terms, and a dict row of
-    three or more given to ``add``, are reduced term by term in
-    ``_reduce``."""
+    Every row has one or two terms and enters through ``add_terms``, the one
+    entry, as scalars: the first step of structured Gaussian elimination
+    (LaMacchia and Odlyzko, CRYPTO 1990).  Reducing c_a*a + c_b*b against
+    the pivot () drops a; against (c, x) it leaves b and -c_a*x at c, merged
+    when b == c, and dependent when they cancel.  So the row keeps at most
+    two terms while it follows the chain of pivots, and a new pivot is () or
+    (b, c_b/c_a), as term-by-term reduction would store it.  No pivot has
+    three or more terms."""
 
     def __init__(self, l: int):
         self.l = l
@@ -133,17 +134,6 @@ class _SpanAccumulator:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def add(self, row: dict) -> bool:
-        """Add a row given as a dict from keys to nonzero coefficients;
-        return whether the span grew."""
-        if len(row) == 1:
-            ((a, ca),) = row.items()
-            return self.add_terms(a, ca)
-        if len(row) == 2:
-            (a, ca), (b, cb) = row.items()
-            return self.add_terms(a, ca, b, cb) if a > b else self.add_terms(b, cb, a, ca)
-        return self._reduce(dict(row))
 
     def add_terms(self, a: int, ca: int, b: int = 0, cb: int = 0) -> bool:
         """Add the row c_a*a + c_b*b, with a > b and c_a nonzero; c_b = 0
@@ -156,7 +146,7 @@ class _SpanAccumulator:
                 if not cb:
                     return False
                 a, ca, cb = b, cb, 0
-            elif len(pivot) == 2:
+            else:
                 c, x = pivot
                 cc = -ca * x % l
                 if not cb or b < c:
@@ -168,34 +158,9 @@ class _SpanAccumulator:
                     if not ca:
                         return False
                     a, cb = b, 0
-            else:
-                return self._reduce({a: ca, b: cb} if cb else {a: ca})
             pivot = pivots.get(a)
         pivots[a] = (b, cb * pow(ca, -1, l) % l) if cb else ()
         return True
-
-    def _reduce(self, row: dict) -> bool:
-        """The general loop: reduce row, which it may change, term by term."""
-        l = self.l
-        pivots = self.pivots
-        while row:
-            lead = max(row)
-            f = row.pop(lead)
-            tail = pivots.get(lead)
-            if tail is None:
-                inv = pow(f, -1, l)
-                pivots[lead] = tuple(
-                    x for e in sorted(row, reverse=True) for x in (e, row[e] * inv % l)
-                )
-                return True
-            it = iter(tail)
-            for e, pc in zip(it, it):
-                c = (row.get(e, 0) - f * pc) % l
-                if c:
-                    row[e] = c
-                elif e in row:
-                    del row[e]
-        return False
 
 
 # -- coinvariants -----------------------------------------------------------
@@ -208,7 +173,7 @@ def _require_cyclic(problem: GradedActionProblem):
 
 def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
     """Series of the coinvariant ring R/J, J = (a - gamma.a), one degree at a
-    time: the exact rank of J_d over F_l is subtracted from dim R_d.
+    time: the dimension of J_d over F_l is subtracted from dim R_d.
 
     gamma scales every monomial b of degree w by q^w, so J is generated by
     the rows b - gamma.b = v_w*b, v_w = 1 - q^w mod l.  J_d is built from the
@@ -218,41 +183,28 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
 
     This holds for every ideal generated by homogeneous elements g: a
     product M*g with deg M > 0 is x_i*(M'*g) for some variable x_i dividing
-    M, and M'*g lies in J_{d - w_i}.  So the rows fed in degree d are the
-    generator rows v_d*b, skipped when v_d = 0, and the pivot keys of each
-    J_{d - w_i} plus the place of x_i, which on packed keys is the product
-    by x_i.  Every row has one term, so every pivot is a lone key ().  A
-    degree stops once its rank equals dim R_d, which leaves all of R_d among
-    its pivots.  Degree d thus takes at most dim R_d + sum_i dim R_{d - w_i}
-    rows, linear in the monomials the limit admits.
+    M, and M'*g lies in J_{d - w_i}.  Every generator is a monomial times a
+    scalar, so every J_d is spanned by the monomials it holds, and is held
+    as that set of packed keys.  When v_d != 0, J_d is all of R_d.
+    Otherwise it is the union over i of J_{d - w_i} shifted by the place of
+    x_i, which on packed keys is the product by x_i.  Degree d thus forms at
+    most dim R_d + sum_i dim R_{d - w_i} keys, linear in the monomials the
+    limit admits.
     """
     _require_cyclic(problem)
-    weights, l, cutoff = problem.weights, problem.l, problem.cutoff
-    q0 = problem.q % l
+    weights, l, q, cutoff = problem.weights, problem.l, problem.q, problem.cutoff
     dims = _checked_dimensions(problem)
     basis = packed_monomials(weights, cutoff)
     k = len(weights)
     shifts = [(w, (cutoff + 1) ** (k - 1 - i)) for i, w in enumerate(weights)]
 
-    spans = []  # the pivots of J_0, ..., J_{d-1}
-    coeffs = []
+    spans = []  # J_0, ..., J_{d-1} as sets of keys
     for d in range(cutoff + 1):
-        dim = dims[d]
-        acc = _SpanAccumulator(l)
-        add_terms = acc.add_terms
-        v = (1 - pow(q0, d, l)) % l
-        if v:
-            for b in basis[d]:
-                add_terms(b, v)
-        for w, place in shifts:
-            if acc.rank == dim:
-                break
-            if w <= d:
-                for a in spans[d - w]:
-                    add_terms(a + place, 1)
-        spans.append(acc.pivots)
-        coeffs.append(dim - acc.rank)
-    return TruncatedSeries(cutoff, tuple(coeffs))
+        if pow(q, d, l) != 1:
+            spans.append(set(basis[d]))
+        else:
+            spans.append({a + place for w, place in shifts if w <= d for a in spans[d - w]})
+    return TruncatedSeries(cutoff, tuple(dim - len(span) for dim, span in zip(dims, spans)))
 
 
 def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeries:

@@ -62,6 +62,15 @@ def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
     return by_degree
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refusing one that is not integral: a cutoff of 4.5
+    is refused here, not carried on to fail later with a TypeError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _checked_weights(weights) -> tuple[int, ...]:
     """The weights as a tuple of ints, refusing any that is not a positive
     integer: a weight of 1.5 is refused, not truncated to 1."""
@@ -95,6 +104,7 @@ class ModPolynomial:
     __slots__ = ("modulus", "variables", "cutoff", "terms")
 
     def __init__(self, modulus: int, variables, cutoff: int, terms=()):
+        modulus, cutoff = _integer(modulus, "modulus"), _integer(cutoff, "cutoff")
         if modulus < 2:
             raise InputError(f"modulus must be >= 2, got {modulus}")
         if cutoff < 0:

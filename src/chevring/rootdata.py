@@ -246,7 +246,12 @@ class Registry:
             if torsion_spec == "-":
                 torsion: frozenset[int] = frozenset()
             else:
-                torsion = frozenset(int(t) for t in torsion_spec.split(","))
+                try:
+                    torsion = frozenset(int(t) for t in torsion_spec.split(","))
+                except ValueError:
+                    raise InputError(
+                        f"line {lineno}: bad torsion field {torsion_spec!r}"
+                    ) from None
                 if not all(is_prime(t) for t in torsion):
                     raise InputError(f"line {lineno}: torsion entries must be prime")
             records.append(

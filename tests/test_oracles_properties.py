@@ -2,10 +2,9 @@
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
 brute-force enumeration of exponent tuples; a differential test of the
-coinvariant oracle against the enumeration of every monomial pair; and
-differential tests of the F_l eliminator against sympy's rank over GF(l),
-against its general loop alone, and of its scalar entry add_terms against
-its dict entry add.
+coinvariant oracle against the enumeration of every monomial pair; and a
+differential test of the F_l eliminator's one entry, add_terms, against
+sympy's rank over GF(l) and against term-by-term reduction.
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the eliminator's test
@@ -254,7 +253,7 @@ KEYS = 8
 
 
 def _flat(pivots):
-    """Pivots stored as dicts {lead: 1, k1: c1, ...}, as the general loop
+    """Pivots stored as dicts {lead: 1, k1: c1, ...}, as _general_loop
     stores them, in the eliminator's flat form {lead: (k1, c1, ...)} with
     the tail keys decreasing."""
     flat = {}
@@ -266,9 +265,9 @@ def _flat(pivots):
 
 
 def _general_loop(l, pivots, row):
-    """Reduce row against pivots term by term, as the eliminator's general
-    loop does for every row: add its normalised remainder as a new pivot and
-    return True, or return False when it reduces to zero."""
+    """Reduce row, of any number of terms, against pivots term by term: add
+    its normalised remainder as a new pivot and return True, or return False
+    when it reduces to zero.  The reference for add_terms."""
     row = dict(row)
     while row:
         lead = max(row)
@@ -285,39 +284,6 @@ def _general_loop(l, pivots, row):
             elif e in row:
                 del row[e]
     return False
-
-
-@st.composite
-def eliminations(draw):
-    """(l, rows): rows of one to three terms on the keys 0..KEYS-1, few
-    enough keys that rows meet pivots of every length and cancel often."""
-    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    rows = st.dictionaries(
-        st.integers(0, KEYS - 1), st.integers(1, l - 1), min_size=1, max_size=3
-    )
-    return l, draw(st.lists(rows, min_size=1, max_size=24))
-
-
-@settings(max_examples=150, deadline=None)
-@given(eliminations())
-def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
-    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
-    GF = pytest.importorskip("sympy").GF
-    l, rows = case
-    field = GF(l)
-    acc = _SpanAccumulator(l)
-    reference = {}
-    rank = 0
-    for i, row in enumerate(rows, 1):
-        grew = acc.add(row)
-        matrix = DomainMatrix(
-            [[field(r.get(k, 0)) for k in range(KEYS)] for r in rows[:i]], (i, KEYS), field
-        )
-        before, rank = rank, matrix.rank()
-        assert acc.rank == rank
-        assert grew == (rank > before)
-        assert grew == _general_loop(l, reference, row)
-        assert acc.pivots == _flat(reference)
 
 
 @st.composite
@@ -341,17 +307,28 @@ def short_rows(draw):
 # a chain of two-term pivots ends on
 @example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
 @example((5, [(1, 2, 0, 3), (2, 1, 1, 4), (2, 3, 0, 0), (1, 1, 0, 0)]))
-def test_add_terms_matches_add_on_a_dict(case):
-    """Rows fed as scalars through add_terms and as dicts, smaller key
-    first, through add give the same pivots, the same grow flags and the
-    same rank, row by row, and the pivots of the general loop."""
+def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
+    """Rows fed as scalars through add_terms give, row by row, sympy's rank
+    of the rows so far, the grow flags of term-by-term reduction and its
+    pivots; every pivot tail keeps zero or two entries."""
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    GF = pytest.importorskip("sympy").GF
     l, rows = case
-    scalar, general = _SpanAccumulator(l), _SpanAccumulator(l)
+    field = GF(l)
+    acc = _SpanAccumulator(l)
     reference = {}
+    fed = []
+    rank = 0
     for a, ca, b, cb in rows:
-        row = {b: cb, a: ca} if cb else {a: ca}
-        grew = scalar.add_terms(a, ca, b, cb)
-        assert grew == general.add(row)
+        row = {a: ca, b: cb} if cb else {a: ca}
+        fed.append(row)
+        grew = acc.add_terms(a, ca, b, cb)
+        matrix = DomainMatrix(
+            [[field(r.get(k, 0)) for k in range(KEYS)] for r in fed], (len(fed), KEYS), field
+        )
+        before, rank = rank, matrix.rank()
+        assert acc.rank == rank
+        assert grew == (rank > before)
         assert grew == _general_loop(l, reference, row)
-        assert scalar.pivots == general.pivots == _flat(reference)
-        assert scalar.rank == general.rank == len(reference)
+        assert acc.pivots == _flat(reference)
+        assert all(len(tail) in (0, 2) for tail in acc.pivots.values())

@@ -149,6 +149,10 @@ def test_constructor_validation():
         ModPolynomial(5, ETA, 4, {(-1,): 1})
     with pytest.raises(InputError, match="cutoff must be >= 0"):
         ModPolynomial(5, ETA, -1)
+    with pytest.raises(InputError, match="cutoff must be an integer"):
+        ModPolynomial(5, ETA, 4.5)
+    with pytest.raises(InputError, match="modulus must be an integer"):
+        ModPolynomial(5.5, ETA, 4)
     with pytest.raises(InputError, match="above the cutoff 4"):
         ModPolynomial(5, ETA, 4, {(5,): 1})
     with pytest.raises(InputError, match="above the cutoff 3"):

@@ -156,6 +156,9 @@ def test_registry_parser_grammar_errors():
         Registry.from_text("GL | n >= 1 | 1..n | import_os | n*(n-1)/2 | -")
     with pytest.raises(InputError):
         Registry.from_text("X | n = 2 | 3, 3 | 9 | 4 | 6")  # torsion entry not prime
+    for torsion in ("x", "2,,3"):
+        with pytest.raises(InputError, match="^line 1: bad torsion field"):
+            Registry.from_text(f"X | n = 1 | 1 | 1 | 0 | {torsion}")
     with pytest.raises(InputError):
         # 9 degrees multiply to |W| but the division n/4 is inexact
         Registry.from_text("X | n = 2 | 3, 3 | 9 | n/4 | -")
