@@ -2,9 +2,9 @@
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
 brute-force enumeration of exponent tuples; a differential test of the
-coinvariant oracle against the enumeration of every monomial pair; and a
-differential test of the F_l eliminator's one entry, add_terms, against
-sympy's rank over GF(l) and against term-by-term reduction.
+coinvariant oracle against the enumeration of every monomial pair; and
+differential tests of the F_l eliminator's one entry, add_terms, against
+sympy's rank over GF(l) and against term-by-term reduction of dict rows.
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the eliminator's test
@@ -303,14 +303,11 @@ def short_rows(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(short_rows())
-# rows on key 0: as the lone term, as the second term, and as the lead that
-# a chain of two-term pivots ends on
 @example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
-@example((5, [(1, 2, 0, 3), (2, 1, 1, 4), (2, 3, 0, 0), (1, 1, 0, 0)]))
 def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
     """Rows fed as scalars through add_terms give, row by row, sympy's rank
-    of the rows so far, the grow flags of term-by-term reduction and its
-    pivots; every pivot tail keeps zero or two entries."""
+    of the rows so far and grow exactly when that rank does, as
+    term-by-term reduction does."""
     DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
     GF = pytest.importorskip("sympy").GF
     l, rows = case
@@ -330,5 +327,26 @@ def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
         assert acc.rank == rank
         assert grew == (rank > before)
         assert grew == _general_loop(l, reference, row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(short_rows())
+# rows on key 0: as the lone term, as the second term, and as the lead that
+# a chain of two-term pivots ends on
+@example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
+@example((5, [(1, 2, 0, 3), (2, 1, 1, 4), (2, 3, 0, 0), (1, 1, 0, 0)]))
+def test_add_terms_matches_add_on_a_dict(case):
+    """Rows fed as scalars through add_terms and as dicts, smaller key
+    first, through term-by-term reduction give the same grow flags, the
+    same pivots and the same rank, row by row; every pivot tail keeps zero
+    or two entries."""
+    l, rows = case
+    acc = _SpanAccumulator(l)
+    reference = {}
+    for a, ca, b, cb in rows:
+        row = {b: cb, a: ca} if cb else {a: ca}
+        grew = acc.add_terms(a, ca, b, cb)
+        assert grew == _general_loop(l, reference, row)
         assert acc.pivots == _flat(reference)
+        assert acc.rank == len(reference)
         assert all(len(tail) in (0, 2) for tail in acc.pivots.values())
