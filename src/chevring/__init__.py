@@ -40,6 +40,6 @@ from .presentations import (
     render_latex,
     render_text,
 )
-from .rootdata import RootDatum, check_torsion_free, group_order, lookup, validate_registry
+from .rootdata import RootDatum, group_order, lookup, validate_registry
 
 __version__ = "0.1.0"

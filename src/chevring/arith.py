@@ -207,14 +207,15 @@ def l_valuation(x: int, l: int) -> tuple[int, int]:
 
 
 def multiplicative_order(q: int, l: int) -> int:
-    """Least r >= 1 with q^r = 1 mod l, for l prime not dividing q.
+    """Least r >= 1 with q^r = 1 mod l, for l prime not dividing q; refuses
+    an l that is not prime.
 
     Starts from l - 1 and strips each prime factor while q to the remaining
     exponent stays 1 mod l: O(log l) modular powers once l - 1 is factored.
     """
     if q < 1:
         raise InputError(f"q must be positive, got {q}")
-    require_prime(l)
+    require_prime(l, "l")
     if q % l == 0:
         raise PreconditionError(
             f"{l} divides q = {q}: the multiplicative order of q mod {l} is undefined"
@@ -241,7 +242,11 @@ def _exponent_of_l(q: int, r: int, l: int) -> int:
     while True:
         rest = (pow(q, r, l**k) - 1) // l
         if rest:
-            return 1 + l_valuation(rest, l)[0]
+            a = 1
+            while rest % l == 0:
+                rest //= l
+                a += 1
+            return a
         k *= 2
 
 
@@ -261,7 +266,6 @@ class GaloisParams:
     def __post_init__(self):
         p, q, l = self.p, self.q, self.l
         require_prime(p, "p")
-        require_prime(l, "l")
         if l == p:
             raise PreconditionError(
                 f"l = p = {l}: the coefficient prime must differ from the field characteristic"
@@ -269,7 +273,8 @@ class GaloisParams:
         if not _power_exponent(q, p):
             prime_power_base(q)  # a q that is no prime power is reported as such
             raise InputError(f"q = {q} is not a power of p = {p}")
-        r = multiplicative_order(q, l)  # q is a power of p != l, so l does not divide it
+        # proves l prime; q is a power of p != l, so l does not divide it
+        r = multiplicative_order(q, l)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", _exponent_of_l(q, r, l))
 

@@ -86,10 +86,6 @@ class GradedActionProblem:
         if self.monomial_limit < 1:
             raise InputError("monomial limit must be positive")
 
-    def order(self) -> int:
-        """Multiplicative order r of q mod l."""
-        return multiplicative_order(self.q, self.l)
-
 
 # -- monomial bookkeeping ---------------------------------------------------
 
@@ -212,7 +208,7 @@ def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSe
     divisible by r = ord(q mod l): the closed-form answer for the
     coinvariants of the diagonal action."""
     _require_cyclic(problem)
-    r = problem.order()
+    r = multiplicative_order(problem.q, problem.l)
     kept = [w for w in problem.weights if w % r == 0]
     return hilbert_series_of_free_polynomial_ring(kept, problem.cutoff)
 
@@ -287,7 +283,7 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     m = len(problem.weights)
-    r = problem.order()
+    r = multiplicative_order(problem.q, problem.l)
     return hilbert_series_of_free_polynomial_ring([i * r for i in range(1, m + 1)], problem.cutoff)
 
 
@@ -320,7 +316,6 @@ class Clause:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    kind: str
     parameters: tuple[tuple[str, int], ...]
     clauses: tuple[Clause, ...]
 
@@ -386,7 +381,6 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
         )
 
     return VerificationReport(
-        kind="restricted-chern",
         parameters=(("m", m), ("p", params.p), ("q", params.q), ("l", l), ("r", r)),
         clauses=tuple(clauses),
     )
@@ -422,7 +416,6 @@ def chern_scalar_checks(l: int, q: int) -> VerificationReport:
         )
     )
     return VerificationReport(
-        kind="chern-scalars",
         parameters=(("q", q), ("l", l), ("r", r)),
         clauses=tuple(clauses),
     )

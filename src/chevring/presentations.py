@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import GLParams, GaloisParams
 from .errors import SCHEMA_VERSION, InputError, PreconditionError
 from .poly import TruncatedSeries, hilbert_series_of_free_polynomial_ring
-from .rootdata import RootDatum, check_torsion_free, lookup
+from .rootdata import RootDatum, lookup
 
 __all__ = [
     "ComparisonReport",
@@ -137,7 +137,7 @@ def cobordism_presentation(datum: RootDatum, params: GaloisParams) -> GradedPres
     """Mod-l complex cobordism of the classifying space of the group of
     F_q-points: the free polynomial ring on the generators s_i whose
     topological degree 2*d_i is divisible by 2r, i.e. r | d_i."""
-    if not check_torsion_free(datum, params.l):
+    if params.l in datum.torsion_primes:
         raise PreconditionError(
             f"l = {params.l} is a torsion prime of {datum.family} rank {datum.rank}: "
             "the integral cohomology of the complex group must have no l-torsion"

@@ -19,13 +19,12 @@ from functools import lru_cache
 from importlib import resources
 from math import factorial, prod
 
-from .arith import is_prime, multiplicative_order, prime_power_base
+from .arith import is_prime, prime_power_base
 from .errors import InputError
 
 __all__ = [
     "Registry",
     "RootDatum",
-    "check_torsion_free",
     "default_registry",
     "group_order",
     "lookup",
@@ -177,7 +176,7 @@ class _Record:
             raise InputError(
                 f"{self.family} rank {rank}: {len(degrees)} fundamental degrees, expected {rank}"
             )
-        if any(d < 1 for d in degrees):
+        if degrees and degrees[0] < 1:  # sorted, so the least degree decides
             raise InputError(f"{self.family} rank {rank}: nonpositive fundamental degree")
         weyl = self.weyl(rank)
         roots = self.roots(rank)
@@ -202,7 +201,7 @@ class _Record:
         )
 
 
-_RANK_RE = re.compile(r"n\s*(?P<op>>=|=)\s*(?P<k>\d+)\Z")
+_RANK_RE = re.compile(r"n\s*(?P<op>>=|=)\s*(?P<k>[0-9]+)\Z")
 
 # How far parametric records are expanded when validating a registry.
 _VALIDATION_RANK_SPAN = 12
@@ -246,12 +245,10 @@ class Registry:
             if torsion_spec == "-":
                 torsion: frozenset[int] = frozenset()
             else:
-                try:
-                    torsion = frozenset(int(t) for t in torsion_spec.split(","))
-                except ValueError:
-                    raise InputError(
-                        f"line {lineno}: bad torsion field {torsion_spec!r}"
-                    ) from None
+                entries = [t.strip() for t in torsion_spec.split(",")]
+                if not all(t.isascii() and t.isdigit() for t in entries):
+                    raise InputError(f"line {lineno}: bad torsion field {torsion_spec!r}")
+                torsion = frozenset(map(int, entries))
                 if not all(is_prime(t) for t in torsion):
                     raise InputError(f"line {lineno}: torsion entries must be prime")
             records.append(
@@ -300,16 +297,3 @@ def group_order(datum: RootDatum, q: int) -> int:
     """Order of the group of F_q-points: q^N * prod(q^{d_i} - 1), exactly."""
     prime_power_base(q)  # rejects non prime powers
     return q**datum.unipotent_exponent * prod(q**d - 1 for d in datum.degrees)
-
-
-def check_torsion_free(datum: RootDatum, l: int) -> bool:
-    """True iff l is not a torsion prime of the type."""
-    return l not in datum.torsion_primes
-
-
-def order_divisibility_matches_degrees(datum: RootDatum, q: int, l: int) -> bool:
-    """l divides the group order iff the order of q mod l divides some
-    fundamental degree; used as a registry sanity check."""
-    r = multiplicative_order(q, l)
-    divides_some = any(d % r == 0 for d in datum.degrees)
-    return (group_order(datum, q) % l == 0) == divides_some

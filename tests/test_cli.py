@@ -455,7 +455,7 @@ def broken_oracles(monkeypatch):
         return shifted_closed_form
 
     def report(passed):
-        return oracles.VerificationReport("forced", (), (oracles.Clause("forced", passed),))
+        return oracles.VerificationReport((), (oracles.Clause("forced", passed),))
 
     for name in ("coinvariants_hilbert_closedform", "invariants_hilbert_closedform"):
         monkeypatch.setattr(oracles, name, shifted(getattr(oracles, name)))

@@ -2,16 +2,14 @@ from math import prod
 
 import pytest
 
-from chevring.arith import galois_params, gl_params, prime_power_base
+from chevring.arith import galois_params, gl_params, multiplicative_order, prime_power_base
 from chevring.errors import InputError
 from chevring.rootdata import (
     Registry,
     _Record,
-    check_torsion_free,
     default_registry,
     group_order,
     lookup,
-    order_divisibility_matches_degrees,
     validate_registry,
 )
 
@@ -75,16 +73,12 @@ def test_group_order_matches_gl_product_formula():
 
 
 def test_torsion_primes():
-    for l in (2, 3, 5, 7):
-        assert check_torsion_free(lookup("Sp", 3), l)
-        assert check_torsion_free(lookup("GL", 5), l)
-        assert check_torsion_free(lookup("SL", 4), l)
-    assert not check_torsion_free(lookup("Spin", 3), 2)
-    assert check_torsion_free(lookup("Spin", 3), 3)
-    assert not check_torsion_free(lookup("G2", 2), 2)
-    assert not check_torsion_free(lookup("F4", 4), 3)
-    assert not check_torsion_free(lookup("E8", 8), 5)
-    assert check_torsion_free(lookup("E8", 8), 7)
+    for family, rank in (("Sp", 3), ("GL", 5), ("SL", 4)):
+        assert lookup(family, rank).torsion_primes == frozenset()
+    assert lookup("Spin", 3).torsion_primes == {2}
+    assert lookup("G2", 2).torsion_primes == {2}
+    assert lookup("F4", 4).torsion_primes == {2, 3}
+    assert lookup("E8", 8).torsion_primes == {2, 3, 5}
 
 
 def test_registry_identities_hold_for_all_shipped_records():
@@ -117,7 +111,8 @@ def test_order_divisibility_iff_degree_divisible():
                 for q in _prime_powers(81):
                     if q % l == 0:
                         continue
-                    assert order_divisibility_matches_degrees(datum, q, l), (family, rank, q, l)
+                    divides_some = any(d % multiplicative_order(q, l) == 0 for d in datum.degrees)
+                    assert (group_order(datum, q) % l == 0) == divides_some, (family, rank, q, l)
 
 
 def test_gl_trivial_case_iff_order_prime_to_l():
@@ -156,9 +151,11 @@ def test_registry_parser_grammar_errors():
         Registry.from_text("GL | n >= 1 | 1..n | import_os | n*(n-1)/2 | -")
     with pytest.raises(InputError):
         Registry.from_text("X | n = 2 | 3, 3 | 9 | 4 | 6")  # torsion entry not prime
-    for torsion in ("x", "2,,3"):
+    for torsion in ("x", "2,,3", "3_1", "+3", "\u0663"):  # Arabic-Indic three
         with pytest.raises(InputError, match="^line 1: bad torsion field"):
             Registry.from_text(f"X | n = 1 | 1 | 1 | 0 | {torsion}")
+    with pytest.raises(InputError, match="^line 1: bad rank pattern"):
+        Registry.from_text("X | n = \u0661 | 1 | 1 | 0 | -")  # Arabic-Indic one
     with pytest.raises(InputError):
         # 9 degrees multiply to |W| but the division n/4 is inexact
         Registry.from_text("X | n = 2 | 3, 3 | 9 | n/4 | -")
