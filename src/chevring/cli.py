@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    """ASCII digits with an optional minus sign; int() also reads 1_1, +3 and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _monomial_limit(request: argparse.Namespace) -> int:
     """--monomial-limit, else CHEVRING_MONOMIAL_LIMIT, else the oracles' default;
     the variable is read on every call, never frozen into the parser."""
@@ -43,8 +50,8 @@ def _monomial_limit(request: argparse.Namespace) -> int:
             return oracles.DEFAULT_MONOMIAL_LIMIT
         source = "CHEVRING_MONOMIAL_LIMIT"
         try:
-            value = int(raw)
-        except ValueError:
+            value = _int(raw)
+        except argparse.ArgumentTypeError:
             raise UsageError(f"{source} must be an integer, got {raw!r}")
     if value < 1:
         raise UsageError(f"{source} must be >= 1, got {value}")
@@ -61,47 +68,45 @@ def build_parser() -> argparse.ArgumentParser:
     def add_field_args(p, with_group=True):
         if with_group:
             p.add_argument("--family", required=True, help="group family, e.g. GL, Sp, SO_odd")
-            p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--q", required=True, type=int, help="field size (prime power)")
-        p.add_argument("--l", required=True, type=int, help="coefficient prime")
-        p.add_argument("--p", type=int, help="characteristic; inferred from q if omitted")
+            p.add_argument("--rank", required=True, type=_int)
+        p.add_argument("--q", required=True, type=_int, help="field size (prime power)")
+        p.add_argument("--l", required=True, type=_int, help="coefficient prime")
+        p.add_argument("--p", type=_int, help="characteristic; inferred from q if omitted")
+
+    def add_presentation_args(p):
+        p.add_argument("--theory", choices=("cobordism", "chow"), required=True)
+        p.add_argument("--b", type=_int, default=1, help="coefficient exponent (chow only)")
+        p.add_argument("--grading", choices=("chow", "topological"))
+        p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     p_params = sub.add_parser("params", help="show the arithmetic tuple (p, q, l, r, a, h)")
     add_field_args(p_params, with_group=False)
-    p_params.add_argument("--n", type=int, help="also show the long division n = r*m + e")
+    p_params.add_argument("--n", type=_int, help="also show the long division n = r*m + e")
     p_params.add_argument("--format", choices=("text", "json"), default="text")
 
     p_present = sub.add_parser("present", help="print a ring presentation")
     add_field_args(p_present)
-    p_present.add_argument("--theory", choices=("cobordism", "chow"), required=True)
-    p_present.add_argument("--b", type=int, default=1, help="coefficient exponent (chow only)")
-    p_present.add_argument("--cutoff", type=int, help="also compute the Poincare series up to this degree")
-    p_present.add_argument("--grading", choices=("chow", "topological"))
-    p_present.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    add_presentation_args(p_present)
+    p_present.add_argument("--cutoff", type=_int, help="also compute the Poincare series up to this degree")
 
     p_series = sub.add_parser("series", help="Poincare series of a presentation")
     add_field_args(p_series)
-    p_series.add_argument("--theory", choices=("cobordism", "chow"), required=True)
-    p_series.add_argument("--b", type=int, default=1)
-    p_series.add_argument("--cutoff", type=int, required=True)
-    p_series.add_argument("--grading", choices=("chow", "topological"))
-    p_series.add_argument("--format", choices=("text", "json", "latex"), default="text")
+    add_presentation_args(p_series)
+    p_series.add_argument("--cutoff", type=_int, required=True)
 
     p_compare = sub.add_parser("compare", help="compare the GL chow and cobordism presentations")
-    p_compare.add_argument("--rank", required=True, type=int)
-    p_compare.add_argument("--q", required=True, type=int)
-    p_compare.add_argument("--l", required=True, type=int)
-    p_compare.add_argument("--p", type=int)
+    add_field_args(p_compare, with_group=False)
+    p_compare.add_argument("--rank", required=True, type=_int)
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification sweeps")
     p_verify.add_argument("--primes", default="3,5,7,11,13")
-    p_verify.add_argument("--max-weight-entry", type=int, default=4)
-    p_verify.add_argument("--max-weight-len", type=int, default=3)
-    p_verify.add_argument("--max-m", type=int, default=2)
-    p_verify.add_argument("--cutoff", type=int, default=8)
-    p_verify.add_argument("--sp-max-rank", type=int, default=4)
-    p_verify.add_argument("--monomial-limit", type=int)
+    p_verify.add_argument("--max-weight-entry", type=_int, default=4)
+    p_verify.add_argument("--max-weight-len", type=_int, default=3)
+    p_verify.add_argument("--max-m", type=_int, default=2)
+    p_verify.add_argument("--cutoff", type=_int, default=8)
+    p_verify.add_argument("--sp-max-rank", type=_int, default=4)
+    p_verify.add_argument("--monomial-limit", type=_int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -111,8 +116,8 @@ def parse_args(argv) -> argparse.Namespace:
     request = build_parser().parse_args(argv)
     if request.subcommand == "verify":
         try:
-            request.primes = tuple(int(t) for t in request.primes.split(","))
-        except ValueError:
+            request.primes = tuple(_int(t.strip()) for t in request.primes.split(","))
+        except argparse.ArgumentTypeError:
             raise UsageError(
                 f"--primes must be a comma-separated integer list, got {request.primes!r}"
             )
@@ -211,8 +216,8 @@ def _run_series(request: argparse.Namespace) -> str:
             "kind": "series",
             "theory": pres.theory,
             "group": {"family": pres.family, "rank": pres.rank},
-            "field": {"p": pres.p, "q": pres.q},
-            "prime": pres.l,
+            "field": {"p": pres.params.p, "q": pres.params.q},
+            "prime": pres.params.l,
             "grading": grading,
             "series": series.to_json_dict(),
         }
@@ -244,7 +249,7 @@ def _run_compare(request: argparse.Namespace) -> str:
     verdict = "equal" if report.equal else "MISMATCH"
     return "\n".join(
         [
-            f"GL_{report.rank}, q = {report.q}, l = {report.l}: {verdict}",
+            f"GL_{request.rank}, q = {params.q}, l = {params.l}: {verdict}",
             f"  chow degrees: {list(report.chow_degrees)}",
             f"  cobordism degrees: {list(report.cobordism_degrees)}",
         ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import GLParams, GaloisParams
+from .arith import GLParams, GaloisParams, galois_params, gl_params
 from .errors import SCHEMA_VERSION, InputError, PreconditionError
 from .poly import TruncatedSeries, hilbert_series_of_free_polynomial_ring
 from .rootdata import RootDatum, lookup
@@ -54,34 +54,40 @@ class Generator:
 
 @dataclass(frozen=True)
 class GradedPresentation:
-    """A finitely generated polynomial-ring presentation over Z/l^b."""
+    """A finitely generated polynomial-ring presentation over Z/l^b of the
+    theory's ring for the group (family, rank) over the field of params."""
 
     theory: str  # "cobordism" or "chow"
     family: str
     rank: int
-    p: int
-    q: int
-    l: int
+    params: GaloisParams
     b: int
-    r: int
-    m: int | None  # floor(n/r), tracked for GL only
     generators: tuple[Generator, ...]
-    grading: str  # default grading for display: "chow" or "topological"
 
     def __post_init__(self):
         gens = tuple(sorted(self.generators, key=lambda g: (g.algebraic_degree, g.name)))
         object.__setattr__(self, "generators", gens)
 
     @property
+    def grading(self) -> str:
+        """The default grading for display."""
+        return TOPOLOGICAL if self.theory == "cobordism" else CHOW
+
+    @property
+    def m(self) -> int | None:
+        """floor(n/r), tracked for the Chow theory (GL) only."""
+        return None if self.theory == "cobordism" else self.rank // self.params.r
+
+    @property
     def modulus(self) -> int:
-        return self.l**self.b
+        return self.params.l**self.b
 
     def algebraic_degrees(self) -> tuple[int, ...]:
         return tuple(g.algebraic_degree for g in self.generators)
 
     def coefficient_ring_text(self) -> str:
         if self.theory == "cobordism":
-            return f"F_{self.l}"
+            return f"F_{self.params.l}"
         return f"Z/{self.modulus}"
 
     def to_json_dict(self) -> dict:
@@ -90,10 +96,10 @@ class GradedPresentation:
             "kind": "presentation",
             "theory": self.theory,
             "group": {"family": self.family, "rank": self.rank},
-            "field": {"p": self.p, "q": self.q},
-            "prime": self.l,
+            "field": {"p": self.params.p, "q": self.params.q},
+            "prime": self.params.l,
             "b": self.b,
-            "r": self.r,
+            "r": self.params.r,
             "m": self.m,
             "grading": self.grading,
             "generators": [
@@ -107,22 +113,33 @@ class GradedPresentation:
         }
 
 
+def _refuse_contradictions(stored: dict, derived: dict) -> None:
+    """Refuse a document whose stored derived fields differ from the values
+    its inputs give."""
+    for key, value in derived.items():
+        if stored[key] != value:
+            raise InputError(
+                f"stored {key} = {stored[key]!r}, but the document's inputs give {value!r}"
+            )
+
+
+def _field_params(d: dict) -> GaloisParams:
+    return galois_params(int(d["field"]["p"]), int(d["field"]["q"]), int(d["prime"]))
+
+
 def presentation_from_json_dict(d: dict) -> GradedPresentation:
-    return GradedPresentation(
+    pres = GradedPresentation(
         theory=d["theory"],
         family=d["group"]["family"],
         rank=int(d["group"]["rank"]),
-        p=int(d["field"]["p"]),
-        q=int(d["field"]["q"]),
-        l=int(d["prime"]),
+        params=_field_params(d),
         b=int(d["b"]),
-        r=int(d["r"]),
-        m=None if d["m"] is None else int(d["m"]),
         generators=tuple(
             Generator(g["name"], int(g["algebraic_degree"])) for g in d["generators"]
         ),
-        grading=d["grading"],
     )
+    _refuse_contradictions(d, {"r": pres.params.r, "m": pres.m, "grading": pres.grading})
+    return pres
 
 
 def _generator_prefix(family: str) -> str:
@@ -148,19 +165,7 @@ def cobordism_presentation(datum: RootDatum, params: GaloisParams) -> GradedPres
         for i, d in enumerate(datum.degrees, start=1)
         if d % params.r == 0
     )
-    return GradedPresentation(
-        theory="cobordism",
-        family=datum.family,
-        rank=datum.rank,
-        p=params.p,
-        q=params.q,
-        l=params.l,
-        b=1,
-        r=params.r,
-        m=None,
-        generators=gens,
-        grading=TOPOLOGICAL,
-    )
+    return GradedPresentation("cobordism", datum.family, datum.rank, params, 1, gens)
 
 
 def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
@@ -189,19 +194,7 @@ def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
         gens = tuple(
             Generator(f"c_{i * base.r}", i * base.r) for i in range(1, params.m + 1)
         )
-    return GradedPresentation(
-        theory="chow",
-        family="GL",
-        rank=params.n,
-        p=base.p,
-        q=base.q,
-        l=base.l,
-        b=b,
-        r=base.r,
-        m=params.m,
-        generators=gens,
-        grading=CHOW,
-    )
+    return GradedPresentation("chow", "GL", params.n, base, b, gens)
 
 
 def poincare_series(
@@ -223,26 +216,24 @@ def poincare_series(
 class ComparisonReport:
     """Structural comparison of the GL Chow and cobordism presentations."""
 
-    family: str
-    rank: int
-    p: int
-    q: int
-    l: int
-    r: int
-    m: int
-    equal: bool
+    params: GLParams
     chow_degrees: tuple[int, ...]
     cobordism_degrees: tuple[int, ...]  # algebraic degrees
 
+    @property
+    def equal(self) -> bool:
+        return self.chow_degrees == self.cobordism_degrees
+
     def to_json_dict(self) -> dict:
+        base = self.params.base
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "comparison",
-            "group": {"family": self.family, "rank": self.rank},
-            "field": {"p": self.p, "q": self.q},
-            "prime": self.l,
-            "r": self.r,
-            "m": self.m,
+            "group": {"family": "GL", "rank": self.params.n},
+            "field": {"p": base.p, "q": base.q},
+            "prime": base.l,
+            "r": base.r,
+            "m": self.params.m,
             "equal": self.equal,
             "chow_degrees": list(self.chow_degrees),
             "cobordism_degrees": list(self.cobordism_degrees),
@@ -250,18 +241,16 @@ class ComparisonReport:
 
 
 def comparison_from_json_dict(d: dict) -> ComparisonReport:
-    return ComparisonReport(
-        family=d["group"]["family"],
-        rank=int(d["group"]["rank"]),
-        p=int(d["field"]["p"]),
-        q=int(d["field"]["q"]),
-        l=int(d["prime"]),
-        r=int(d["r"]),
-        m=int(d["m"]),
-        equal=bool(d["equal"]),
+    report = ComparisonReport(
+        params=gl_params(_field_params(d), int(d["group"]["rank"])),
         chow_degrees=tuple(int(x) for x in d["chow_degrees"]),
         cobordism_degrees=tuple(int(x) for x in d["cobordism_degrees"]),
     )
+    _refuse_contradictions(d["group"], {"family": "GL"})
+    _refuse_contradictions(
+        d, {"r": report.params.base.r, "m": report.params.m, "equal": report.equal}
+    )
+    return report
 
 
 def compare_chow_cobordism_gl(params: GLParams) -> ComparisonReport:
@@ -270,39 +259,22 @@ def compare_chow_cobordism_gl(params: GLParams) -> ComparisonReport:
     not raised."""
     chow = chow_gl_presentation(params, b=1)
     cobord = cobordism_presentation(lookup("GL", params.n), params.base)
-    chow_degs = tuple(sorted(chow.algebraic_degrees()))
-    cobord_degs = tuple(sorted(cobord.algebraic_degrees()))
-    return ComparisonReport(
-        family="GL",
-        rank=params.n,
-        p=params.base.p,
-        q=params.base.q,
-        l=params.base.l,
-        r=params.base.r,
-        m=params.m,
-        equal=chow_degs == cobord_degs,
-        chow_degrees=chow_degs,
-        cobordism_degrees=cobord_degs,
-    )
+    # generators are held sorted by degree, so both tuples are sorted
+    return ComparisonReport(params, chow.algebraic_degrees(), cobord.algebraic_degrees())
 
 
 def render_text(pres: GradedPresentation) -> str:
     """Plain-text rendering, e.g. ``F_5[q_2, q_4]`` plus one line per generator."""
     ring = pres.coefficient_ring_text()
-    if pres.generators:
-        head = f"{ring}[{', '.join(g.name for g in pres.generators)}]"
-        lines = [head]
-        for g in pres.generators:
-            lines.append(
-                f"  {g.name}: algebraic degree {g.algebraic_degree}, "
-                f"topological degree {g.topological_degree}"
-            )
-    else:
-        lines = [ring]
-        if pres.m is not None:
-            lines.append(f"  (no generators; m = {pres.m})")
-        else:
-            lines.append("  (no generators)")
+    if not pres.generators:
+        m = "" if pres.m is None else f"; m = {pres.m}"
+        return f"{ring}\n  (no generators{m})"
+    lines = [f"{ring}[{', '.join(g.name for g in pres.generators)}]"]
+    for g in pres.generators:
+        lines.append(
+            f"  {g.name}: algebraic degree {g.algebraic_degree}, "
+            f"topological degree {g.topological_degree}"
+        )
     return "\n".join(lines)
 
 
@@ -316,10 +288,9 @@ def _latex_name(name: str) -> str:
 def render_latex(pres: GradedPresentation) -> str:
     """LaTeX rendering, e.g. ``\\mathbb{F}_5[q_2, q_4]``."""
     if pres.theory == "cobordism":
-        ring = f"\\mathbb{{F}}_{pres.l}" if pres.l < 10 else f"\\mathbb{{F}}_{{{pres.l}}}"
+        ring = _latex_name(f"\\mathbb{{F}}_{pres.params.l}")
     else:
-        mod = pres.modulus
-        ring = f"\\mathbb{{Z}}/{mod}"
+        ring = f"\\mathbb{{Z}}/{pres.modulus}"
     if not pres.generators:
         return ring
     return f"{ring}[{', '.join(_latex_name(g.name) for g in pres.generators)}]"

@@ -19,7 +19,7 @@ from functools import lru_cache
 from importlib import resources
 from math import factorial, prod
 
-from .arith import is_prime, prime_power_base
+from .arith import prime_power_base, require_prime
 from .errors import InputError
 
 __all__ = [
@@ -249,8 +249,11 @@ class Registry:
                 if not all(t.isascii() and t.isdigit() for t in entries):
                     raise InputError(f"line {lineno}: bad torsion field {torsion_spec!r}")
                 torsion = frozenset(map(int, entries))
-                if not all(is_prime(t) for t in torsion):
-                    raise InputError(f"line {lineno}: torsion entries must be prime")
+                try:
+                    for t in sorted(torsion):
+                        require_prime(t, "torsion entry")
+                except InputError as exc:
+                    raise InputError(f"line {lineno}: {exc}") from None
             records.append(
                 _Record(
                     family=family,

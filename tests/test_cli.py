@@ -204,6 +204,32 @@ def test_usage_errors_exit_1(capsys):
     assert main(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["params", "--q", "\u0663", "--l", "5"], "--q", "\u0663"),  # Arabic-Indic three
+        (["params", "--q", "1_1", "--l", "5"], "--q", "1_1"),
+        (["params", "--q", "+3", "--l", "5"], "--q", "+3"),
+        (["params", "--q", "3", "--l", "1_1"], "--l", "1_1"),
+        (["params", "--q", "3", "--l", " 5"], "--l", " 5"),
+        (["params", "--q", "3", "--l", "5", "--n", "\u0662"], "--n", "\u0662"),
+        (["present", "--family", "GL", "--rank", "\u0662", "--q", "3", "--l", "5",
+          "--theory", "chow"], "--rank", "\u0662"),
+        (["series", "--family", "GL", "--rank", "2", "--q", "3", "--l", "5", "--theory", "chow",
+          "--cutoff", "1_0"], "--cutoff", "1_0"),
+        (["compare", "--rank", "+4", "--q", "3", "--l", "5"], "--rank", "+4"),
+        (["verify", "--cutoff", "-\u0661"], "--cutoff", "-\u0661"),
+        (["params", "--q", "abc", "--l", "5"], "--q", "abc"),
+    ],
+)
+def test_integer_options_read_ascii_digits_only(argv, flag, value, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"usage error: argument {flag}: invalid int value: {value!r}\n"
+    )
+
+
 def test_main_routes_streams(capsys):
     assert main(["params", "--q", "3", "--l", "5"]) == 0
     captured = capsys.readouterr()
@@ -248,7 +274,7 @@ def test_present_json_with_series():
 def test_compare_json_round_trip():
     code, out, _ = run_cli("compare", "--rank", "4", "--q", "3", "--l", "5", "--format", "json")
     report = comparison_from_json_dict(json.loads(out))
-    assert report.equal and report.m == 1
+    assert report.equal and report.params.m == 1
 
 
 def test_params_json():
@@ -419,6 +445,26 @@ def test_verify_refuses_a_non_prime_before_any_clause(primes, l, capsys):
     assert main(["verify", "--primes", primes]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"input error: l = {l} is not prime\n")
+
+
+@pytest.mark.parametrize("primes", ["\u0663", "3,1_1", "+3", "3, \u0665", "3,,5", ""])
+def test_verify_primes_read_ascii_digits_only(primes, capsys):
+    assert main(["verify", "--primes", primes]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"usage error: --primes must be a comma-separated integer list, got {primes!r}\n"
+    )
+    assert parse_args(["verify", "--primes", " 3, 5 "]).primes == (3, 5)
+
+
+@pytest.mark.parametrize("raw", ["\u0663", "1_000", "+3", " 3"])
+def test_the_env_variable_limit_reads_ascii_digits_only(raw, monkeypatch, capsys):
+    monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", raw)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"usage error: CHEVRING_MONOMIAL_LIMIT must be an integer, got {raw!r}\n"
+    )
 
 
 @pytest.mark.parametrize("primes, l", [("3,3", 3), ("5,3,5", 5), ("7,07", 7)])

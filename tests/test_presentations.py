@@ -214,7 +214,7 @@ def test_compare_examples():
     assert compare_chow_cobordism_gl(gl_params(_params(3, 5), 4)).equal
     assert compare_chow_cobordism_gl(gl_params(_params(3, 5), 3)).equal
     report = compare_chow_cobordism_gl(gl_params(_params(4, 3), 5))
-    assert report.equal and report.r == 1
+    assert report.equal and report.params.base.r == 1
     assert report.chow_degrees == (1, 2, 3, 4, 5)
 
 
@@ -250,13 +250,50 @@ def test_presentation_json_round_trip():
         chow_gl_presentation(gl_params(_params(3, 5), 4)),
         chow_gl_presentation(gl_params(_params(19, 3), 2), b=2),
         cobordism_presentation(lookup("GL", 3), _params(3, 5)),
+        chow_gl_presentation(gl_params(_params(109, 3), 3), b=3),  # 3^3 | 108
+        cobordism_presentation(lookup("Sp", 40), _params(3, 1000003)),
     ]:
         assert presentation_from_json_dict(pres.to_json_dict()) == pres
 
 
 def test_comparison_json_round_trip():
-    report = compare_chow_cobordism_gl(gl_params(_params(3, 5), 4))
-    assert comparison_from_json_dict(report.to_json_dict()) == report
+    for n, q, l in [(4, 3, 5), (9, 7, 19)]:
+        report = compare_chow_cobordism_gl(gl_params(_params(q, l), n))
+        assert comparison_from_json_dict(report.to_json_dict()) == report
+
+
+_SP4 = cobordism_presentation(lookup("Sp", 4), _params(3, 5)).to_json_dict()  # r = 4
+_GL4 = chow_gl_presentation(gl_params(_params(3, 5), 4)).to_json_dict()  # m = 1
+_COMPARE4 = compare_chow_cobordism_gl(gl_params(_params(3, 5), 4)).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "reader, document, message",
+    [
+        (presentation_from_json_dict, {**_SP4, "r": 2},
+         "stored r = 2, but the document's inputs give 4"),
+        (presentation_from_json_dict, {**_GL4, "m": 2},
+         "stored m = 2, but the document's inputs give 1"),
+        (presentation_from_json_dict, {**_SP4, "m": 5},
+         "stored m = 5, but the document's inputs give None"),
+        (presentation_from_json_dict, {**_SP4, "grading": "chow"},
+         "stored grading = 'chow', but the document's inputs give 'topological'"),
+        (presentation_from_json_dict, {**_SP4, "field": {"p": 2, "q": 3}},
+         "q = 3 is not a power of p = 2"),
+        (comparison_from_json_dict, {**_COMPARE4, "r": 2},
+         "stored r = 2, but the document's inputs give 4"),
+        (comparison_from_json_dict, {**_COMPARE4, "m": 2},
+         "stored m = 2, but the document's inputs give 1"),
+        (comparison_from_json_dict, {**_COMPARE4, "chow_degrees": [1], "cobordism_degrees": [2]},
+         "stored equal = True, but the document's inputs give False"),
+        (comparison_from_json_dict, {**_COMPARE4, "group": {"family": "Sp", "rank": 4}},
+         "stored family = 'Sp', but the document's inputs give 'GL'"),
+    ],
+)
+def test_readers_refuse_a_document_that_contradicts_itself(reader, document, message):
+    with pytest.raises(InputError) as excinfo:
+        reader(document)
+    assert str(excinfo.value) == message
 
 
 def test_generators_sorted_by_degree():

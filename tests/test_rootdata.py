@@ -154,6 +154,9 @@ def test_registry_parser_grammar_errors():
     for torsion in ("x", "2,,3", "3_1", "+3", "\u0663"):  # Arabic-Indic three
         with pytest.raises(InputError, match="^line 1: bad torsion field"):
             Registry.from_text(f"X | n = 1 | 1 | 1 | 0 | {torsion}")
+    # 1287836182261 * 2575672364521 passes every Miller-Rabin witness
+    with pytest.raises(InputError, match="^line 1: cannot tell whether torsion entry = 3317"):
+        Registry.from_text("X | n = 1 | 1 | 1 | 0 | 3317044064679887385961981")
     with pytest.raises(InputError, match="^line 1: bad rank pattern"):
         Registry.from_text("X | n = \u0661 | 1 | 1 | 0 | -")  # Arabic-Indic one
     with pytest.raises(InputError):
