@@ -34,10 +34,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(text: str) -> int:
-    """ASCII digits with an optional minus sign; int() also reads 1_1, +3 and non-ASCII digits."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """ASCII digits with an optional minus sign; int() also reads 1_1, +3 and
+    non-ASCII digits, and raises ValueError past its digit limit."""
+    try:
+        if text.isascii() and text.removeprefix("-").isdigit():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _monomial_limit(request: argparse.Namespace) -> int:

@@ -113,13 +113,13 @@ class GradedPresentation:
         }
 
 
-def _refuse_contradictions(stored: dict, derived: dict) -> None:
-    """Refuse a document whose stored derived fields differ from the values
-    its inputs give."""
-    for key, value in derived.items():
-        if stored[key] != value:
+def _refuse_contradictions(document: dict, rebuilt: dict) -> None:
+    """Refuse a document that differs from the one its inputs give, naming
+    the first differing key."""
+    for key, value in rebuilt.items():
+        if document[key] != value:
             raise InputError(
-                f"stored {key} = {stored[key]!r}, but the document's inputs give {value!r}"
+                f"stored {key} = {document[key]!r}, but the document's inputs give {value!r}"
             )
 
 
@@ -128,17 +128,16 @@ def _field_params(d: dict) -> GaloisParams:
 
 
 def presentation_from_json_dict(d: dict) -> GradedPresentation:
-    pres = GradedPresentation(
-        theory=d["theory"],
-        family=d["group"]["family"],
-        rank=int(d["group"]["rank"]),
-        params=_field_params(d),
-        b=int(d["b"]),
-        generators=tuple(
-            Generator(g["name"], int(g["algebraic_degree"])) for g in d["generators"]
-        ),
-    )
-    _refuse_contradictions(d, {"r": pres.params.r, "m": pres.m, "grading": pres.grading})
+    """Rebuild the presentation from the document's inputs; a hypothesis its
+    inputs break raises the engine's PreconditionError."""
+    family, rank, params = d["group"]["family"], int(d["group"]["rank"]), _field_params(d)
+    if d["theory"] == "cobordism":
+        pres = cobordism_presentation(lookup(family, rank), params)
+    elif d["theory"] == "chow" and family == "GL":
+        pres = chow_gl_presentation(gl_params(params, rank), int(d["b"]))
+    else:
+        raise InputError(f"no {d['theory']!r} presentation for family {family!r}")
+    _refuse_contradictions(d, pres.to_json_dict())
     return pres
 
 
@@ -241,15 +240,8 @@ class ComparisonReport:
 
 
 def comparison_from_json_dict(d: dict) -> ComparisonReport:
-    report = ComparisonReport(
-        params=gl_params(_field_params(d), int(d["group"]["rank"])),
-        chow_degrees=tuple(int(x) for x in d["chow_degrees"]),
-        cobordism_degrees=tuple(int(x) for x in d["cobordism_degrees"]),
-    )
-    _refuse_contradictions(d["group"], {"family": "GL"})
-    _refuse_contradictions(
-        d, {"r": report.params.base.r, "m": report.params.m, "equal": report.equal}
-    )
+    report = compare_chow_cobordism_gl(gl_params(_field_params(d), int(d["group"]["rank"])))
+    _refuse_contradictions(d, report.to_json_dict())
     return report
 
 
@@ -266,15 +258,20 @@ def compare_chow_cobordism_gl(params: GLParams) -> ComparisonReport:
 def render_text(pres: GradedPresentation) -> str:
     """Plain-text rendering, e.g. ``F_5[q_2, q_4]`` plus one line per generator."""
     ring = pres.coefficient_ring_text()
-    if not pres.generators:
-        m = "" if pres.m is None else f"; m = {pres.m}"
-        return f"{ring}\n  (no generators{m})"
-    lines = [f"{ring}[{', '.join(g.name for g in pres.generators)}]"]
-    for g in pres.generators:
-        lines.append(
-            f"  {g.name}: algebraic degree {g.algebraic_degree}, "
-            f"topological degree {g.topological_degree}"
-        )
+    if pres.generators:
+        head = f"{ring}[{', '.join(g.name for g in pres.generators)}]"
+        lines = [head]
+        for g in pres.generators:
+            lines.append(
+                f"  {g.name}: algebraic degree {g.algebraic_degree}, "
+                f"topological degree {g.topological_degree}"
+            )
+    else:
+        lines = [ring]
+        if pres.m is not None:
+            lines.append(f"  (no generators; m = {pres.m})")
+        else:
+            lines.append("  (no generators)")
     return "\n".join(lines)
 
 

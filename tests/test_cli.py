@@ -204,6 +204,10 @@ def test_usage_errors_exit_1(capsys):
     assert main(["nonsense"]) == 1
 
 
+# more digits than int() converts by default (4300), so int() raises ValueError
+_DIGITS_5000 = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, flag, value",
     [
@@ -220,6 +224,8 @@ def test_usage_errors_exit_1(capsys):
         (["compare", "--rank", "+4", "--q", "3", "--l", "5"], "--rank", "+4"),
         (["verify", "--cutoff", "-\u0661"], "--cutoff", "-\u0661"),
         (["params", "--q", "abc", "--l", "5"], "--q", "abc"),
+        pytest.param(["params", "--q", _DIGITS_5000, "--l", "5"], "--q", _DIGITS_5000,
+                     id="q-past-the-int-digit-limit"),
     ],
 )
 def test_integer_options_read_ascii_digits_only(argv, flag, value, capsys):
@@ -447,7 +453,11 @@ def test_verify_refuses_a_non_prime_before_any_clause(primes, l, capsys):
     assert (captured.out, captured.err) == ("", f"input error: l = {l} is not prime\n")
 
 
-@pytest.mark.parametrize("primes", ["\u0663", "3,1_1", "+3", "3, \u0665", "3,,5", ""])
+@pytest.mark.parametrize(
+    "primes",
+    ["\u0663", "3,1_1", "+3", "3, \u0665", "3,,5", "",
+     pytest.param("3," + _DIGITS_5000, id="past-the-int-digit-limit")],
+)
 def test_verify_primes_read_ascii_digits_only(primes, capsys):
     assert main(["verify", "--primes", primes]) == 1
     captured = capsys.readouterr()
@@ -457,7 +467,9 @@ def test_verify_primes_read_ascii_digits_only(primes, capsys):
     assert parse_args(["verify", "--primes", " 3, 5 "]).primes == (3, 5)
 
 
-@pytest.mark.parametrize("raw", ["\u0663", "1_000", "+3", " 3"])
+@pytest.mark.parametrize(
+    "raw", ["\u0663", "1_000", "+3", " 3", pytest.param(_DIGITS_5000, id="past-the-int-digit-limit")]
+)
 def test_the_env_variable_limit_reads_ascii_digits_only(raw, monkeypatch, capsys):
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", raw)
     assert main(["verify"]) == 1

@@ -280,20 +280,42 @@ _COMPARE4 = compare_chow_cobordism_gl(gl_params(_params(3, 5), 4)).to_json_dict(
          "stored grading = 'chow', but the document's inputs give 'topological'"),
         (presentation_from_json_dict, {**_SP4, "field": {"p": 2, "q": 3}},
          "q = 3 is not a power of p = 2"),
+        (presentation_from_json_dict, {**_SP4, "b": 7},
+         "stored b = 7, but the document's inputs give 1"),
+        (presentation_from_json_dict,
+         {**_SP4, "generators": [{"name": "q_1", "algebraic_degree": 1, "topological_degree": 2}]},
+         "stored generators = [{'name': 'q_1', 'algebraic_degree': 1, 'topological_degree': 2}], "
+         "but the document's inputs give [{'name': 'q_2', 'algebraic_degree': 4, "
+         "'topological_degree': 8}, {'name': 'q_4', 'algebraic_degree': 8, "
+         "'topological_degree': 16}]"),
+        (presentation_from_json_dict, {**_SP4, "theory": "foo"},
+         "no 'foo' presentation for family 'Sp'"),
+        (presentation_from_json_dict, {**_SP4, "theory": "chow"},
+         "no 'chow' presentation for family 'Sp'"),
+        (presentation_from_json_dict, {**_SP4, "group": {"family": "Sp", "rank": -4}},
+         "family Sp needs rank >= 1, got -4"),
         (comparison_from_json_dict, {**_COMPARE4, "r": 2},
          "stored r = 2, but the document's inputs give 4"),
         (comparison_from_json_dict, {**_COMPARE4, "m": 2},
          "stored m = 2, but the document's inputs give 1"),
+        (comparison_from_json_dict, {**_COMPARE4, "equal": False},
+         "stored equal = False, but the document's inputs give True"),
         (comparison_from_json_dict, {**_COMPARE4, "chow_degrees": [1], "cobordism_degrees": [2]},
-         "stored equal = True, but the document's inputs give False"),
+         "stored chow_degrees = [1], but the document's inputs give [4]"),
         (comparison_from_json_dict, {**_COMPARE4, "group": {"family": "Sp", "rank": 4}},
-         "stored family = 'Sp', but the document's inputs give 'GL'"),
+         "stored group = {'family': 'Sp', 'rank': 4}, "
+         "but the document's inputs give {'family': 'GL', 'rank': 4}"),
     ],
 )
 def test_readers_refuse_a_document_that_contradicts_itself(reader, document, message):
     with pytest.raises(InputError) as excinfo:
         reader(document)
     assert str(excinfo.value) == message
+
+
+def test_readers_raise_the_hypothesis_a_document_breaks():
+    with pytest.raises(PreconditionError, match="l must be odd"):
+        presentation_from_json_dict({**_GL4, "prime": 2})
 
 
 def test_generators_sorted_by_degree():
