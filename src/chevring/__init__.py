@@ -10,7 +10,6 @@ from .arith import (
     galois_params,
     gl_params,
     is_prime,
-    l_valuation,
     multiplicative_order,
 )
 from .errors import InputError, PreconditionError, ResourceLimitError

@@ -22,7 +22,6 @@ __all__ = [
     "galois_params",
     "gl_params",
     "is_prime",
-    "l_valuation",
     "multiplicative_order",
     "prime_power_base",
     "require_prime",
@@ -192,18 +191,6 @@ def _prime_factors(n: int) -> list[int]:
             d = _pollard_brent(m)
             rest += [d, m // d]
     return sorted(found)
-
-
-def l_valuation(x: int, l: int) -> tuple[int, int]:
-    """Split x = l^v * cofactor with the cofactor prime to l."""
-    if x < 1:
-        raise InputError(f"l_valuation needs a positive integer, got {x}")
-    require_prime(l)
-    v = 0
-    while x % l == 0:
-        x //= l
-        v += 1
-    return v, x
 
 
 def multiplicative_order(q: int, l: int) -> int:

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, input refusals and rendering;
+the library computes every answer (`chevring.verify` runs the sweeps).
 
 Subcommands: params, present, series, compare, verify.  Exit codes: 0 on
 success, 1 on usage/input/resource errors, 2 when a mathematical hypothesis
@@ -13,15 +14,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
-from . import oracles, presentations, rootdata
-from .arith import galois_params, gl_params, prime_power_base, require_prime, residues_one_per_order
+from . import presentations, rootdata, verify
+from .arith import galois_params, gl_params, prime_power_base, require_prime
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
-# concrete fields driven through the Sp-pattern clause of `verify`
-_SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
+# the verify options that size a sweep, each refused below 0
+_SWEEP_SIZES = ("max_weight_entry", "max_weight_len", "max_m", "cutoff", "sp_max_rank")
 
 
 class UsageError(Exception):
@@ -51,7 +52,7 @@ def _monomial_limit(request: argparse.Namespace) -> int:
     if value is None:
         raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
         if raw is None:
-            return oracles.DEFAULT_MONOMIAL_LIMIT
+            return verify.Sweep.monomial_limit
         source = "CHEVRING_MONOMIAL_LIMIT"
         try:
             value = _int(raw)
@@ -104,12 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification sweeps")
-    p_verify.add_argument("--primes", default="3,5,7,11,13")
-    p_verify.add_argument("--max-weight-entry", type=_int, default=4)
-    p_verify.add_argument("--max-weight-len", type=_int, default=3)
-    p_verify.add_argument("--max-m", type=_int, default=2)
-    p_verify.add_argument("--cutoff", type=_int, default=8)
-    p_verify.add_argument("--sp-max-rank", type=_int, default=4)
+    defaults = verify.Sweep()
+    p_verify.add_argument("--primes", default=",".join(map(str, defaults.primes)))
+    for name in _SWEEP_SIZES:
+        flag = f"--{name.replace('_', '-')}"
+        p_verify.add_argument(flag, type=_int, default=getattr(defaults, name))
     p_verify.add_argument("--monomial-limit", type=_int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -125,7 +125,7 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(
                 f"--primes must be a comma-separated integer list, got {request.primes!r}"
             )
-        for flag in ("max_m", "max_weight_len", "max_weight_entry", "sp_max_rank", "cutoff"):
+        for flag in _SWEEP_SIZES:
             value = getattr(request, flag)
             if value < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
@@ -263,122 +263,14 @@ def _run_compare(request: argparse.Namespace) -> str:
 # -- verify -----------------------------------------------------------------
 
 
-def _weight_lists(max_len: int, max_entry: int):
-    for k in range(1, max_len + 1):
-        yield from combinations_with_replacement(range(1, max_entry + 1), k)
-
-
-def _sp_fields(primes):
-    """(q, l, params) for each concrete Sp field and each prime not dividing q."""
-    for p, q in _SP_FIELDS:
-        for l in primes:
-            if q % l:
-                yield q, l, galois_params(p, q, l)
-
-
-def _mismatch(where: str, got, expected) -> str | None:
-    return None if got == expected else f"{where}: {got} != {expected}"
-
-
-def _clause(name: str, witnesses) -> oracles.Clause:
-    """Run a clause: `witnesses` yields None for each instance that passes
-    and a description for each that fails; the first failure is kept."""
-    instances, first = 0, None
-    for witness in witnesses:
-        instances += 1
-        if first is None:
-            first = witness
-    return oracles.Clause(name, first is None, first, instances)
-
-
-def _problem(
-    request: argparse.Namespace, weights, l: int, q: int, permutation=oracles.NO_PERMUTATION
-) -> oracles.GradedActionProblem:
-    return oracles.GradedActionProblem(
-        weights=weights,
-        l=l,
-        q=q,
-        cutoff=request.cutoff,
-        permutation=permutation,
-        monomial_limit=request.monomial_limit,
-    )
-
-
-def _oracle_witness(sweep: str, where: str, problem, bruteforce, closedform) -> str | None:
-    try:
-        brute = bruteforce(problem)
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(
-            f"{sweep} sweep at {where}: {exc}", degree=exc.degree, count=exc.count
-        ) from None
-    return _mismatch(where, brute, closedform(problem))
-
-
-def _coinvariant_witnesses(request: argparse.Namespace, fields):
-    for l, q in fields:
-        for weights in _weight_lists(request.max_weight_len, request.max_weight_entry):
-            yield _oracle_witness(
-                "coinvariant",
-                f"weights {weights}, l = {l}, q = {q}",
-                _problem(request, weights, l, q),
-                oracles.coinvariants_hilbert_bruteforce,
-                oracles.coinvariants_hilbert_closedform,
-            )
-
-
-def _invariant_witnesses(request: argparse.Namespace, fields):
-    for l, q in fields:
-        for m in range(1, request.max_m + 1):
-            yield _oracle_witness(
-                "invariant",
-                f"m = {m}, l = {l}, q = {q}",
-                _problem(request, (1,) * m, l, q, oracles.FULL_SYMMETRIC),
-                oracles.invariants_hilbert_bruteforce,
-                oracles.invariants_hilbert_closedform,
-            )
-
-
-def _chern_scalar_witnesses(primes):
-    for l in primes:
-        for q in range(1, l):
-            yield None if oracles.chern_scalar_checks(l, q).passed else f"l = {l}, q = {q}"
-
-
-def _restricted_chern_witnesses(request: argparse.Namespace):
-    for q, l, params in _sp_fields(request.primes):
-        for m in range(1, request.max_m + 1):
-            report = oracles.verify_restricted_chern(m, params)
-            yield None if report.passed else f"m = {m}, q = {q}, l = {l}"
-
-
-def _sp_pattern_witnesses(request: argparse.Namespace):
-    for q, l, params in _sp_fields(request.primes):
-        for n in range(1, request.sp_max_rank + 1):
-            datum = rootdata.lookup("Sp", n)
-            closed = oracles.coinvariants_hilbert_closedform(_problem(request, datum.degrees, l, q))
-            pres = presentations.cobordism_presentation(datum, params)
-            series = presentations.poincare_series(pres, request.cutoff, presentations.CHOW)
-            yield _mismatch(f"Sp rank {n}, q = {q}, l = {l}", closed, series)
-
-
 def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
     for l in request.primes:
         require_prime(l, "l")
-    seen = set()
-    for l in request.primes:
-        if l in seen:
+    for i, l in enumerate(request.primes):
+        if l in request.primes[:i]:
             raise InputError(f"l = {l} is repeated in --primes")
-        seen.add(l)
-    registry = oracles.Clause("registry-invariants", True, instances=rootdata.validate_registry())
-    fields = [(l, q) for l in request.primes for q in residues_one_per_order(l)]
-    clauses = [
-        registry,
-        _clause("coinvariants-oracle-vs-closed-form", _coinvariant_witnesses(request, fields)),
-        _clause("invariants-oracle-vs-closed-form", _invariant_witnesses(request, fields)),
-        _clause("chern-scalar-identities", _chern_scalar_witnesses(request.primes)),
-        _clause("restricted-chern-class", _restricted_chern_witnesses(request)),
-        _clause("sp-pattern-consistency", _sp_pattern_witnesses(request)),
-    ]
+    sweep = verify.Sweep(**{f.name: getattr(request, f.name) for f in fields(verify.Sweep)})
+    clauses = verify.run(sweep)
     passed = all(c.passed for c in clauses)
     if request.format == "json":
         payload = {

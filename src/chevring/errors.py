@@ -17,8 +17,3 @@ class PreconditionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An oracle instance exceeds its configured memory budget."""
-
-    def __init__(self, message: str, degree: int | None = None, count: int | None = None):
-        super().__init__(message)
-        self.degree = degree
-        self.count = count

@@ -98,9 +98,7 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
         if count > problem.monomial_limit:
             raise ResourceLimitError(
                 f"degree {d}: {count} monomials exceed the configured limit "
-                f"of {problem.monomial_limit}",
-                degree=d,
-                count=count,
+                f"of {problem.monomial_limit}"
             )
     return list(dims.coefficients)
 

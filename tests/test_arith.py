@@ -7,7 +7,6 @@ from chevring.arith import (
     galois_params,
     gl_params,
     is_prime,
-    l_valuation,
     multiplicative_order,
     prime_power_base,
     require_prime,
@@ -43,7 +42,6 @@ def test_every_l_from_the_exact_bound_on_is_refused():
         refusals = [
             lambda: require_prime(l),
             lambda: multiplicative_order(2, l),
-            lambda: l_valuation(6, l),
             lambda: galois_params(2, 2, l),
             lambda: GaloisParams(p=2, q=2, l=l),
             lambda: GradedActionProblem(weights=(1,), l=l, q=2, cutoff=2),
@@ -198,13 +196,3 @@ def test_gl_params_invariant_over_ranges():
                 assert glp.n == gp.r * glp.m + glp.e
                 assert 0 <= glp.e < gp.r
 
-
-def test_l_valuation():
-    assert l_valuation(80, 5) == (1, 16)
-    assert l_valuation(1, 7) == (0, 1)
-    assert l_valuation(48, 2) == (4, 3)
-    assert l_valuation(5**12 * 7, 5) == (12, 7)
-    with pytest.raises(InputError):
-        l_valuation(0, 5)
-    with pytest.raises(InputError):
-        l_valuation(10, 4)

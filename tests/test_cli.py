@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import chevring
-from chevring import cli
+from chevring import cli, verify
 from chevring.cli import UsageError, build_parser, main, parse_args, run
 from chevring.presentations import comparison_from_json_dict, presentation_from_json_dict
 
@@ -362,7 +363,7 @@ def test_the_env_variable_limit_is_read_on_every_request(fresh_parser, monkeypat
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "20000")
     assert parse_args(["verify"]).monomial_limit == 20000
     monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT")
-    assert parse_args(["verify"]).monomial_limit == cli.oracles.DEFAULT_MONOMIAL_LIMIT
+    assert parse_args(["verify"]).monomial_limit == chevring.oracles.DEFAULT_MONOMIAL_LIMIT
 
 
 # -- verify -----------------------------------------------------------------------
@@ -567,6 +568,33 @@ def test_verify_reports_every_failing_clause_in_json(broken_oracles):
             for name, passed, instances, witness in FAILING_CLAUSES
         ],
     }
+
+
+def _rows(clauses):
+    return [(c.name, c.passed, c.instances, c.witness) for c in clauses]
+
+
+def test_the_library_sweep_gives_the_clauses_of_the_cli(monkeypatch):
+    monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT", raising=False)
+    code, out, _ = run_cli("verify", "--format", "json")
+    assert code == 0
+    expected = [tuple(c.values()) for c in json.loads(out)["clauses"]]
+    assert _rows(verify.run(verify.Sweep())) == expected
+
+
+def test_the_library_sweep_reads_the_oracles_at_call_time(broken_oracles):
+    sweep = verify.Sweep(
+        primes=(3, 5), max_weight_len=1, max_weight_entry=2, cutoff=4, max_m=1, sp_max_rank=1
+    )
+    assert _rows(verify.run(sweep)) == FAILING_CLAUSES
+
+
+def test_the_verify_defaults_are_the_sweep_defaults(fresh_parser, monkeypatch):
+    monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT", raising=False)
+    request = parse_args(["verify"])
+    assert verify.Sweep(**{f.name: getattr(request, f.name) for f in fields(verify.Sweep)}) == (
+        verify.Sweep()
+    )
 
 
 # -- dependencies -------------------------------------------------------------------

@@ -13,7 +13,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(chevring.__path__))
 
 
 def test_the_package_has_modules_with_exports():
-    assert {"arith", "oracles", "poly", "presentations", "rootdata"} <= set(MODULES)
+    assert {"arith", "oracles", "poly", "presentations", "rootdata", "verify"} <= set(MODULES)
 
 
 def test_every_name_in_each_modules_all_resolves():
