@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
 
 from . import oracles, presentations, rootdata
-from .arith import galois_params, residues_one_per_order
-from .errors import ResourceLimitError
+from .arith import galois_params, require_prime, residues_one_per_order
+from .errors import InputError, ResourceLimitError
 
 __all__ = ["Sweep", "run"]
 
@@ -23,7 +23,9 @@ _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
 
 @dataclass(frozen=True)
 class Sweep:
-    """The coefficient primes and sizes of one run; defaults as `chevring verify`."""
+    """The coefficient primes and sizes of one run; defaults as `chevring verify`.
+    `primes` is kept as a tuple, and an entry that `require_prime` refuses, or
+    a repeated one, is refused when the sweep is made."""
 
     primes: tuple[int, ...] = (3, 5, 7, 11, 13)
     max_weight_entry: int = 4
@@ -32,6 +34,14 @@ class Sweep:
     cutoff: int = 8
     sp_max_rank: int = 4
     monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT
+
+    def __post_init__(self):
+        object.__setattr__(self, "primes", tuple(self.primes))
+        for l in self.primes:
+            require_prime(l, "l")
+        for i, l in enumerate(self.primes):
+            if l in self.primes[:i]:
+                raise InputError(f"l = {l} is repeated in --primes")
 
 
 def _fields(sweep: Sweep):

@@ -11,6 +11,7 @@ import pytest
 import chevring
 from chevring import cli, verify
 from chevring.cli import UsageError, build_parser, main, parse_args, run
+from chevring.errors import InputError
 from chevring.presentations import comparison_from_json_dict, presentation_from_json_dict
 
 
@@ -595,6 +596,14 @@ def test_the_verify_defaults_are_the_sweep_defaults(fresh_parser, monkeypatch):
     assert verify.Sweep(**{f.name: getattr(request, f.name) for f in fields(verify.Sweep)}) == (
         verify.Sweep()
     )
+
+
+def test_a_sweep_checks_its_primes():
+    with pytest.raises(InputError, match="^l = 3 is repeated in --primes$"):
+        verify.Sweep(primes=(3, 3))
+    with pytest.raises(InputError, match="^l = 4 is not prime$"):
+        verify.Sweep(primes=(4,))
+    assert verify.Sweep(primes=[3, 5]) == verify.Sweep(primes=(3, 5))
 
 
 # -- dependencies -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -128,48 +128,41 @@ def test_gl_trivial_case_iff_order_prime_to_l():
                 assert (glp.m == 0) == (order % l != 0), (n, q, l)
 
 
-BAD_WEYL = "GL | n >= 1 | 1..n | n! * 2 | n*(n-1)/2 | -"
-BAD_ROOTS = "GL | n >= 1 | 1..n | n! | n | -"
-GOOD = "GL | n >= 1 | 1..n | n! | n*(n-1)/2 | -"
+def _gl(weyl=factorial, roots=lambda n: n * (n - 1) // 2, degrees=lambda n: range(1, n + 1),
+        torsion=()):
+    """The GL record, or a copy of it with one column changed."""
+    return _Record("GL", 1, False, degrees, weyl, roots, frozenset(torsion))
 
 
-def test_registry_parser_rejects_violated_identities():
-    with pytest.raises(InputError):
-        Registry.from_text(BAD_WEYL)
-    with pytest.raises(InputError):
-        Registry.from_text(BAD_ROOTS)
-    reg = Registry.from_text(GOOD)
+def test_registry_rejects_violated_identities():
+    with pytest.raises(InputError, match="^GL rank 1: prod\\(degrees\\) = 1 but"):
+        Registry([_gl(weyl=lambda n: 2 * factorial(n))])
+    with pytest.raises(InputError, match="^GL rank 1: sum\\(d_i - 1\\) = 0 but"):
+        Registry([_gl(roots=lambda n: n)])
+    reg = Registry([_gl()])
     assert reg.lookup("GL", 4).weyl_order == 24
+    assert reg.instances == 12
 
 
-def test_registry_parser_grammar_errors():
-    with pytest.raises(InputError):
-        Registry.from_text("GL | n >= 1 | 1..n | n! | n*(n-1)/2")  # five fields
-    with pytest.raises(InputError):
-        Registry.from_text("GL | whenever | 1..n | n! | n*(n-1)/2 | -")
-    with pytest.raises(InputError):
-        Registry.from_text("GL | n >= 1 | 1..n | import_os | n*(n-1)/2 | -")
-    with pytest.raises(InputError):
-        Registry.from_text("X | n = 2 | 3, 3 | 9 | 4 | 6")  # torsion entry not prime
-    for torsion in ("x", "2,,3", "3_1", "+3", "\u0663"):  # Arabic-Indic three
-        with pytest.raises(InputError, match="^line 1: bad torsion field"):
-            Registry.from_text(f"X | n = 1 | 1 | 1 | 0 | {torsion}")
+def test_registry_rejects_torsion_entries_that_are_not_prime():
+    with pytest.raises(InputError, match="^GL torsion entry = 6 is not prime$"):
+        Registry([_gl(torsion=(6,))])
     # 1287836182261 * 2575672364521 passes every Miller-Rabin witness
-    with pytest.raises(InputError, match="^line 1: cannot tell whether torsion entry = 3317"):
-        Registry.from_text("X | n = 1 | 1 | 1 | 0 | 3317044064679887385961981")
-    with pytest.raises(InputError, match="^line 1: bad rank pattern"):
-        Registry.from_text("X | n = \u0661 | 1 | 1 | 0 | -")  # Arabic-Indic one
-    with pytest.raises(InputError):
-        # 9 degrees multiply to |W| but the division n/4 is inexact
-        Registry.from_text("X | n = 2 | 3, 3 | 9 | n/4 | -")
-    with pytest.raises(InputError, match="^division by zero in '4/\\(n-2\\)'$"):
-        Registry.from_text("X | n = 2 | 3, 3 | 9 | 4/(n-2) | -")
+    with pytest.raises(InputError, match="^cannot tell whether GL torsion entry = 3317"):
+        Registry([_gl(torsion=(3317044064679887385961981,))])
+    assert Registry([_gl(torsion=(2, 3))]).lookup("GL", 1).torsion_primes == {2, 3}
 
 
-def test_registry_formula_features():
-    reg = Registry.from_text("X | n >= 1 | 1..n | n! | n*(n-1)/2 | 2, 3")
-    datum = reg.lookup("X", 5)
-    assert datum.weyl_order == 120
-    assert datum.torsion_primes == frozenset({2, 3})
-    reg2 = Registry.from_text("Y | n >= 2 | 2..2*n-2 step 2, n | 2^(n-1) * n! | n*(n-1) | -")
-    assert reg2.lookup("Y", 4).degrees == (2, 4, 4, 6)
+def test_registry_rejects_a_wrong_degree_count():
+    with pytest.raises(InputError, match="^GL rank 1: 0 fundamental degrees, expected 1$"):
+        Registry([_gl(degrees=lambda n: range(1, n))])
+
+
+def test_registry_rejects_a_degree_of_zero():
+    with pytest.raises(InputError, match="^GL rank 1: nonpositive fundamental degree$"):
+        Registry([_gl(degrees=lambda n: range(n))])
+
+
+def test_registry_rejects_a_repeated_family():
+    with pytest.raises(InputError, match="^duplicate family GL in registry$"):
+        Registry([_gl(), _gl(torsion=(2,))])
