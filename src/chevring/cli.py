@@ -21,9 +21,6 @@ from . import presentations, rootdata, verify
 from .arith import galois_params, gl_params, prime_power_base
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
-# the verify options that size a sweep, each refused below 0
-_SWEEP_SIZES = ("max_weight_entry", "max_weight_len", "max_m", "cutoff", "sp_max_rank")
-
 
 class UsageError(Exception):
     pass
@@ -32,6 +29,41 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise UsageError(message)
+
+
+# how json.dumps writes each scalar type, by exact type: a bool is not an int
+# here, and a subclass of any of these is refused
+_ESCAPE = json.encoder.encode_basestring_ascii
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+    float: json.dumps,
+}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte.  With an indent the stdlib
+    lays a document out in pure Python, one call per item; here each container
+    is joined once, and a scalar item is encoded without a call of its own."""
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    inner = pad + "  "
+    scalar = _SCALARS.get
+    if type(value) in (list, tuple):
+        items = [e(v) if (e := scalar(type(v))) else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if type(value) is dict:
+        items = []
+        for k, v in value.items():
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            e = scalar(type(v))
+            items.append(_ESCAPE(k) + ": " + (e(v) if e else _json(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _int(text: str) -> int:
@@ -107,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the built-in verification sweeps")
     defaults = verify.Sweep()
     p_verify.add_argument("--primes", default=",".join(map(str, defaults.primes)))
-    for name in _SWEEP_SIZES:
+    for name in verify.SIZES:
         flag = f"--{name.replace('_', '-')}"
         p_verify.add_argument(flag, type=_int, default=getattr(defaults, name))
     p_verify.add_argument("--monomial-limit", type=_int)
@@ -125,7 +157,7 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(
                 f"--primes must be a comma-separated integer list, got {request.primes!r}"
             )
-        for flag in _SWEEP_SIZES:
+        for flag in verify.SIZES:
             value = getattr(request, flag)
             if value < 0:
                 raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
@@ -186,7 +218,7 @@ def _run_params(request: argparse.Namespace) -> str:
         glp = gl_params(params, request.n)
         payload.update(n=glp.n, m=glp.m, e=glp.e)
     if request.format == "json":
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     order = ("p", "q", "l", "r", "a", "h", "n", "m", "e")
     return "\n".join(f"{k} = {payload[k]}" for k in order if k in payload)
 
@@ -203,7 +235,7 @@ def _run_present(request: argparse.Namespace) -> str:
         payload = pres.to_json_dict()
         if series is not None:
             payload["series"] = {"grading": grading, **series.to_json_dict()}
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     text = presentations.render_text(pres)
     if series is not None:
         text += f"\nseries ({grading} grading, up to degree {request.cutoff}): {series}"
@@ -225,7 +257,7 @@ def _run_series(request: argparse.Namespace) -> str:
             "grading": grading,
             "series": series.to_json_dict(),
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
     if request.format == "latex":
         return _latex_series(series)
     return str(series)
@@ -249,7 +281,7 @@ def _run_compare(request: argparse.Namespace) -> str:
     params = galois_params(_infer_p(request), request.q, request.l)
     report = presentations.compare_chow_cobordism_gl(gl_params(params, request.rank))
     if request.format == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
+        return _json(report.to_json_dict())
     verdict = "equal" if report.equal else "MISMATCH"
     return "\n".join(
         [
@@ -277,7 +309,7 @@ def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
                 for c in clauses
             ],
         }
-        return passed, json.dumps(payload, indent=2)
+        return passed, _json(payload)
     lines = [
         f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.instances} instances)"
         + (f" [{c.witness}]" if c.witness else "")

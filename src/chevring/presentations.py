@@ -62,11 +62,19 @@ class GradedPresentation:
     rank: int
     params: GaloisParams
     b: int
-    generators: tuple[Generator, ...]
+    # (algebraic degree, name) of each generator, held sorted: equal degrees
+    # order by name as strings
+    named_degrees: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        gens = tuple(sorted(self.generators, key=lambda g: (g.algebraic_degree, g.name)))
-        object.__setattr__(self, "generators", gens)
+        pairs = tuple(sorted(self.named_degrees))
+        if pairs and pairs[0][0] < 1:
+            raise InputError(f"generator degree must be positive, got {pairs[0][0]}")
+        object.__setattr__(self, "named_degrees", pairs)
+
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        return tuple(Generator(name, d) for d, name in self.named_degrees)
 
     @property
     def grading(self) -> str:
@@ -83,7 +91,7 @@ class GradedPresentation:
         return self.params.l**self.b
 
     def algebraic_degrees(self) -> tuple[int, ...]:
-        return tuple(g.algebraic_degree for g in self.generators)
+        return tuple(d for d, _ in self.named_degrees)
 
     def coefficient_ring_text(self) -> str:
         if self.theory == "cobordism":
@@ -103,12 +111,8 @@ class GradedPresentation:
             "m": self.m,
             "grading": self.grading,
             "generators": [
-                {
-                    "name": g.name,
-                    "algebraic_degree": g.algebraic_degree,
-                    "topological_degree": g.topological_degree,
-                }
-                for g in self.generators
+                {"name": name, "algebraic_degree": d, "topological_degree": 2 * d}
+                for d, name in self.named_degrees
             ],
         }
 
@@ -159,12 +163,12 @@ def cobordism_presentation(datum: RootDatum, params: GaloisParams) -> GradedPres
             "the integral cohomology of the complex group must have no l-torsion"
         )
     prefix = _generator_prefix(datum.family)
-    gens = tuple(
-        Generator(f"{prefix}_{i}", d)
+    pairs = tuple(
+        (d, f"{prefix}_{i}")
         for i, d in enumerate(datum.degrees, start=1)
         if d % params.r == 0
     )
-    return GradedPresentation("cobordism", datum.family, datum.rank, params, 1, gens)
+    return GradedPresentation("cobordism", datum.family, datum.rank, params, 1, pairs)
 
 
 def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
@@ -188,12 +192,11 @@ def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
                 f"l^b = {base.l}^{b} does not divide q - 1 = {base.q - 1}: "
                 f"the field must contain the {base.l}^{b}-th roots of unity"
             )
-        gens = tuple(Generator(f"c_{i}", i) for i in range(1, params.n + 1))
+        degrees = range(1, params.n + 1)
     else:
-        gens = tuple(
-            Generator(f"c_{i * base.r}", i * base.r) for i in range(1, params.m + 1)
-        )
-    return GradedPresentation("chow", "GL", params.n, base, b, gens)
+        degrees = range(base.r, params.m * base.r + 1, base.r)
+    pairs = tuple((d, f"c_{d}") for d in degrees)
+    return GradedPresentation("chow", "GL", params.n, base, b, pairs)
 
 
 def poincare_series(
@@ -203,9 +206,9 @@ def poincare_series(
     in the requested grading (default: the presentation's own)."""
     grading = grading or pres.grading
     if grading == CHOW:
-        degrees = [g.algebraic_degree for g in pres.generators]
+        degrees = [d for d, _ in pres.named_degrees]
     elif grading == TOPOLOGICAL:
-        degrees = [g.topological_degree for g in pres.generators]
+        degrees = [2 * d for d, _ in pres.named_degrees]
     else:
         raise InputError(f"unknown grading {grading!r}")
     return hilbert_series_of_free_polynomial_ring(degrees, cutoff)
@@ -258,14 +261,12 @@ def compare_chow_cobordism_gl(params: GLParams) -> ComparisonReport:
 def render_text(pres: GradedPresentation) -> str:
     """Plain-text rendering, e.g. ``F_5[q_2, q_4]`` plus one line per generator."""
     ring = pres.coefficient_ring_text()
-    if pres.generators:
-        head = f"{ring}[{', '.join(g.name for g in pres.generators)}]"
-        lines = [head]
-        for g in pres.generators:
-            lines.append(
-                f"  {g.name}: algebraic degree {g.algebraic_degree}, "
-                f"topological degree {g.topological_degree}"
-            )
+    if pres.named_degrees:
+        lines = [f"{ring}[{', '.join(name for _, name in pres.named_degrees)}]"]
+        lines += [
+            f"  {name}: algebraic degree {d}, topological degree {2 * d}"
+            for d, name in pres.named_degrees
+        ]
     else:
         lines = [ring]
         if pres.m is not None:
@@ -288,6 +289,6 @@ def render_latex(pres: GradedPresentation) -> str:
         ring = _latex_name(f"\\mathbb{{F}}_{pres.params.l}")
     else:
         ring = f"\\mathbb{{Z}}/{pres.modulus}"
-    if not pres.generators:
+    if not pres.named_degrees:
         return ring
-    return f"{ring}[{', '.join(_latex_name(g.name) for g in pres.generators)}]"
+    return f"{ring}[{', '.join(_latex_name(name) for _, name in pres.named_degrees)}]"

@@ -15,7 +15,10 @@ from . import oracles, presentations, rootdata
 from .arith import galois_params, require_prime, residues_one_per_order
 from .errors import InputError, ResourceLimitError
 
-__all__ = ["Sweep", "run"]
+__all__ = ["SIZES", "Sweep", "run"]
+
+# the fields of a Sweep that size it, each refused below 0
+SIZES = ("max_weight_entry", "max_weight_len", "max_m", "cutoff", "sp_max_rank")
 
 # concrete fields driven through the Sp-pattern clause
 _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
@@ -24,8 +27,9 @@ _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
 @dataclass(frozen=True)
 class Sweep:
     """The coefficient primes and sizes of one run; defaults as `chevring verify`.
-    `primes` is kept as a tuple, and an entry that `require_prime` refuses, or
-    a repeated one, is refused when the sweep is made."""
+    `primes` is kept as a tuple.  When the sweep is made, these are refused: a
+    negative size, a monomial limit below 1, no primes, and an entry of
+    `primes` that `require_prime` refuses or that is repeated."""
 
     primes: tuple[int, ...] = (3, 5, 7, 11, 13)
     max_weight_entry: int = 4
@@ -37,6 +41,14 @@ class Sweep:
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(self.primes))
+        for name in SIZES:
+            value = getattr(self, name)
+            if value < 0:
+                raise InputError(f"{name} must be >= 0, got {value}")
+        if self.monomial_limit < 1:
+            raise InputError(f"monomial_limit must be >= 1, got {self.monomial_limit}")
+        if not self.primes:
+            raise InputError("primes must not be empty")
         for l in self.primes:
             require_prime(l, "l")
         for i, l in enumerate(self.primes):

@@ -606,6 +606,43 @@ def test_a_sweep_checks_its_primes():
     assert verify.Sweep(primes=[3, 5]) == verify.Sweep(primes=(3, 5))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"max_weight_entry": -1}, "max_weight_entry must be >= 0, got -1"),
+        ({"max_weight_len": -2}, "max_weight_len must be >= 0, got -2"),
+        ({"max_m": -1}, "max_m must be >= 0, got -1"),
+        ({"cutoff": -3}, "cutoff must be >= 0, got -3"),
+        ({"sp_max_rank": -5}, "sp_max_rank must be >= 0, got -5"),
+        ({"monomial_limit": 0}, "monomial_limit must be >= 1, got 0"),
+        ({"monomial_limit": -3}, "monomial_limit must be >= 1, got -3"),
+        ({"primes": ()}, "primes must not be empty"),
+        # the first negative size, in field order, is named
+        ({"primes": (3,), "max_m": -1, "sp_max_rank": -5}, "max_m must be >= 0, got -1"),
+    ],
+)
+def test_a_sweep_checks_its_sizes(changes, message):
+    with pytest.raises(InputError) as excinfo:
+        verify.Sweep(**changes)
+    assert str(excinfo.value) == message
+
+
+def test_a_sweep_of_zero_sizes_runs_only_the_size_free_clauses():
+    sweep = verify.Sweep(
+        primes=(3,), max_weight_entry=0, max_weight_len=0, max_m=0, cutoff=0, sp_max_rank=0,
+        monomial_limit=1,
+    )
+    counts = {c.name: c.instances for c in verify.run(sweep) if c.passed}
+    assert counts == {
+        "registry-invariants": 77,
+        "coinvariants-oracle-vs-closed-form": 0,
+        "invariants-oracle-vs-closed-form": 0,
+        "chern-scalar-identities": 2,
+        "restricted-chern-class": 0,
+        "sp-pattern-consistency": 0,
+    }
+
+
 # -- dependencies -------------------------------------------------------------------
 
 _IMPORTS_PROBE = """

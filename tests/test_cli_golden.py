@@ -99,13 +99,37 @@ def _golden() -> dict:
     return {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
 
 
+def _case_id(argv) -> str:
+    return "_".join(a.lstrip("-") for a in argv)
+
+
 def test_golden_covers_every_case():
     assert set(_golden()) == set(CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_cli_output_is_golden(argv):
     assert invoke(argv) == _golden()[argv]
+
+
+def _json_stdouts() -> dict:
+    """The nonempty stdout of each `--format json` case."""
+    return {
+        argv: record["stdout"]
+        for argv, record in _golden().items()
+        if record["stdout"] and "json" in argv and argv[argv.index("json") - 1] == "--format"
+    }
+
+
+def test_the_golden_file_has_json_outputs():
+    assert len(_json_stdouts()) == 8
+
+
+@pytest.mark.parametrize("argv", list(_json_stdouts()), ids=_case_id)
+def test_golden_json_is_laid_out_as_the_stdlib_lays_it_out(argv):
+    # the layout contract, pinned apart from the writer that produced it
+    stdout = _json_stdouts()[argv]
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
 
 
 if __name__ == "__main__":

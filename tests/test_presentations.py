@@ -5,6 +5,8 @@ from chevring.errors import InputError, PreconditionError
 from chevring.presentations import (
     CHOW,
     TOPOLOGICAL,
+    Generator,
+    GradedPresentation,
     chow_gl_presentation,
     cobordism_presentation,
     compare_chow_cobordism_gl,
@@ -322,3 +324,35 @@ def test_generators_sorted_by_degree():
     pres = cobordism_presentation(lookup("Sp", 6), _params(3, 5))
     degs = [g.algebraic_degree for g in pres.generators]
     assert degs == sorted(degs)
+
+
+def test_equal_degrees_order_by_name_as_strings():
+    # SO_even rank 18 has two generators of degree 18, s_9 and s_10, and
+    # "s_10" < "s_9"; every renderer lists them in that order
+    pres = cobordism_presentation(lookup("SO_even", 18), _params(4, 3))  # r = 1
+    names = [f"s_{i}" for i in (1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11, 12, 13, 14, 15, 16, 17, 18)]
+    assert pres.named_degrees[8:10] == ((18, "s_10"), (18, "s_9"))
+    assert render_text(pres).splitlines()[0] == f"F_3[{', '.join(names)}]"
+    assert render_text(pres).splitlines()[9:11] == [
+        "  s_10: algebraic degree 18, topological degree 36",
+        "  s_9: algebraic degree 18, topological degree 36",
+    ]
+    assert "s_8, s_{10}, s_9, s_{11}" in render_latex(pres)
+    assert [g["name"] for g in pres.to_json_dict()["generators"]] == names
+
+
+def test_generators_are_views_of_the_named_degrees():
+    pres = cobordism_presentation(lookup("Sp", 4), _params(3, 5))
+    assert pres.named_degrees == ((4, "q_2"), (8, "q_4"))
+    assert pres.generators == (Generator("q_2", 4), Generator("q_4", 8))
+    assert [g.topological_degree for g in pres.generators] == [8, 16]
+    assert pres.algebraic_degrees() == (4, 8)
+
+
+def test_a_presentation_refuses_a_degree_below_1():
+    params = _params(3, 5)
+    for degree in (0, -2):
+        with pytest.raises(InputError, match=f"^generator degree must be positive, got {degree}$"):
+            GradedPresentation("chow", "GL", 2, params, 1, ((2, "c_2"), (degree, "c_0")))
+    with pytest.raises(InputError, match="^generator degree must be positive, got 0$"):
+        Generator("c_0", 0)
