@@ -10,6 +10,7 @@ derives m and e.  Derived fields are computed once and never re-checked.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
@@ -35,6 +36,28 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BOUND = 3317044064679887385961981
 
+# psi_k, the least strong pseudoprime to the first k witnesses (OEIS A014233),
+# for k = 1, ..., 13: the first k witnesses are exact below psi_k, so is_prime
+# tests an n with the first bisect_right(_MR_PSI, n) + 1 of them.  psi_1-psi_4
+# from Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980), psi_5-psi_11
+# from Jaeschke (Math. Comp. 61, 1993), psi_12 and psi_13 from Sorenson and
+# Webster.
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    _MR_EXACT_BOUND,
+)
+
 # prime_power_base divides by every number below this, and takes roots only
 # of what has no such factor.
 _ROOT_BASE = 64
@@ -45,7 +68,8 @@ _TRIAL_DIVISION_BOUND = 1000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.317e24."""
+    """Deterministic Miller-Rabin primality test, exact for n < 3.317e24;
+    n is tested with only as many witnesses as its size needs."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -58,7 +82,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    for w in _MR_WITNESSES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -110,14 +134,25 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _next_prime(n: int) -> int:
+    """The least prime above n >= 1, by trial division (n is a root exponent,
+    below log_64 q)."""
+    n += 1
+    while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
 def prime_power_base(q: int) -> tuple[int, int]:
     """Write q = p^k with p prime and k >= 1, or raise InputError.
 
     Trial division by 2, ..., 63 settles every q with a factor below 64; the
     least such factor is prime.  Otherwise p >= 64, so k <= log_64 q: take
-    integer j-th roots for those j, stripping every exact one, and q is a
-    prime power iff the base left is prime.  That base must lie where
-    is_prime is exact.
+    integer j-th roots for the primes j up to there, stripping every exact
+    one, and q is a prime power iff the base left is prime.  A composite j
+    = a * b is skipped: an exact j-th root needs an exact a-th root, which
+    the prime a < j has already ruled out.  The base must lie where is_prime
+    is exact.
     """
     if q < 2:
         raise InputError(f"{q} is not a prime power")
@@ -133,7 +168,7 @@ def prime_power_base(q: int) -> tuple[int, int]:
         if root**j == p:
             p, k = root, k * j
         else:
-            j += 1
+            j = _next_prime(j)
     if p >= _MR_EXACT_BOUND:
         raise InputError(
             f"cannot tell whether {q} is a prime power: its base {p} is not below "
@@ -207,18 +242,27 @@ def multiplicative_order(q: int, l: int) -> int:
         raise PreconditionError(
             f"{l} divides q = {q}: the multiplicative order of q mod {l} is undefined"
         )
+    return _order(q, l, _prime_factors(l - 1))
+
+
+def _order(q: int, l: int, factors: list[int]) -> int:
+    """The order of q mod the prime l, given the prime factors of l - 1."""
     r = l - 1
-    for f in _prime_factors(l - 1):
+    for f in factors:
         while r % f == 0 and pow(q, r // f, l) == 1:
             r //= f
     return r
 
 
 def residues_one_per_order(l: int) -> list[int]:
-    """The smallest residue mod l of each multiplicative order dividing l-1."""
+    """The smallest residue mod l of each multiplicative order dividing l-1;
+    refuses an l that is not prime.  l is proven prime and l - 1 factored
+    once, for all l - 1 residues."""
+    require_prime(l, "l")
+    factors = _prime_factors(l - 1)
     seen: dict[int, int] = {}
     for q in range(1, l):
-        seen.setdefault(multiplicative_order(q, l), q)
+        seen.setdefault(_order(q, l, factors), q)
     return [seen[r] for r in sorted(seen)]
 
 

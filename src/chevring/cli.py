@@ -98,9 +98,11 @@ def _monomial_limit(request: argparse.Namespace) -> int:
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use: argparse leaves
-    no state in it between parses, so every request reuses it."""
+    no state in it between parses, so every request reuses it.  Its
+    `subcommands` attribute maps each subcommand to its parser."""
     parser = _Parser(prog="chevring", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     def add_field_args(p, with_group=True):
         if with_group:
@@ -148,8 +150,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one argparse pass when argv[0]
+    names a subcommand: the root parser would classify every argument and
+    then hand the rest to that subcommand's parser, which classifies them
+    again.  Any other argv (empty, -h, an unknown word) goes to the root
+    parser, so every help text and usage message still comes from argparse."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+
+
 def parse_args(argv) -> argparse.Namespace:
-    request = build_parser().parse_args(argv)
+    request = _parse(argv)
     if request.subcommand == "verify":
         try:
             request.primes = tuple(_int(t.strip()) for t in request.primes.split(","))
@@ -199,7 +214,10 @@ def _run_params(request: argparse.Namespace) -> str:
     # CPython refuses to convert an int of more digits than this to str or
     # JSON (0: no limit); check before h is formed.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = params.h_digits() if limit else 0
+    # h < q^r < 2^(r * bitlen q), which is at most 10^limit when
+    # r * bitlen q <= 3.321 * limit (log2 10 > 3.321): no logarithm needed
+    short = not limit or params.r * params.q.bit_length() * 1000 <= 3321 * limit
+    digits = 0 if short else params.h_digits()
     if digits > limit:
         raise ResourceLimitError(
             f"h has {digits} decimal digits, more than this interpreter prints (limit {limit})"

@@ -10,6 +10,7 @@ from chevring.arith import (
     multiplicative_order,
     prime_power_base,
     require_prime,
+    residues_one_per_order,
 )
 from chevring.errors import InputError, PreconditionError
 from chevring.oracles import GradedActionProblem
@@ -33,6 +34,50 @@ def test_is_prime_rejects_the_strong_pseudoprime_to_the_first_12_primes():
     n = 318665857834031151167461  # = 399165290221 * 798330580441
     assert not is_prime(n)
     assert is_prime(2**89 - 1)  # Mersenne prime above 3.2e23
+
+
+def _strong_probable_prime(n, w):
+    """Whether n passes the Miller-Rabin round at witness w."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(w, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_each_psi_k_needs_k_plus_1_witnesses():
+    # psi_k passes the first k witnesses, so testing n = psi_k with k of them
+    # would call it prime: is_prime must take one more there, and the table
+    # is tight.  psi_13 is the exact bound, where all 13 are fooled.
+    assert arith._MR_PSI[-1] == arith._MR_EXACT_BOUND
+    assert list(arith._MR_PSI) == sorted(arith._MR_PSI)
+    for k, psi in enumerate(arith._MR_PSI, 1):
+        assert all(_strong_probable_prime(psi, w) for w in arith._MR_WITNESSES[:k]), k
+        if k < len(arith._MR_PSI):
+            assert not is_prime(psi), k
+
+
+def test_is_prime_around_each_psi_k_matches_sympy():
+    # the odd n within 10^4 of each psi_k (all odd) that lie in the exact range
+    sympy = pytest.importorskip("sympy")
+    for psi in sorted(set(arith._MR_PSI)):
+        for n in range(psi - 10**4, min(psi + 10**4 + 1, arith._MR_EXACT_BOUND), 2):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_tests_small_n_with_few_witnesses(monkeypatch):
+    # 99991 < psi_2 = 1373653: two witnesses, not thirteen
+    witnesses = []
+    monkeypatch.setattr(arith, "pow", lambda w, *rest: witnesses.append(w) or pow(w, *rest),
+                        raising=False)
+    assert is_prime(99991)
+    assert witnesses == [2, 3]
 
 
 def test_every_l_from_the_exact_bound_on_is_refused():
@@ -79,6 +124,26 @@ def test_prime_power_base():
         prime_power_base(1)
 
 
+def test_prime_power_base_with_a_composite_exponent():
+    # no factor below 64, so the exponent comes from prime roots alone
+    assert prime_power_base(67**12) == (67, 12)
+    assert prime_power_base(101**30) == (101, 30)
+    with pytest.raises(InputError, match="is not a prime power"):
+        prime_power_base((67 * 71) ** 6)
+
+
+def test_prime_power_base_takes_prime_roots_only(monkeypatch):
+    exponents = []
+    iroot = arith._iroot
+    monkeypatch.setattr(arith, "_iroot", lambda n, k: exponents.append(k) or iroot(n, k))
+    q = 101**30 + 2
+    while any(q % f == 0 for f in range(2, 64)):
+        q += 2
+    with pytest.raises(InputError, match="cannot tell whether"):
+        prime_power_base(q)
+    assert exponents == [j for j in range(2, 60) if is_prime(j) and 64**j <= q]
+
+
 def test_multiplicative_order_examples():
     assert multiplicative_order(81, 5) == 1
     assert multiplicative_order(9, 5) == 2
@@ -103,6 +168,17 @@ def test_multiplicative_order_is_minimal_and_divides_l_minus_1():
             assert pow(q, r, l) == 1
             assert all(pow(q, s, l) != 1 for s in range(1, r))
             assert (l - 1) % r == 0
+
+
+def test_residues_one_per_order_match_the_orders_one_by_one():
+    for l in (n for n in range(2, 300) if is_prime(n)):
+        orders = {}
+        for q in range(1, l):
+            orders.setdefault(multiplicative_order(q, l), q)
+        assert residues_one_per_order(l) == [orders[r] for r in sorted(orders)], l
+    for l in (1, 4, 91):
+        with pytest.raises(InputError, match=f"^l = {l} is not prime$"):
+            residues_one_per_order(l)
 
 
 def test_galois_params_examples():

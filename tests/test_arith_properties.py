@@ -14,7 +14,12 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from chevring.arith import galois_params, multiplicative_order, prime_power_base  # noqa: E402
+from chevring.arith import (  # noqa: E402
+    galois_params,
+    multiplicative_order,
+    prime_power_base,
+    residues_one_per_order,
+)
 from chevring.errors import InputError  # noqa: E402
 from chevring.rootdata import _product  # noqa: E402
 
@@ -47,6 +52,33 @@ prime_powers = st.builds(pow, primes(1, 10**6), st.integers(1, 4))
 def test_prime_power_base_matches_sympy(q):
     base, k = sympy.perfect_power(q) or (q, 1)
     if q >= 2 and sympy.isprime(base):
+        assert prime_power_base(q) == (base, k)
+    else:
+        with pytest.raises(InputError):
+            prime_power_base(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(l=primes(1, 3000))
+def test_residues_one_per_order_match_sympy(l):
+    first = {}
+    for q in range(1, l):
+        first.setdefault(sympy.n_order(q, l), q)
+    assert residues_one_per_order(l) == [first[r] for r in sorted(first)]
+
+
+# b^k for a b above the trial-division bound and a k with composite values
+# common: the roots prime_power_base skips must never be needed
+powers = st.builds(pow, st.integers(64, 10**4), st.sampled_from([4, 6, 8, 9, 10, 12, 15, 16, 25]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=powers | st.builds(pow, primes(64, 10**4), st.integers(2, 40)))
+@example(q=67**12)
+@example(q=101**30)
+def test_prime_power_base_matches_sympy_on_high_powers(q):
+    base, k = sympy.perfect_power(q)
+    if sympy.isprime(base):
         assert prime_power_base(q) == (base, k)
     else:
         with pytest.raises(InputError):

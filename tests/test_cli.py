@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ import pytest
 
 import chevring
 from chevring import cli, verify
+from chevring.arith import GaloisParams, galois_params, is_prime
 from chevring.cli import UsageError, build_parser, main, parse_args, run
 from chevring.errors import InputError
 from chevring.presentations import comparison_from_json_dict, presentation_from_json_dict
@@ -167,6 +171,56 @@ def test_params_refuses_exactly_from_ten_to_the_limit(set_digit_limit):
     set_digit_limit(0)
     code, out, _ = run_cli("params", "--q", "2", "--l", "2141")
     assert code == 0 and len(out.splitlines()[5]) == len("h = ") + 641
+
+
+# q and its characteristic
+_FIELDS = {2: 2, 3: 3, 4: 2, 5: 5, 7: 7, 8: 2, 9: 3}
+
+
+def _params_near(limit):
+    """(params, digits of h) for every q of _FIELDS and odd prime l < 5000
+    where q^r has within a fifth of limit digits; call with no limit in force."""
+    near = []
+    for l in filter(is_prime, range(3, 5000, 2)):
+        for q, p in _FIELDS.items():
+            if p != l:
+                params = galois_params(p, q, l)
+                if abs(params.r * math.log10(q) - limit) <= limit / 5:
+                    near.append((params, len(str(params.h))))
+    return near
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_params_refuses_exactly_the_h_over_the_limit(limit, set_digit_limit):
+    set_digit_limit(0)
+    near = _params_near(limit)
+    # the sweep straddles the limit, and holds an h under it that the
+    # bit-length bound does not clear, so that the logarithm decides
+    assert {digits > limit for _, digits in near} == {False, True}
+    assert any(
+        digits <= limit and 1000 * params.r * params.q.bit_length() > 3321 * limit
+        for params, digits in near
+    )
+    set_digit_limit(limit)
+    for params, digits in near:
+        code, out, err = run_cli("params", "--q", str(params.q), "--l", str(params.l))
+        if digits > limit:
+            assert (code, out, err) == (1, "", (
+                f"resource limit: h has {digits} decimal digits, more than this "
+                f"interpreter prints (limit {limit})"
+            ))
+        else:
+            assert (code, err) == (0, "")
+            assert out.splitlines()[5] == f"h = {params.h}"
+
+
+def test_params_skips_the_logarithm_for_a_short_h(monkeypatch):
+    def no_logarithm(self):
+        raise AssertionError("h_digits called")
+
+    monkeypatch.setattr(GaloisParams, "h_digits", no_logarithm)
+    code, out, _ = run_cli("params", "--q", "3", "--l", "10007", "--format", "json")
+    assert code == 0 and json.loads(out)["r"] == 5003
 
 
 def test_params_with_a_large_prime_q_is_fast():
@@ -356,6 +410,55 @@ def test_a_refused_parse_leaves_the_next_one_correct(fresh_parser):
     for argv in _ONE_OF_EACH[:4]:
         assert vars(parse_args(list(argv))) == vars(build_parser.__wrapped__().parse_args(argv))
     assert parse_args(["verify"]).cutoff == 8
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: a Namespace, a UsageError's text, or the code
+    of a SystemExit (help) with what it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "parsed", vars(parse(list(argv)))
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def two_pass_outcome(argv):
+    return parse_outcome(build_parser().parse_args, argv)
+
+
+def one_pass_outcome(argv):
+    return parse_outcome(cli._parse, argv)
+
+
+_GOLDEN_ARGV = [
+    record["argv"]
+    for record in json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _GOLDEN_ARGV + [
+        [], ["nonsense"], ["nonsense", "--q", "3"], ["-h"], ["--help"], ["--q", "3"],
+        ["param"], ["PARAMS", "--q", "3"], ["present", "-h"], ["verify", "--help"],
+        ["params", "--q", "3", "--l", "5", "--he"], ["params"], ["compare", "--rank"],
+        ["params", "--q", "3", "--l", "5", "--bogus"], ["params", "--q=3", "--l=5"],
+        ["series", "--family", "GL", "--rank", "2", "--q", "3", "--l", "5", "--theory", "x"],
+    ],
+)
+def test_one_argparse_pass_parses_as_two(argv):
+    assert one_pass_outcome(argv) == two_pass_outcome(argv)
+
+
+def test_the_one_pass_runs_only_the_subcommand_parser(monkeypatch):
+    root = build_parser()
+    monkeypatch.setattr(root, "parse_known_args", None)  # fails if called
+    assert cli._parse(list(_ONE_OF_EACH[0])).subcommand == "params"
+    with pytest.raises(TypeError):
+        cli._parse(["nonsense"])
 
 
 def test_the_env_variable_limit_is_read_on_every_request(fresh_parser, monkeypatch):
