@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, _integer
 
 __all__ = [
     "GLParams",
@@ -125,8 +125,21 @@ def _power_exponent(q: int, p: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // k)
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above.
+
+    The start is 2^t, t = log2(n)/k, from floating point: m, the 53-bit
+    mantissa of 2^(t - e) with e = floor(t), scaled by 2^(e - 52) and rounded
+    up.  The float error of t is below (e + 2) * 2^-51, so raising m by
+    (e + 5) * 2^-49 of itself puts the start above the root, from where
+    Newton's method converges quadratically.  (A start at a power of 2 can
+    be twice the root, and each step then shrinks x by only about
+    (k - 1) / k.)
+    """
+    t = math.log2(n) / k
+    e = int(t)
+    m = int(2.0 ** (t - e) * 2**52) + 1
+    m += m * (e + 5) >> 49
+    x = m << (e - 52) if e >= 52 else -(-m >> (52 - e))
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -154,6 +167,7 @@ def prime_power_base(q: int) -> tuple[int, int]:
     the prime a < j has already ruled out.  The base must lie where is_prime
     is exact.
     """
+    q = _integer(q, "q")
     if q < 2:
         raise InputError(f"{q} is not a prime power")
     for f in range(2, _ROOT_BASE):
@@ -235,6 +249,7 @@ def multiplicative_order(q: int, l: int) -> int:
     Starts from l - 1 and strips each prime factor while q to the remaining
     exponent stays 1 mod l: O(log l) modular powers once l - 1 is factored.
     """
+    q, l = _integer(q, "q"), _integer(l, "l")
     if q < 1:
         raise InputError(f"q must be positive, got {q}")
     require_prime(l, "l")
@@ -258,6 +273,7 @@ def residues_one_per_order(l: int) -> list[int]:
     """The smallest residue mod l of each multiplicative order dividing l-1;
     refuses an l that is not prime.  l is proven prime and l - 1 factored
     once, for all l - 1 residues."""
+    l = _integer(l, "l")
     require_prime(l, "l")
     factors = _prime_factors(l - 1)
     seen: dict[int, int] = {}
@@ -295,6 +311,8 @@ class GaloisParams:
     a: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("p", "q", "l"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         p, q, l = self.p, self.q, self.l
         require_prime(p, "p")
         if l == p:
@@ -352,6 +370,7 @@ class GLParams:
     e: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         m, e = divmod(self.n, self.base.r)

@@ -1,4 +1,7 @@
-"""Exception types and the JSON schema version shared across the package."""
+"""Exception types, the JSON schema version and the integer check shared
+across the package."""
+
+from operator import index
 
 # Version of every JSON document the package emits.
 SCHEMA_VERSION = 1
@@ -17,3 +20,12 @@ class PreconditionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An oracle instance exceeds its configured memory budget."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, refusing one that is not integral: a cutoff of 4.5
+    is refused here, not carried on to fail later with a TypeError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None

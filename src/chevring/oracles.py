@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import GaloisParams, multiplicative_order, require_prime
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, _integer
 from .poly import (
     ModPolynomial,
     TruncatedSeries,
     _checked_weights,
-    _integer,
     elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
@@ -291,6 +290,7 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
 def brauer_chern_total_class(m: int, params: GaloisParams) -> ModPolynomial:
     """Total Chern class of the restricted lift on m blocks:
     prod_{j=1..m} prod_{i=0..r-1} (1 + q^i eta_j) in F_l[eta_1, ..., eta_m]."""
+    m = _integer(m, "m")
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     l, r = params.l, params.r
@@ -322,6 +322,22 @@ class VerificationReport:
         return all(c.passed for c in self.clauses)
 
 
+def _clause(name: str, failures: list[str]) -> Clause:
+    """The clause that passes when there are no failures, witnessed by all
+    of them otherwise."""
+    return Clause(name, not failures, "; ".join(failures) if failures else None)
+
+
+def _top_power_failures(q: int, l: int, r: int, coefficient: int | None = None) -> list[str]:
+    """The witness, if any, against q^{r(r-1)/2} = (-1)^{r-1} mod l; a
+    coefficient, when given, must equal both and is named first."""
+    power, sign = pow(q, r * (r - 1) // 2, l), (-1) ** (r - 1) % l
+    if power == sign and coefficient in (None, sign):
+        return []
+    lead = "" if coefficient is None else f"coefficient {coefficient}, "
+    return [f"{lead}q^{{r(r-1)/2}} = {power}, sign {sign}"]
+
+
 def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
     """Check the expected shape of the restricted total Chern class:
 
@@ -333,21 +349,11 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
     """
     l, r = params.l, params.r
     total = brauer_chern_total_class(m, params)
-    clauses = []
-
     offenders = [
         f"degree {d}: {comp}"
         for d, comp in total.homogeneous_components().items()
         if d % r != 0
     ]
-    clauses.append(
-        Clause(
-            "off_degree_components_vanish",
-            not offenders,
-            "; ".join(offenders) if offenders else None,
-        )
-    )
-
     etas = generators(l, total.variables, total.cutoff)
     eta_r = [eta**r for eta in etas]
     mismatches = []
@@ -357,27 +363,13 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
         got = total.homogeneous_component(i * r)
         if got != expected:
             mismatches.append(f"degree {i * r}: got {got}, expected {expected}")
-    clauses.append(
-        Clause(
-            "symmetric_function_identity",
-            not mismatches,
-            "; ".join(mismatches) if mismatches else None,
-        )
-    )
-
+    clauses = [
+        _clause("off_degree_components_vanish", offenders),
+        _clause("symmetric_function_identity", mismatches),
+    ]
     if m == 1:
-        coef = total.coefficient((r,))
-        power_value = pow(params.q, r * (r - 1) // 2, l)
-        sign = (-1) ** (r - 1) % l
-        ok = coef == power_value == sign
-        clauses.append(
-            Clause(
-                "top_coefficient_sign",
-                ok,
-                None if ok else f"coefficient {coef}, q^{{r(r-1)/2}} = {power_value}, sign {sign}",
-            )
-        )
-
+        top = _top_power_failures(params.q, l, r, total.coefficient((r,)))
+        clauses.append(_clause("top_coefficient_sign", top))
     return VerificationReport(
         parameters=(("m", m), ("p", params.p), ("q", params.q), ("l", l), ("r", r)),
         clauses=tuple(clauses),
@@ -397,23 +389,10 @@ def chern_scalar_checks(l: int, q: int) -> VerificationReport:
         for j in range(min(k + 1, r - 1), 0, -1):
             es[j] = (es[j] + power * es[j - 1]) % l
     failures = [f"e_{j} = {value}" for j, value in enumerate(es) if j and value]
-    clauses = [
-        Clause(
-            "intermediate_symmetric_values_vanish",
-            not failures,
-            "; ".join(failures) if failures else None,
-        )
-    ]
-    power_value = pow(q, r * (r - 1) // 2, l)
-    sign = (-1) ** (r - 1) % l
-    clauses.append(
-        Clause(
-            "top_power_is_sign",
-            power_value == sign,
-            None if power_value == sign else f"q^{{r(r-1)/2}} = {power_value}, sign {sign}",
-        )
-    )
     return VerificationReport(
         parameters=(("q", q), ("l", l), ("r", r)),
-        clauses=tuple(clauses),
+        clauses=(
+            _clause("intermediate_symmetric_values_vanish", failures),
+            _clause("top_power_is_sign", _top_power_failures(q, l, r)),
+        ),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, _integer
 
 __all__ = [
     "ModPolynomial",
@@ -60,15 +60,6 @@ def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
         ]
         place *= base
     return by_degree
-
-
-def _integer(value, name: str) -> int:
-    """value as an int, refusing one that is not integral: a cutoff of 4.5
-    is refused here, not carried on to fail later with a TypeError."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _checked_weights(weights) -> tuple[int, ...]:
@@ -357,6 +348,7 @@ class TruncatedSeries:
 def hilbert_series_of_free_polynomial_ring(degrees: Iterable[int], cutoff: int) -> TruncatedSeries:
     """Series of a free commutative polynomial ring on generators of the given
     degrees: c_d counts multisets of the degrees summing to d."""
+    cutoff = _integer(cutoff, "cutoff")
     if cutoff < 0:
         raise InputError(f"cutoff must be >= 0, got {cutoff}")
     coeffs = [0] * (cutoff + 1)

@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import GLParams, GaloisParams, galois_params, gl_params
-from .errors import SCHEMA_VERSION, InputError, PreconditionError
+from .errors import SCHEMA_VERSION, InputError, PreconditionError, _integer
 from .poly import TruncatedSeries, hilbert_series_of_free_polynomial_ring
 from .rootdata import RootDatum, lookup
 
 __all__ = [
     "ComparisonReport",
     "GradedPresentation",
-    "Generator",
     "chow_gl_presentation",
     "cobordism_presentation",
     "compare_chow_cobordism_gl",
@@ -36,20 +35,6 @@ __all__ = [
 
 CHOW = "chow"
 TOPOLOGICAL = "topological"
-
-
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    algebraic_degree: int
-
-    def __post_init__(self):
-        if self.algebraic_degree < 1:
-            raise InputError(f"generator degree must be positive, got {self.algebraic_degree}")
-
-    @property
-    def topological_degree(self) -> int:
-        return 2 * self.algebraic_degree
 
 
 @dataclass(frozen=True)
@@ -71,10 +56,6 @@ class GradedPresentation:
         if pairs and pairs[0][0] < 1:
             raise InputError(f"generator degree must be positive, got {pairs[0][0]}")
         object.__setattr__(self, "named_degrees", pairs)
-
-    @property
-    def generators(self) -> tuple[Generator, ...]:
-        return tuple(Generator(name, d) for d, name in self.named_degrees)
 
     @property
     def grading(self) -> str:
@@ -179,6 +160,7 @@ def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
     result is Z/l^b[c_1, ..., c_n].
     """
     base = params.base
+    b = _integer(b, "b")
     if b < 1:
         raise InputError(f"b must be >= 1, got {b}")
     if base.l == 2:

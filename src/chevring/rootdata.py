@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .arith import prime_power_base, require_prime
-from .errors import InputError
+from .errors import InputError, _integer
 
 __all__ = [
     "Registry",
@@ -170,6 +170,7 @@ class Registry:
         return sorted(self._records)
 
     def lookup(self, family: str, rank: int) -> RootDatum:
+        rank = _integer(rank, "rank")
         rec = self._records.get(family)
         if rec is None:
             raise InputError(
@@ -196,5 +197,6 @@ def validate_registry() -> int:
 
 def group_order(datum: RootDatum, q: int) -> int:
     """Order of the group of F_q-points: q^N * prod(q^{d_i} - 1), exactly."""
+    q = _integer(q, "q")
     prime_power_base(q)  # rejects non prime powers
     return q**datum.unipotent_exponent * prod(q**d - 1 for d in datum.degrees)

@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, repeat
 
 from . import oracles, presentations, rootdata
 from .arith import galois_params, require_prime, residues_one_per_order
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, _integer
 
 __all__ = ["SIZES", "Sweep", "run"]
 
@@ -28,8 +28,9 @@ _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
 class Sweep:
     """The coefficient primes and sizes of one run; defaults as `chevring verify`.
     `primes` is kept as a tuple.  When the sweep is made, these are refused: a
-    negative size, a monomial limit below 1, no primes, and an entry of
-    `primes` that `require_prime` refuses or that is repeated."""
+    size, monomial limit or prime that is not an integer, a negative size, a
+    monomial limit below 1, no primes, and an entry of `primes` that
+    `require_prime` refuses or that is repeated."""
 
     primes: tuple[int, ...] = (3, 5, 7, 11, 13)
     max_weight_entry: int = 4
@@ -40,11 +41,13 @@ class Sweep:
     monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT
 
     def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(self.primes))
+        object.__setattr__(self, "primes", tuple(_integer(l, "l") for l in self.primes))
         for name in SIZES:
-            value = getattr(self, name)
+            value = _integer(getattr(self, name), name)
             if value < 0:
                 raise InputError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "monomial_limit", _integer(self.monomial_limit, "monomial_limit"))
         if self.monomial_limit < 1:
             raise InputError(f"monomial_limit must be >= 1, got {self.monomial_limit}")
         if not self.primes:

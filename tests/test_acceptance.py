@@ -75,8 +75,7 @@ def test_criterion_1_symplectic_example_block():
                     kept = list(range(1, n + 1))
                 else:
                     kept = list(range(2, n + 1, 2))
-                assert [g.name for g in pres.generators] == [f"q_{i}" for i in kept], (q, n)
-                assert [g.topological_degree for g in pres.generators] == [4 * i for i in kept]
+                assert pres.named_degrees == tuple((2 * i, f"q_{i}") for i in kept), (q, n)
         assert render_text(cobordism_presentation(lookup("Sp", 4), _params(3, 5))).splitlines()[0] == "F_5[q_2, q_4]"
         assert render_text(cobordism_presentation(lookup("Sp", 4), _params(81, 5))).splitlines()[0] == "F_5[q_1, q_2, q_3, q_4]"
 
@@ -95,7 +94,7 @@ def test_criterion_2_gl_trivial_case():
                     if glp.m != 0:
                         continue
                     pres = chow_gl_presentation(glp)
-                    assert pres.generators == (), (n, q, l)
+                    assert pres.named_degrees == (), (n, q, l)
                     assert group_order(lookup("GL", n), q) % l != 0, (n, q, l)
 
     _criterion(2, "GL trivial case: no generators and order prime to l", 5.0, body)
@@ -183,7 +182,7 @@ def test_criterion_7_registry_invariants():
 def test_criterion_8_mod_lb_refinement():
     def body():
         pres = chow_gl_presentation(gl_params(_params(11, 5), 2), b=1)
-        assert [g.name for g in pres.generators] == ["c_1", "c_2"]
+        assert pres.named_degrees == ((1, "c_1"), (2, "c_2"))
         assert pres.modulus == 5
         assert render_text(pres).splitlines()[0] == "Z/5[c_1, c_2]"
         try:

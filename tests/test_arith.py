@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from chevring import arith
@@ -142,6 +145,34 @@ def test_prime_power_base_takes_prime_roots_only(monkeypatch):
     with pytest.raises(InputError, match="cannot tell whether"):
         prime_power_base(q)
     assert exponents == [j for j in range(2, 60) if is_prime(j) and 64**j <= q]
+
+
+def test_iroot_is_the_floor_of_the_kth_root():
+    rng = random.Random(2026)
+    cases = [(1, 2), (1, 97), (2**64 - 1, 2), (2**64, 2), (10**4298 - 1, 3)]
+    for _ in range(2000):
+        k = rng.choice([2, 3, 5, 7, 11, 13, rng.randrange(2, 400)])
+        kind = rng.randrange(3)
+        if kind == 0:
+            n = rng.getrandbits(rng.randrange(1, 3000)) + 1
+        else:  # an exact power r^k, or one below it
+            n = max((rng.getrandbits(rng.randrange(1, 200)) + 1) ** k - (kind == 2), 1)
+        cases.append((n, k))
+    for n, k in cases:
+        x = arith._iroot(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k)
+
+
+def test_prime_power_base_refuses_a_4299_digit_q_quickly():
+    # 4,299 digits, under the 4,300-digit int limit, and no factor below 64, so
+    # a root is taken for every prime exponent up to log_64 q (about 2,380)
+    q = 10**4298 + 1
+    while any(q % f == 0 for f in range(2, 64)):
+        q += 2
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^cannot tell whether"):
+        prime_power_base(q)
+    assert time.perf_counter() - start < 1
 
 
 def test_multiplicative_order_examples():

@@ -113,6 +113,25 @@ def test_exit_2_for_torsion_prime():
     assert "torsion" in err
 
 
+def _degrees(document):
+    return [g["algebraic_degree"] for g in json.loads(document)["generators"]]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the registry's Spin row gives the torsion prime 2 at every rank, "
+    "but Spin_3 and Spin_5 have torsion-free cohomology",
+)
+@pytest.mark.parametrize("rank, family, twin_rank", [(1, "SL", 1), (2, "Sp", 2)])
+def test_spin_below_rank_3_has_no_2_torsion(rank, family, twin_rank):
+    # Spin_3 = SL_2 and Spin_5 = Sp_4, so l = 2 is no torsion prime of either
+    rest = ("--q", "3", "--l", "2", "--theory", "cobordism", "--format", "json")
+    code, out, err = run_cli("present", "--family", "Spin", "--rank", str(rank), *rest)
+    assert (code, err) == (0, "")
+    _, twin, _ = run_cli("present", "--family", family, "--rank", str(twin_rank), *rest)
+    assert _degrees(out) == _degrees(twin)
+
+
 def test_exit_2_for_missing_roots_of_unity():
     code, _, err = run_cli(
         "present", "--family", "GL", "--rank", "2", "--q", "11", "--l", "5",
@@ -313,7 +332,7 @@ def test_present_json_round_trip():
     payload = json.loads(out)
     assert payload["schema_version"] == 1
     pres = presentation_from_json_dict(payload)
-    assert [g.name for g in pres.generators] == ["q_2", "q_4"]
+    assert pres.named_degrees == ((4, "q_2"), (8, "q_4"))
 
     from chevring.arith import galois_params
     from chevring.presentations import cobordism_presentation

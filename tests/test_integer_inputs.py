@@ -1,0 +1,51 @@
+"""Every library entry point refuses an integer argument that is not
+integral with an InputError naming it, before any arithmetic on it."""
+
+import pytest
+
+from chevring.arith import (
+    galois_params,
+    gl_params,
+    multiplicative_order,
+    prime_power_base,
+    residues_one_per_order,
+)
+from chevring.errors import InputError
+from chevring.oracles import brauer_chern_total_class, chern_scalar_checks, verify_restricted_chern
+from chevring.poly import hilbert_series_of_free_polynomial_ring
+from chevring.presentations import chow_gl_presentation, cobordism_presentation, poincare_series
+from chevring.rootdata import group_order, lookup
+from chevring.verify import Sweep
+
+_P = galois_params(3, 9, 5)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: Sweep(max_m=2.5), "max_m", 2.5),
+        (lambda: Sweep(primes=(3.0,)), "l", 3.0),
+        (lambda: Sweep(cutoff="3"), "cutoff", "3"),
+        (lambda: Sweep(monomial_limit=10.0), "monomial_limit", 10.0),
+        (lambda: galois_params(3.0, 9, 5), "p", 3.0),
+        (lambda: galois_params(3, 9.0, 5), "q", 9.0),
+        (lambda: galois_params(3, 9, 5.0), "l", 5.0),
+        (lambda: gl_params(_P, 2.5), "n", 2.5),
+        (lambda: chow_gl_presentation(gl_params(_P, 2), b=1.5), "b", 1.5),
+        (lambda: poincare_series(cobordism_presentation(lookup("Sp", 2), _P), 2.5), "cutoff", 2.5),
+        (lambda: hilbert_series_of_free_polynomial_ring((1, 2), 4.0), "cutoff", 4.0),
+        (lambda: lookup("GL", 2.0), "rank", 2.0),
+        (lambda: group_order(lookup("GL", 3), 9.0), "q", 9.0),
+        (lambda: prime_power_base(9.0), "q", 9.0),
+        (lambda: multiplicative_order(2.0, 7), "q", 2.0),
+        (lambda: multiplicative_order(2, 7.0), "l", 7.0),
+        (lambda: residues_one_per_order(7.0), "l", 7.0),
+        (lambda: chern_scalar_checks(7.0, 2), "l", 7.0),
+        (lambda: brauer_chern_total_class(1.5, _P), "m", 1.5),
+        (lambda: verify_restricted_chern(1.5, _P), "m", 1.5),
+    ],
+)
+def test_a_non_integral_integer_is_refused(call, name, value):
+    with pytest.raises(InputError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"

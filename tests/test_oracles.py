@@ -7,6 +7,7 @@ from chevring.arith import galois_params, prime_power_base, residues_one_per_ord
 from chevring.errors import InputError, ResourceLimitError
 from chevring.oracles import (
     FULL_SYMMETRIC,
+    Clause,
     GradedActionProblem,
     _SpanAccumulator,
     brauer_chern_total_class,
@@ -319,6 +320,23 @@ def test_chern_scalar_checks_names_each_nonvanishing_value(monkeypatch):
     report = chern_scalar_checks(3, 2)
     assert not report.passed
     assert report.clauses[0].witness == "e_1 = 1; e_2 = 2"
+
+
+def test_chern_reports_name_a_wrong_top_power(monkeypatch):
+    # with a wrong order r = 2 for q = 1, l = 3: q^1 = 1, but (-1)^1 = 2 mod 3
+    import chevring.oracles
+
+    monkeypatch.setattr(chevring.oracles, "multiplicative_order", lambda q, l: 2)
+    assert chern_scalar_checks(3, 1).clauses[1] == Clause(
+        "top_power_is_sign", False, "q^{r(r-1)/2} = 1, sign 2"
+    )
+    # with a wrong order r = 3 for q = 2, l = 3, the degree-3 coefficient of
+    # (1 + eta)(1 + 2 eta)(1 + eta) is 2, q^3 = 2 and (-1)^2 = 1 mod 3
+    params = _params(2, 3)
+    object.__setattr__(params, "r", 3)
+    assert verify_restricted_chern(1, params).clauses[2] == Clause(
+        "top_coefficient_sign", False, "coefficient 2, q^{r(r-1)/2} = 2, sign 1"
+    )
 
 
 # -- cross-module consistency ---------------------------------------------------

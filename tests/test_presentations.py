@@ -5,7 +5,6 @@ from chevring.errors import InputError, PreconditionError
 from chevring.presentations import (
     CHOW,
     TOPOLOGICAL,
-    Generator,
     GradedPresentation,
     chow_gl_presentation,
     cobordism_presentation,
@@ -42,12 +41,7 @@ def test_sp_small_fields_drop_odd_generators():
         datum = lookup("Sp", n)
         for q in (3, 27):  # order of q mod 5 is 4
             pres = cobordism_presentation(datum, _params(q, 5))
-            assert [g.name for g in pres.generators] == [
-                f"q_{i}" for i in range(2, n + 1, 2)
-            ]
-            assert [g.topological_degree for g in pres.generators] == [
-                4 * i for i in range(2, n + 1, 2)
-            ]
+            assert pres.named_degrees == tuple((2 * i, f"q_{i}") for i in range(2, n + 1, 2))
 
 
 def test_sp_large_fields_keep_every_generator():
@@ -55,15 +49,12 @@ def test_sp_large_fields_keep_every_generator():
         datum = lookup("Sp", n)
         for q in (81, 9):  # r = 1 and r = 2; every degree 2i is divisible by r
             pres = cobordism_presentation(datum, _params(q, 5))
-            assert [g.name for g in pres.generators] == [f"q_{i}" for i in range(1, n + 1)]
-            assert [g.topological_degree for g in pres.generators] == [
-                4 * i for i in range(1, n + 1)
-            ]
+            assert pres.named_degrees == tuple((2 * i, f"q_{i}") for i in range(1, n + 1))
 
 
 def test_gl3_cobordism_is_trivial_for_q3_l5():
     pres = cobordism_presentation(lookup("GL", 3), _params(3, 5))
-    assert pres.generators == ()
+    assert pres.named_degrees == ()
     assert render_text(pres).splitlines()[0] == "F_5"
 
 
@@ -71,7 +62,6 @@ def test_cobordism_keeps_all_generators_when_r_is_1():
     for family, rank in [("GL", 5), ("Sp", 4), ("SL", 3), ("G2", 2)]:
         datum = lookup(family, rank)
         pres = cobordism_presentation(datum, _params(4, 3))  # 3 | 4 - 1, r = 1
-        assert len(pres.generators) == rank
         assert pres.algebraic_degrees() == datum.degrees
 
 
@@ -94,7 +84,7 @@ def test_cobordism_rejects_torsion_primes():
         cobordism_presentation(lookup("G2", 2), params)
     # but l = 2 is fine for torsion-free types
     pres = cobordism_presentation(lookup("Sp", 2), params)
-    assert len(pres.generators) == 2
+    assert len(pres.named_degrees) == 2
 
 
 def test_enlarging_the_field_never_shrinks_the_generator_set():
@@ -104,10 +94,10 @@ def test_enlarging_the_field_never_shrinks_the_generator_set():
                 continue
             p = prime_power_base(q)[0]
             datum = lookup("Sp", 5)
-            base_names = {g.name for g in cobordism_presentation(datum, galois_params(p, q, l)).generators}
+            base = set(cobordism_presentation(datum, galois_params(p, q, l)).named_degrees)
             for s in range(2, 5):
                 bigger = cobordism_presentation(datum, galois_params(p, q**s, l))
-                assert base_names <= {g.name for g in bigger.generators}, (q, s, l)
+                assert base <= set(bigger.named_degrees), (q, s, l)
 
 
 # -- chow --------------------------------------------------------------------
@@ -115,16 +105,15 @@ def test_enlarging_the_field_never_shrinks_the_generator_set():
 
 def test_chow_example_presentations():
     pres = chow_gl_presentation(gl_params(_params(3, 5), 4))
-    assert [g.name for g in pres.generators] == ["c_4"]
-    assert pres.algebraic_degrees() == (4,)
+    assert pres.named_degrees == ((4, "c_4"),)
     assert render_text(pres).splitlines()[0] == "Z/5[c_4]"
 
     pres = chow_gl_presentation(gl_params(_params(3, 5), 3))
-    assert pres.generators == ()
+    assert pres.named_degrees == ()
     assert render_text(pres) == "Z/5\n  (no generators; m = 0)"
 
     pres = chow_gl_presentation(gl_params(_params(11, 5), 2))
-    assert [g.name for g in pres.generators] == ["c_1", "c_2"]
+    assert pres.named_degrees == ((1, "c_1"), (2, "c_2"))
 
 
 def test_chow_generator_set_is_c_ir():
@@ -136,10 +125,9 @@ def test_chow_generator_set_is_c_ir():
             for n in range(1, 9):
                 glp = gl_params(params, n)
                 pres = chow_gl_presentation(glp)
-                assert [g.name for g in pres.generators] == [
-                    f"c_{i * params.r}" for i in range(1, glp.m + 1)
-                ]
-                assert len(pres.generators) == glp.m
+                assert pres.named_degrees == tuple(
+                    (i * params.r, f"c_{i * params.r}") for i in range(1, glp.m + 1)
+                )
 
 
 def test_chow_mod_lb_with_deeper_roots_of_unity():
@@ -148,7 +136,7 @@ def test_chow_mod_lb_with_deeper_roots_of_unity():
     assert (params.r, params.a) == (1, 2)
     pres = chow_gl_presentation(gl_params(params, 2), b=2)
     assert pres.modulus == 9
-    assert [g.name for g in pres.generators] == ["c_1", "c_2"]
+    assert pres.named_degrees == ((1, "c_1"), (2, "c_2"))
     assert render_text(pres).splitlines()[0] == "Z/9[c_1, c_2]"
 
 
@@ -322,8 +310,8 @@ def test_readers_raise_the_hypothesis_a_document_breaks():
 
 def test_generators_sorted_by_degree():
     pres = cobordism_presentation(lookup("Sp", 6), _params(3, 5))
-    degs = [g.algebraic_degree for g in pres.generators]
-    assert degs == sorted(degs)
+    degs = pres.algebraic_degrees()
+    assert degs == tuple(sorted(degs))
 
 
 def test_equal_degrees_order_by_name_as_strings():
@@ -341,12 +329,12 @@ def test_equal_degrees_order_by_name_as_strings():
     assert [g["name"] for g in pres.to_json_dict()["generators"]] == names
 
 
-def test_generators_are_views_of_the_named_degrees():
-    pres = cobordism_presentation(lookup("Sp", 4), _params(3, 5))
+def test_a_presentation_holds_its_named_degrees_sorted():
+    params = _params(3, 5)
+    pres = GradedPresentation("cobordism", "Sp", 4, params, 1, ((8, "q_4"), (4, "q_2")))
     assert pres.named_degrees == ((4, "q_2"), (8, "q_4"))
-    assert pres.generators == (Generator("q_2", 4), Generator("q_4", 8))
-    assert [g.topological_degree for g in pres.generators] == [8, 16]
     assert pres.algebraic_degrees() == (4, 8)
+    assert pres == cobordism_presentation(lookup("Sp", 4), params)
 
 
 def test_a_presentation_refuses_a_degree_below_1():
@@ -354,5 +342,3 @@ def test_a_presentation_refuses_a_degree_below_1():
     for degree in (0, -2):
         with pytest.raises(InputError, match=f"^generator degree must be positive, got {degree}$"):
             GradedPresentation("chow", "GL", 2, params, 1, ((2, "c_2"), (degree, "c_0")))
-    with pytest.raises(InputError, match="^generator degree must be positive, got 0$"):
-        Generator("c_0", 0)
