@@ -69,7 +69,10 @@ _TRIAL_DIVISION_BOUND = 1000
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 3.317e24;
-    n is tested with only as many witnesses as its size needs."""
+    n is tested with only as many witnesses as its size needs.  An n that
+    is not an integer (7.0 included) is refused, not tested."""
+    if type(n) is not int:  # an int skips the call: is_prime is hot
+        n = _integer(n, "n")
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -101,8 +104,10 @@ def require_prime(n: int, name: str = "") -> None:
     is_prime never rejects a prime, so an n it rejects is composite at any
     size.  From 3.317e24 on it may pass a composite, so an n there that it
     passes is refused as undecidable.  The message names n as "name = n",
-    or as n alone.
+    or as n alone; an n that is not an integer is refused under its name.
     """
+    if type(n) is not int:
+        n = _integer(n, name or "n")
     prime = is_prime(n)
     if prime and n < _MR_EXACT_BOUND:
         return

@@ -9,9 +9,12 @@ Three families of checks, all exact over F_l:
   as a set of monomials, with no row reduction;
 * invariants of the wreath-type action (coordinate scaling plus the full
   symmetric group on the variables), by joint kernels of (g - id), the
-  one row reduction here;
+  one row reduction here: each degree takes its one-term scaling rows
+  first, then the two-term permutation rows, and stops once the span is
+  the whole graded piece;
 * the total Chern class of the restricted lift on m blocks, expanded as an
-  honest product of linear factors and checked clause by clause.
+  honest product of linear factors and checked clause by clause against
+  the components of one generating product of the eta_j^r.
 
 None of these share logic with the closed forms they are compared against:
 the coinvariant spanning set is the generic degree-by-degree one, which
@@ -30,7 +33,6 @@ from .poly import (
     ModPolynomial,
     TruncatedSeries,
     _checked_weights,
-    elementary_symmetric,
     generators,
     hilbert_series_of_free_polynomial_ring,
     packed_monomials,
@@ -230,7 +232,16 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     maps it to (key - e_0 P_0) B + e_0.  Every row enters the eliminator as
     scalars, never as a dict: e - g(e) as the two-term row e + (l - 1) g(e),
     its larger key first, and the scaling row (1 - q^{e_0}) e as a one-term
-    row."""
+    row.
+
+    Rank does not depend on the order of the rows, so each degree takes
+    its nonzero scaling rows first (none when q = 1 mod l), the singleton
+    rows of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
+    1990): each becomes a one-term pivot, and a permutation row that meets
+    one loses that term at once instead of following a chain of pivots.
+    The transposition and m-cycle rows follow key by key, and no row is fed
+    once the rank equals dim R_d: the span is then all of R_d, so no later
+    row could grow it, and the rank is exact."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
@@ -245,12 +256,22 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     p0 = base ** max(m - 1, 0)
     p1 = p0 // base
     scale = [(1 - pow(problem.q, k, l)) % l for k in range(base)]
+    # with q = 1 mod l no scaling row survives, and the pass is skipped
+    scaled = any(scale)
 
     coeffs = []
     for basis in bases:
         acc = _SpanAccumulator(l)
-        add_terms = acc.add_terms
+        add_terms, pivots, dim = acc.add_terms, acc.pivots, len(basis)
+        if scaled:
+            # the scaling on the first variable: e -> q^{e_0} e
+            for key in basis:
+                if c := scale[key // p0]:
+                    add_terms(key, c)
         for key in basis:
+            if len(pivots) == dim:
+                # the span is all of R_d: no later row can grow it
+                break
             e0 = key // p0
             if m >= 2:
                 # the transposition of the first two variables; the image
@@ -260,17 +281,14 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
                     add_terms(key, 1, key + (e1 - e0) * (p0 - p1), l - 1)
                 elif e1 > e0:
                     add_terms(key + (e1 - e0) * (p0 - p1), l - 1, key, 1)
-            if m >= 3:
+            if m >= 3 and len(pivots) < dim:
                 # the m-cycle: e_0 moves from the first place to the last
                 image = (key - e0 * p0) * base + e0
                 if image < key:
                     add_terms(key, 1, image, l - 1)
                 elif image > key:
                     add_terms(image, l - 1, key, 1)
-            # the scaling on the first variable: e -> q^{e_0} e
-            if scale[e0]:
-                add_terms(key, scale[e0])
-        coeffs.append(len(basis) - acc.rank)
+        coeffs.append(dim - len(pivots))
     return TruncatedSeries(cutoff, tuple(coeffs))
 
 
@@ -345,24 +363,26 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
     2. the degree-i*r component is (-1)^{(r-1)i} e_i(eta_1^r, ..., eta_m^r);
     3. for m = 1, the degree-r coefficient is q^{r(r-1)/2} = (-1)^{r-1} mod l.
 
+    The expected components of clause 2 are those of one product,
+    prod_j (1 + (-1)^{r-1} eta_j^r), whose degree-i*r component is
+    (-1)^{(r-1)i} e_i(eta^r); both classes are split into components once.
     Failures are reported, not raised.
     """
     l, r = params.l, params.r
     total = brauer_chern_total_class(m, params)
-    offenders = [
-        f"degree {d}: {comp}"
-        for d, comp in total.homogeneous_components().items()
-        if d % r != 0
-    ]
-    etas = generators(l, total.variables, total.cutoff)
-    eta_r = [eta**r for eta in etas]
+    components = total.homogeneous_components()
+    offenders = [f"degree {d}: {comp}" for d, comp in components.items() if d % r != 0]
+    sign = (-1) ** (r - 1) % l
+    expected_class = total.one()
+    for eta in generators(l, total.variables, total.cutoff):
+        expected_class = expected_class * (1 + sign * eta**r)
+    expected_components = expected_class.homogeneous_components()
+    zero = ModPolynomial(l, total.variables, total.cutoff)
     mismatches = []
-    for i in range(1, m + 1):
-        sign = (-1) ** ((r - 1) * i) % l
-        expected = sign * elementary_symmetric(i, eta_r)
-        got = total.homogeneous_component(i * r)
+    for d in range(r, m * r + 1, r):
+        got, expected = components.get(d, zero), expected_components.get(d, zero)
         if got != expected:
-            mismatches.append(f"degree {i * r}: got {got}, expected {expected}")
+            mismatches.append(f"degree {d}: got {got}, expected {expected}")
     clauses = [
         _clause("off_degree_components_vanish", offenders),
         _clause("symmetric_function_identity", mismatches),

@@ -50,6 +50,7 @@ def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
     the exponents are base-(cutoff + 1) digits, the first variable's the most
     significant.  Each degree's list is increasing, and the order of keys is
     the lexicographic order of exponents."""
+    cutoff = _integer(cutoff, "cutoff")
     base = cutoff + 1
     by_degree = [[0]] + [[] for _ in range(cutoff)]
     place = 1
@@ -302,6 +303,7 @@ def elementary_symmetric(i: int, values):
     Works for any elements supporting + and * with each other and with ints
     (plain integers, or ModPolynomial values sharing one context); e_0 = 1.
     """
+    i = _integer(i, "i")
     vals = list(values)
     if i < 0 or i > len(vals):
         raise InputError(
@@ -322,6 +324,8 @@ class TruncatedSeries:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.cutoff) is not int:  # several are built per oracle call
+            object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff"))
         if self.cutoff < 0:
             raise InputError(f"cutoff must be >= 0, got {self.cutoff}")
         if len(self.coefficients) != self.cutoff + 1:

@@ -6,13 +6,20 @@ import pytest
 from chevring.arith import (
     galois_params,
     gl_params,
+    is_prime,
     multiplicative_order,
     prime_power_base,
+    require_prime,
     residues_one_per_order,
 )
 from chevring.errors import InputError
 from chevring.oracles import brauer_chern_total_class, chern_scalar_checks, verify_restricted_chern
-from chevring.poly import hilbert_series_of_free_polynomial_ring
+from chevring.poly import (
+    TruncatedSeries,
+    elementary_symmetric,
+    hilbert_series_of_free_polynomial_ring,
+    packed_monomials,
+)
 from chevring.presentations import chow_gl_presentation, cobordism_presentation, poincare_series
 from chevring.rootdata import group_order, lookup
 from chevring.verify import Sweep
@@ -43,6 +50,12 @@ _P = galois_params(3, 9, 5)
         (lambda: chern_scalar_checks(7.0, 2), "l", 7.0),
         (lambda: brauer_chern_total_class(1.5, _P), "m", 1.5),
         (lambda: verify_restricted_chern(1.5, _P), "m", 1.5),
+        (lambda: is_prime(7.0), "n", 7.0),
+        (lambda: require_prime(7.0), "n", 7.0),
+        (lambda: require_prime(7.0, "l"), "l", 7.0),
+        (lambda: TruncatedSeries(2.0, (1, 1, 1)), "cutoff", 2.0),
+        (lambda: elementary_symmetric(1.5, [1, 2]), "i", 1.5),
+        (lambda: packed_monomials((1,), 2.5), "cutoff", 2.5),
     ],
 )
 def test_a_non_integral_integer_is_refused(call, name, value):

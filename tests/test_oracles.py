@@ -339,6 +339,35 @@ def test_chern_reports_name_a_wrong_top_power(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "m, off_degree, symmetric",
+    [
+        (
+            1,
+            "degree 1: eta_1; degree 2: 2*eta_1^2",
+            "degree 3: got 2*eta_1^3, expected eta_1^3",
+        ),
+        (
+            2,
+            "degree 1: eta_2 + eta_1; degree 2: 2*eta_2^2 + eta_1*eta_2 + 2*eta_1^2; "
+            "degree 4: 2*eta_1*eta_2^3 + eta_1^2*eta_2^2 + 2*eta_1^3*eta_2; "
+            "degree 5: eta_1^2*eta_2^3 + eta_1^3*eta_2^2",
+            "degree 3: got 2*eta_2^3 + 2*eta_1*eta_2^2 + 2*eta_1^2*eta_2 + 2*eta_1^3, "
+            "expected eta_2^3 + eta_1^3",
+        ),
+    ],
+)
+def test_chern_reports_name_every_off_degree_and_symmetric_mismatch(m, off_degree, symmetric):
+    # with a wrong order r = 3 for q = 2, l = 3, the total class has terms
+    # in degrees prime to 3, and its degree-3 part is not e_1(eta^3), the
+    # sign (-1)^{(r-1)i} being 1; each witness names every offending degree
+    params = _params(2, 3)
+    object.__setattr__(params, "r", 3)
+    off, sym = verify_restricted_chern(m, params).clauses[:2]
+    assert off == Clause("off_degree_components_vanish", False, off_degree)
+    assert sym == Clause("symmetric_function_identity", False, symmetric)
+
+
 # -- cross-module consistency ---------------------------------------------------
 
 

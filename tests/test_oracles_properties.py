@@ -133,19 +133,21 @@ def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
 
 
 def _rows_fed_to_eliminator(problem):
-    """Every row invariants_hilbert_bruteforce gives its eliminator, in order."""
+    """Every row invariants_hilbert_bruteforce gives its eliminator, in
+    order, one list per degree.  The recorder's pivots stay empty, so the
+    oracle never reaches full rank and feeds every row."""
     rows = []
 
     class Recorder:
-        rank = 0
-
         def __init__(self, l):
             self.l = l
+            self.pivots = {}
+            rows.append([])
 
         def add_terms(self, a, ca, b=0, cb=0):
             assert 0 < ca < self.l and 0 <= cb < self.l
             assert not cb or a > b
-            rows.append({a: ca, b: cb} if cb else {a: ca})
+            rows[-1].append({a: ca, b: cb} if cb else {a: ca})
 
     with patch.object(oracles, "_SpanAccumulator", Recorder):
         invariants_hilbert_bruteforce(problem)
@@ -153,23 +155,27 @@ def _rows_fed_to_eliminator(problem):
 
 
 def _expected_rows(m, l, q, cutoff):
-    """Every nonzero row e - g(e) of the invariant oracle, in the order it
-    forms them, with the images found by unpack -> permute -> repack."""
+    """Every nonzero row of the invariant oracle, one list per degree, in
+    the order it forms them: the scaling rows (1 - q^{e_0}) e first, then
+    the rows e - g(e) of the transposition and the m-cycle, key by key,
+    with the images found by unpack -> permute -> repack."""
     base = cutoff + 1
-    rows = []
+    by_degree = []
     for keys in packed_monomials((1,) * m, cutoff):
+        scaling, permutation = [], []
         for key in keys:
             e = _exponents(key, m, base)
+            scale = (1 - pow(q, e[0], l)) % l
+            if scale:
+                scaling.append({key: scale})
             images = []
             if m >= 2:
                 images.append((e[1], e[0], *e[2:]))
             if m >= 3:
                 images.append((*e[1:], e[0]))
-            rows += [{key: 1, _pack(g, base): l - 1} for g in images if g != e]
-            scale = (1 - pow(q, e[0], l)) % l
-            if scale:
-                rows.append({key: scale})
-    return rows
+            permutation += [{key: 1, _pack(g, base): l - 1} for g in images if g != e]
+        by_degree.append(scaling + permutation)
+    return by_degree
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,6 +200,55 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
     assert _rows_fed_to_eliminator(problem) == _expected_rows(m, l, q, cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    cutoff=st.integers(0, 12),
+    lq=st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+        lambda l: st.tuples(st.just(l), st.integers(1, l - 1))
+    ),
+)
+# q = 1 mod l, where no scaling row exists; r = 2 with m = 1, where every
+# odd degree is full after its one scaling row; and the largest case
+@example(m=5, cutoff=12, lq=(13, 1))
+@example(m=1, cutoff=12, lq=(3, 2))
+@example(m=5, cutoff=12, lq=(2, 1))
+@example(m=4, cutoff=12, lq=(7, 3))
+def test_the_full_rank_stop_loses_nothing(m, cutoff, lq):
+    """The oracle's series equals the one from every expected row fed to a
+    fresh eliminator with no stop, and no row reaches its eliminator once
+    the rank is the dimension of the degree."""
+    l, q = lq
+    problem = GradedActionProblem(
+        weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
+    )
+    dims = _checked_dimensions(problem)
+    degrees = []
+
+    class Checked(_SpanAccumulator):
+        def __init__(self, l):
+            super().__init__(l)
+            self.dim = dims[len(degrees)]
+            degrees.append(self)
+
+        def add_terms(self, a, ca, b=0, cb=0):
+            assert len(self.pivots) < self.dim
+            return super().add_terms(a, ca, b, cb)
+
+    with patch.object(oracles, "_SpanAccumulator", Checked):
+        series = invariants_hilbert_bruteforce(problem)
+    assert len(degrees) == cutoff + 1
+
+    coefficients = []
+    for dim, rows in zip(dims, _expected_rows(m, l, q, cutoff)):
+        acc = _SpanAccumulator(l)
+        for row in rows:
+            (a, ca), *rest = sorted(row.items(), reverse=True)
+            acc.add_terms(a, ca, *(rest[0] if rest else ()))
+        coefficients.append(dim - acc.rank)
+    assert series == TruncatedSeries(cutoff, tuple(coefficients))
 
 
 # -- the coinvariant oracle -----------------------------------------------------
