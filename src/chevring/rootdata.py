@@ -124,13 +124,13 @@ _RECORDS = (
             lambda n: n * (n - 1) // 2, frozenset()),
     _Record("SL", 1, False, lambda n: range(2, n + 2), lambda n: factorial(n + 1),
             lambda n: n * (n + 1) // 2, frozenset()),
-    _Record("Sp", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: 2**n * factorial(n),
+    _Record("Sp", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
             lambda n: n * n, frozenset()),
-    _Record("SO_odd", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: 2**n * factorial(n),
+    _Record("SO_odd", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
             lambda n: n * n, frozenset({2})),
     _Record("SO_even", 2, False, lambda n: (*range(2, 2 * n - 1, 2), n),
-            lambda n: 2 ** (n - 1) * factorial(n), lambda n: n * (n - 1), frozenset({2})),
-    _Record("Spin", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: 2**n * factorial(n),
+            lambda n: factorial(n) << (n - 1), lambda n: n * (n - 1), frozenset({2})),
+    _Record("Spin", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
             lambda n: n * n, frozenset({2})),
     _fixed("G2", (2, 6), 12, 6, (2,)),
     _fixed("F4", (2, 6, 8, 12), 1152, 24, (2, 3)),

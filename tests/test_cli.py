@@ -767,9 +767,21 @@ def test_a_sweep_of_zero_sizes_runs_only_the_size_free_clauses():
 
 # -- dependencies -------------------------------------------------------------------
 
-_IMPORTS_PROBE = """
-import sys
-before = set(sys.modules)
+def _modules_loaded_by(code):
+    """The modules a fresh interpreter loads to run code, diffed against the
+    modules it had loaded before, since site hooks load some of their own
+    first."""
+    probe = "import sys\nbefore = set(sys.modules)\n" + code + (
+        "\nprint('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(chevring.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_cli_imports_only_the_standard_library():
+    loaded = _modules_loaded_by("""
 from chevring.cli import parse_args, run
 for code, argv in [
     (0, ["verify", "--primes", "3", "--max-weight-len", "1", "--cutoff", "4"]),
@@ -779,25 +791,26 @@ for code, argv in [
          "--theory", "cobordism", "--format", "latex"]),
 ]:
     assert run(parse_args(argv))[0] == code, argv
-print("\\n".join(sorted(set(sys.modules) - before)))
-"""
-
-
-def test_cli_imports_only_the_standard_library():
-    # a fresh interpreter, diffed against the modules it had loaded before the
-    # import, since site hooks load some of their own first
-    env = dict(os.environ, PYTHONPATH=str(Path(chevring.__file__).parents[1]))
-    probe = subprocess.run(
-        [sys.executable, "-c", _IMPORTS_PROBE], env=env, capture_output=True, text=True
-    )
-    assert probe.returncode == 0, probe.stderr
-    loaded = probe.stdout.split()
+""")
     assert "chevring.cli" in loaded
     outside = [
         name for name in loaded
         if name.partition(".")[0] not in {"chevring", *sys.stdlib_module_names}
     ]
     assert outside == []
+
+
+def test_a_module_loads_only_its_own_imports():
+    def ours(code):
+        return {name for name in _modules_loaded_by(code) if name.partition(".")[0] == "chevring"}
+
+    registry = ours("import chevring.rootdata\nchevring.rootdata.default_registry()")
+    assert registry == {"chevring", "chevring.errors", "chevring.arith", "chevring.rootdata"}
+    assert ours("import chevring") == {"chevring"}
+    assert ours("import chevring\nassert not hasattr(chevring, 'no_such_name')") == {"chevring"}
+    everything = ours("from chevring import *\nimport chevring\n"
+                      "assert all(name in globals() for name in chevring.__all__)")
+    assert "chevring.poly" in everything and "chevring.cli" not in everything
 
 
 def test_a_closed_pipe_ends_without_a_traceback():

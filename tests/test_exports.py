@@ -1,11 +1,9 @@
-"""Every exported name resolves: a name in a module's __all__, and a name the
-package's __init__ imports from its modules.  A deleted function therefore
-cannot leave a stale export behind."""
+"""Every exported name resolves: a name in a module's __all__, and a name in
+the package's table of lazy exports.  A deleted function therefore cannot
+leave a stale export behind."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import chevring
 
@@ -26,15 +24,31 @@ def test_every_name_in_each_modules_all_resolves():
 
 
 def test_every_name_the_package_imports_resolves():
-    tree = ast.parse(Path(chevring.__file__).read_text(encoding="utf-8"))
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imported
-    for module_name, attr in imported:
+    assert chevring.__all__ == sorted(chevring._EXPORTS)
+    assert len(chevring._EXPORTS) == 33
+    for attr, module_name in chevring._EXPORTS.items():
         module = importlib.import_module(f"chevring.{module_name}")
         assert hasattr(module, attr), (module_name, attr)
         assert getattr(chevring, attr) is getattr(module, attr), (module_name, attr)
+
+
+def test_the_package_resolves_each_of_its_modules():
+    assert chevring._MODULES == set(MODULES)
+    for name in MODULES:
+        assert getattr(chevring, name) is importlib.import_module(f"chevring.{name}")
+
+
+def test_dir_lists_the_exports():
+    assert set(chevring.__all__) <= set(dir(chevring))
+
+
+def test_an_export_is_the_defining_modules_current_attribute():
+    # a tracer installs wrappers by rebinding module attributes and restores
+    # them afterwards; the package follows both rebindings
+    original, stand_in = chevring.rootdata.lookup, object()
+    chevring.rootdata.lookup = stand_in
+    try:
+        assert chevring.lookup is stand_in
+    finally:
+        chevring.rootdata.lookup = original
+    assert chevring.lookup is original
