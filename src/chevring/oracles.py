@@ -10,11 +10,14 @@ Three families of checks, all exact over F_l:
 * invariants of the wreath-type action (coordinate scaling plus the full
   symmetric group on the variables), by joint kernels of (g - id), the
   one row reduction here: each degree takes its one-term scaling rows
-  first, then the two-term permutation rows, and stops once the span is
-  the whole graded piece;
+  first, then the two-term m-cycle rows, then one transposition row per
+  transposed pair of monomials, and stops once the span is the whole
+  graded piece;
 * the total Chern class of the restricted lift on m blocks, expanded as an
-  honest product of linear factors and checked clause by clause against
-  the components of one generating product of the eta_j^r.
+  honest product of linear factors, each block's r factors multiplied
+  together before the block joins the running product, and checked clause
+  by clause against the components of one generating product of the
+  eta_j^r.
 
 None of these share logic with the closed forms they are compared against:
 the coinvariant spanning set is the generic degree-by-degree one, which
@@ -239,9 +242,12 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     rows of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
     1990): each becomes a one-term pivot, and a permutation row that meets
     one loses that term at once instead of following a chain of pivots.
-    The transposition and m-cycle rows follow key by key, and no row is fed
-    once the rank equals dim R_d: the span is then all of R_d, so no later
-    row could grow it, and the rank is exact."""
+    The m-cycle rows follow key by key, then the transposition rows.  The
+    transposition is an involution, so the row at tau(e) is the row at e
+    times -1 and adds nothing to the span: each pair {e, tau(e)} gives one
+    row, from the key with e_1 > e_0.  No row is fed once the rank equals
+    dim R_d: the span is then all of R_d, so no later row could grow it,
+    and the rank is exact."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
@@ -268,26 +274,28 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
             for key in basis:
                 if c := scale[key // p0]:
                     add_terms(key, c)
-        for key in basis:
-            if len(pivots) == dim:
-                # the span is all of R_d: no later row can grow it
-                break
-            e0 = key // p0
-            if m >= 2:
-                # the transposition of the first two variables; the image
-                # is the larger key when e_1 > e_0
-                e1 = key // p1 % base
-                if e1 < e0:
-                    add_terms(key, 1, key + (e1 - e0) * (p0 - p1), l - 1)
-                elif e1 > e0:
-                    add_terms(key + (e1 - e0) * (p0 - p1), l - 1, key, 1)
-            if m >= 3 and len(pivots) < dim:
-                # the m-cycle: e_0 moves from the first place to the last
+        if m >= 3:
+            # the m-cycle: e_0 moves from the first place to the last
+            for key in basis:
+                if len(pivots) == dim:
+                    # the span is all of R_d: no later row can grow it
+                    break
+                e0 = key // p0
                 image = (key - e0 * p0) * base + e0
                 if image < key:
                     add_terms(key, 1, image, l - 1)
                 elif image > key:
                     add_terms(image, l - 1, key, 1)
+        if m >= 2:
+            # the transposition of the first two variables, once per pair
+            # {e, tau(e)}: from the key with e_1 > e_0, whose image is larger
+            for key in basis:
+                if len(pivots) == dim:
+                    break
+                e0 = key // p0
+                e1 = key // p1 % base
+                if e1 > e0:
+                    add_terms(key + (e1 - e0) * (p0 - p1), l - 1, key, 1)
         coeffs.append(dim - len(pivots))
     return TruncatedSeries(cutoff, tuple(coeffs))
 
@@ -307,18 +315,24 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
 
 def brauer_chern_total_class(m: int, params: GaloisParams) -> ModPolynomial:
     """Total Chern class of the restricted lift on m blocks:
-    prod_{j=1..m} prod_{i=0..r-1} (1 + q^i eta_j) in F_l[eta_1, ..., eta_m]."""
+    prod_{j=1..m} prod_{i=0..r-1} (1 + q^i eta_j) in F_l[eta_1, ..., eta_m].
+
+    Each block's r linear factors are multiplied together first, from
+    1 + eta_j, and the running product is then multiplied by the block,
+    the first block being the start: the same m*r factors in m*r - 1
+    products, none of them of the running product by a single factor."""
     m = _integer(m, "m")
     if m < 1:
         raise InputError(f"m must be >= 1, got {m}")
     l, r = params.l, params.r
     variables = tuple((f"eta_{j}", 1) for j in range(1, m + 1))
     # m*r linear factors: the product has degree exactly m*r
-    etas = generators(l, variables, m * r)
-    total = etas[0].one()
-    for eta in etas:
-        for i in range(r):
-            total = total * (1 + pow(params.q, i, l) * eta)
+    total = None
+    for eta in generators(l, variables, m * r):
+        block = 1 + eta
+        for i in range(1, r):
+            block = block * (1 + pow(params.q, i, l) * eta)
+        total = block if total is None else total * block
     return total
 
 

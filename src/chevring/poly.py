@@ -214,6 +214,7 @@ class ModPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ModPolynomial":
+        n = _integer(n, "n")
         if n < 0:
             raise InputError("negative polynomial powers are not defined")
         result = self.one()

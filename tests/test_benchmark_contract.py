@@ -41,13 +41,23 @@ def test_the_tracer_wraps_and_restores_the_targets(spans):
     try:
         assert cli.parse_args is not parse_args
         code, _, _ = cli.run(cli.parse_args(["params", "--q", "3", "--l", "5"]))
+        report = oracles.verify_restricted_chern(2, arith.galois_params(3, 3, 5))
+        problem = oracles.GradedActionProblem(
+            weights=(1, 1, 1), l=5, q=3, cutoff=4, permutation=oracles.FULL_SYMMETRIC
+        )
+        oracles.invariants_hilbert_bruteforce(problem)
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert code == 0 and report.passed
     assert cli.parse_args is parse_args
     summary = tracer.summary()
     assert summary["cli.parse_args"]["calls"] == 1
-    assert summary["arith.galois_params"]["calls"] == 1
+    assert summary["arith.galois_params"]["calls"] == 2
+    assert summary["oracles.verify_restricted_chern"]["calls"] == 1
+    assert summary["oracles.invariants_hilbert_bruteforce"]["calls"] == 1
+    # m = 2 blocks of r = 4 factors: m*r - 1 = 7 products for the total
+    # class, then 3 per eta_j^4 and 1 per factor of the expected class
+    assert summary["poly.multiply"]["calls"] == 7 + 2 * (3 + 1)
 
 
 def test_the_coinvariants_workload_shape():

@@ -17,6 +17,7 @@ from chevring.oracles import brauer_chern_total_class, chern_scalar_checks, veri
 from chevring.poly import (
     TruncatedSeries,
     elementary_symmetric,
+    generators,
     hilbert_series_of_free_polynomial_ring,
     packed_monomials,
 )
@@ -56,6 +57,7 @@ _P = galois_params(3, 9, 5)
         (lambda: TruncatedSeries(2.0, (1, 1, 1)), "cutoff", 2.0),
         (lambda: elementary_symmetric(1.5, [1, 2]), "i", 1.5),
         (lambda: packed_monomials((1,), 2.5), "cutoff", 2.5),
+        (lambda: generators(5, (("x", 1),), 4)[0] ** 2.0, "n", 2.0),
     ],
 )
 def test_a_non_integral_integer_is_refused(call, name, value):

@@ -154,28 +154,46 @@ def _rows_fed_to_eliminator(problem):
     return rows
 
 
-def _expected_rows(m, l, q, cutoff):
-    """Every nonzero row of the invariant oracle, one list per degree, in
-    the order it forms them: the scaling rows (1 - q^{e_0}) e first, then
-    the rows e - g(e) of the transposition and the m-cycle, key by key,
-    with the images found by unpack -> permute -> repack."""
+def _generator_rows(m, l, q, cutoff):
+    """Every nonzero row of (g - id) over the monomial basis, one dict
+    {g: [(e, row), ...]} per degree, key by key, for g the scaling gamma of
+    the first variable, the transposition tau of the first two variables
+    and the m-cycle sigma (for m >= 3; at m = 2 it is tau).  The row is
+    (1 - q^{e_0}) e for gamma and e - g(e) otherwise, with the image g(e)
+    found by unpack -> permute -> repack.  Both rows of each pair
+    {e, tau(e)} are listed."""
     base = cutoff + 1
     by_degree = []
     for keys in packed_monomials((1,) * m, cutoff):
-        scaling, permutation = [], []
+        rows = {"gamma": [], "tau": [], "sigma": []}
         for key in keys:
             e = _exponents(key, m, base)
             scale = (1 - pow(q, e[0], l)) % l
             if scale:
-                scaling.append({key: scale})
-            images = []
+                rows["gamma"].append((e, {key: scale}))
+            images = {}
             if m >= 2:
-                images.append((e[1], e[0], *e[2:]))
+                images["tau"] = (e[1], e[0], *e[2:])
             if m >= 3:
-                images.append((*e[1:], e[0]))
-            permutation += [{key: 1, _pack(g, base): l - 1} for g in images if g != e]
-        by_degree.append(scaling + permutation)
+                images["sigma"] = (*e[1:], e[0])
+            for g, image in images.items():
+                if image != e:
+                    rows[g].append((e, {key: 1, _pack(image, base): l - 1}))
+        by_degree.append(rows)
     return by_degree
+
+
+def _expected_rows(m, l, q, cutoff):
+    """Every row the invariant oracle forms, one list per degree, in its
+    order: the scaling rows (1 - q^{e_0}) e, then the m-cycle rows key by
+    key, then one transposition row per pair {e, tau(e)}, from the key
+    with e_1 > e_0."""
+    return [
+        [row for _, row in rows["gamma"]]
+        + [row for _, row in rows["sigma"]]
+        + [row for e, row in rows["tau"] if e[1] > e[0]]
+        for rows in _generator_rows(m, l, q, cutoff)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,9 +235,10 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
 @example(m=5, cutoff=12, lq=(2, 1))
 @example(m=4, cutoff=12, lq=(7, 3))
 def test_the_full_rank_stop_loses_nothing(m, cutoff, lq):
-    """The oracle's series equals the one from every expected row fed to a
-    fresh eliminator with no stop, and no row reaches its eliminator once
-    the rank is the dimension of the degree."""
+    """The oracle's series equals the one from every row of (gamma - id),
+    (tau - id) and (sigma - id), both rows of each transposed pair
+    included, fed to a fresh eliminator with no stop; and no row reaches
+    the oracle's eliminator once the rank is the dimension of the degree."""
     l, q = lq
     problem = GradedActionProblem(
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
@@ -242,9 +261,9 @@ def test_the_full_rank_stop_loses_nothing(m, cutoff, lq):
     assert len(degrees) == cutoff + 1
 
     coefficients = []
-    for dim, rows in zip(dims, _expected_rows(m, l, q, cutoff)):
+    for dim, rows in zip(dims, _generator_rows(m, l, q, cutoff)):
         acc = _SpanAccumulator(l)
-        for row in rows:
+        for row in (row for g in rows.values() for _, row in g):
             (a, ca), *rest = sorted(row.items(), reverse=True)
             acc.add_terms(a, ca, *(rest[0] if rest else ()))
         coefficients.append(dim - acc.rank)
