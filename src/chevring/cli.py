@@ -244,6 +244,9 @@ def _run_params(request: argparse.Namespace) -> str:
 def _run_present(request: argparse.Namespace) -> str:
     pres = _presentation(request)
     if request.format == "latex":
+        # the series is never printed here, so only its cutoff is checked
+        if request.cutoff is not None and request.cutoff < 0:
+            raise InputError(f"cutoff must be >= 0, got {request.cutoff}")
         return presentations.render_latex(pres)
     series = None
     if request.cutoff is not None:

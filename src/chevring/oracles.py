@@ -8,10 +8,13 @@ Three families of checks, all exact over F_l:
   ideal with homogeneous generators; both are monomials, so J_d is closed
   as a set of monomials, with no row reduction;
 * invariants of the wreath-type action (coordinate scaling plus the full
-  symmetric group on the variables), by joint kernels of (g - id), the
-  one row reduction here: each degree takes its one-term scaling rows
-  first, then the two-term m-cycle rows, then one transposition row per
-  transposed pair of monomials, and stops once the span is the whole
+  symmetric group on the variables), by joint kernels of (g - id): every
+  row is a nonzero multiple of e - g(e) or of e, an edge between two
+  monomials or from a monomial to a sink standing for 0, so the rank of a
+  degree's rows is the size of a spanning forest of that graph, kept by
+  union-find with no arithmetic over F_l; each degree takes its scaling
+  rows first, then the m-cycle rows, then one transposition row per
+  transposed pair of monomials, and stops once the forest spans the whole
   graded piece;
 * the total Chern class of the restricted lift on m blocks, expanded as an
   honest product of linear factors, each block's r factors multiplied
@@ -107,60 +110,6 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
     return list(dims.coefficients)
 
 
-class _SpanAccumulator:
-    """Incremental row reduction over F_l on packed-int monomial keys, for
-    the invariant oracle.  Rows within one call are homogeneous, so the
-    largest key is a stable leading term.
-
-    ``pivots`` maps each lead key a to the tail of its pivot as a flat tuple;
-    the lead coefficient is an implicit 1.  So () is the pivot {a: 1} and
-    (b, x) is {a: 1, b: x}, with a > b and x nonzero.
-
-    Every row has one or two terms and enters through ``add_terms``, the one
-    entry, as scalars: the first step of structured Gaussian elimination
-    (LaMacchia and Odlyzko, CRYPTO 1990).  Reducing c_a*a + c_b*b against
-    the pivot () drops a; against (c, x) it leaves b and -c_a*x at c, merged
-    when b == c, and dependent when they cancel.  So the row keeps at most
-    two terms while it follows the chain of pivots, and a new pivot is () or
-    (b, c_b/c_a), as term-by-term reduction would store it.  No pivot has
-    three or more terms."""
-
-    def __init__(self, l: int):
-        self.l = l
-        self.pivots: dict[int, tuple[int, ...]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add_terms(self, a: int, ca: int, b: int = 0, cb: int = 0) -> bool:
-        """Add the row c_a*a + c_b*b, with a > b and c_a nonzero; c_b = 0
-        makes it the one-term row c_a*a.  Return whether the span grew."""
-        pivots = self.pivots
-        pivot = pivots.get(a)
-        l = self.l
-        while pivot is not None:
-            if not pivot:
-                if not cb:
-                    return False
-                a, ca, cb = b, cb, 0
-            else:
-                c, x = pivot
-                cc = -ca * x % l
-                if not cb or b < c:
-                    a, ca = c, cc
-                elif b > c:
-                    a, ca, b, cb = b, cb, c, cc
-                else:
-                    ca = (cb + cc) % l
-                    if not ca:
-                        return False
-                    a, cb = b, 0
-            pivot = pivots.get(a)
-        pivots[a] = (b, cb * pow(ca, -1, l) % l) if cb else ()
-        return True
-
-
 # -- coinvariants -----------------------------------------------------------
 
 
@@ -218,6 +167,38 @@ def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSe
 # -- wreath-type invariants -------------------------------------------------
 
 
+_SINK = -1
+
+
+def _join(parent: dict[int, int], a: int, b: int = _SINK) -> None:
+    """Add the row c*(a - b), or c*a when b is the sink, for any nonzero c,
+    to the span held by ``parent``: a union-find over packed keys plus the
+    sink vertex _SINK, which stands for 0, in which a root has no entry.
+
+    The rows are the edge vectors of a graph on the keys and the sink, and
+    over every field their rank is the number of edges in a spanning
+    forest, so ``len(parent)`` is the rank: a merge gives one root a
+    parent, and path halving only rewrites entries that already exist.
+    The smaller root becomes the parent, so the sink stays a root, and a
+    key joined to it is found in two lookups and no write."""
+    get = parent.get
+    while (up := get(a)) is not None:
+        if (top := get(up)) is None:
+            a = up
+            break
+        # path halving: point a at its grandparent and step there
+        parent[a] = a = top
+    while (up := get(b)) is not None:
+        if (top := get(up)) is None:
+            b = up
+            break
+        parent[b] = b = top
+    if a < b:
+        parent[b] = a
+    elif b < a:
+        parent[a] = b
+
+
 def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
     """Series of the ring of invariants under the group generated by the
     coordinate scaling eta_1 -> q*eta_1 and the full symmetric group on the
@@ -227,27 +208,29 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     The symmetric group is generated by the transposition of the first two
     variables and the m-cycle (either alone suffices only for m <= 2).  Each
     generator sends a monomial e to a scalar multiple of a monomial,
-    bijectively on the basis, so the rows e - g(e) over all e are, up to
-    sign, the rows of the matrix of (g - id); their rank is subtracted from
-    the dimension of the degree.  Images are formed on packed keys without
-    unpacking: with B = cutoff + 1 and P_i the place of variable i, the
-    transposition adds (e_1 - e_0)(P_0 - P_1) to a key, and the m-cycle
-    maps it to (key - e_0 P_0) B + e_0.  Every row enters the eliminator as
-    scalars, never as a dict: e - g(e) as the two-term row e + (l - 1) g(e),
-    its larger key first, and the scaling row (1 - q^{e_0}) e as a one-term
-    row.
+    bijectively on the basis, so the rows of (g - id) are, up to a nonzero
+    scalar, e - g(e) for the permutations and e for the scaling row
+    (1 - q^{e_0}) e; their rank is subtracted from the dimension of the
+    degree.  Images are formed on packed keys without unpacking: with
+    B = cutoff + 1 and P_i the place of variable i, the transposition adds
+    (e_1 - e_0)(P_0 - P_1) to a key, and the m-cycle maps it to
+    (key - e_0 P_0) B + e_0.
 
-    Rank does not depend on the order of the rows, so each degree takes
-    its nonzero scaling rows first (none when q = 1 mod l), the singleton
-    rows of structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO
-    1990): each becomes a one-term pivot, and a permutation row that meets
-    one loses that term at once instead of following a chain of pivots.
-    The m-cycle rows follow key by key, then the transposition rows.  The
-    transposition is an involution, so the row at tau(e) is the row at e
-    times -1 and adds nothing to the span: each pair {e, tau(e)} gives one
-    row, from the key with e_1 > e_0.  No row is fed once the rank equals
-    dim R_d: the span is then all of R_d, so no later row could grow it,
-    and the rank is exact."""
+    So the rows are the edge vectors of a graph on the monomials plus a sink
+    standing for 0: e - g(e) joins e to g(e), and e joins e to the sink.
+    Over every field, F_2 included, their rank is the number of edges in a
+    spanning forest.  On a connected component C the edge vectors span the
+    vectors on C whose entries sum to 0, and dropping the sink's coordinate
+    is injective on that space.  _join keeps the forest, and its size is the
+    rank.
+
+    Each degree takes its nonzero scaling rows first (none when
+    q = 1 mod l), then the m-cycle rows key by key, then the transposition
+    rows.  The transposition is an involution, so the row at tau(e) is the
+    row at e times -1 and adds nothing to the span: each pair {e, tau(e)}
+    gives one row, from the key with e_1 > e_0.  No row is fed once the rank
+    equals dim R_d: the span is then all of R_d, so no later row could grow
+    it, and the rank is exact."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
@@ -261,42 +244,40 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     # key is 0, whose scaling row 1 - q^0 vanishes
     p0 = base ** max(m - 1, 0)
     p1 = p0 // base
-    scale = [(1 - pow(problem.q, k, l)) % l for k in range(base)]
+    scale = [pow(problem.q, k, l) != 1 for k in range(base)]
     # with q = 1 mod l no scaling row survives, and the pass is skipped
     scaled = any(scale)
+    join = _join
 
     coeffs = []
     for basis in bases:
-        acc = _SpanAccumulator(l)
-        add_terms, pivots, dim = acc.add_terms, acc.pivots, len(basis)
+        parent, dim = {}, len(basis)
         if scaled:
             # the scaling on the first variable: e -> q^{e_0} e
             for key in basis:
-                if c := scale[key // p0]:
-                    add_terms(key, c)
+                if scale[key // p0]:
+                    join(parent, key)
         if m >= 3:
             # the m-cycle: e_0 moves from the first place to the last
             for key in basis:
-                if len(pivots) == dim:
+                if len(parent) == dim:
                     # the span is all of R_d: no later row can grow it
                     break
                 e0 = key // p0
                 image = (key - e0 * p0) * base + e0
-                if image < key:
-                    add_terms(key, 1, image, l - 1)
-                elif image > key:
-                    add_terms(image, l - 1, key, 1)
+                if image != key:
+                    join(parent, key, image)
         if m >= 2:
             # the transposition of the first two variables, once per pair
-            # {e, tau(e)}: from the key with e_1 > e_0, whose image is larger
+            # {e, tau(e)}: from the key with e_1 > e_0
             for key in basis:
-                if len(pivots) == dim:
+                if len(parent) == dim:
                     break
                 e0 = key // p0
                 e1 = key // p1 % base
                 if e1 > e0:
-                    add_terms(key + (e1 - e0) * (p0 - p1), l - 1, key, 1)
-        coeffs.append(dim - len(pivots))
+                    join(parent, key, key + (e1 - e0) * (p0 - p1))
+        coeffs.append(dim - len(parent))
     return TruncatedSeries(cutoff, tuple(coeffs))
 
 

@@ -7,8 +7,8 @@ degree a term may have.  Two polynomials interoperate only when their
 contexts agree exactly.  Arithmetic whose result would have a term above D
 raises InputError; nothing is truncated.
 
-This module is the one place that knows the monomial layout.  With base
-B = D + 1, the exponents of a monomial of weighted degree <= D are
+This module defines the monomial layout; the oracles compute variable
+places and generator images on its keys directly.  With base B = D + 1, the exponents of a monomial of weighted degree <= D are
 base-B digits, the first variable's the most significant (Monagan-Pearce
 packed exponent vectors, CASC 2007); `packed_monomials` enumerates these
 keys for the oracles.  A `ModPolynomial` term on n variables puts the

@@ -155,7 +155,33 @@ def test_exit_1_for_bad_inputs():
         "present", "--family", "Sp", "--rank", "2", "--q", "3", "--l", "5",
         "--theory", "chow",
     )
-    assert code == 1 and "GL" in err
+    assert (code, err) == (1, "input error: chow presentations are available for the GL family only")
+    code, _, err = run_cli(
+        "present", "--family", "Sp", "--rank", "2", "--q", "3", "--l", "5",
+        "--theory", "cobordism", "--b", "2",
+    )
+    assert (code, err) == (1, "input error: --b is meaningful for the chow theory only")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_present_refuses_a_negative_cutoff_in_every_format(fmt):
+    argv = ["present", "--family", "GL", "--rank", "2", "--q", "3", "--l", "5",
+            "--theory", "chow", "--format", fmt]
+    assert run_cli(*argv, "--cutoff", "-1") == (1, "", "input error: cutoff must be >= 0, got -1")
+    code, out, err = run_cli(*argv, "--cutoff", "0")
+    assert (code, err) == (0, "") and out
+
+
+def test_present_latex_computes_no_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("the latex form prints no series")
+
+    monkeypatch.setattr(cli.presentations, "poincare_series", no_series)
+    code, out, err = run_cli(
+        "present", "--family", "GL", "--rank", "2", "--q", "3", "--l", "5",
+        "--theory", "chow", "--format", "latex", "--cutoff", "8",
+    )
+    assert (code, err) == (0, "") and out.startswith("\\mathbb{Z}/5")
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ from chevring.oracles import (
     FULL_SYMMETRIC,
     Clause,
     GradedActionProblem,
-    _SpanAccumulator,
+    _SINK,
+    _join,
     brauer_chern_total_class,
     chern_scalar_checks,
     coinvariants_hilbert_bruteforce,
@@ -80,93 +81,85 @@ def test_resource_limit_names_the_offending_degree():
         coinvariants_hilbert_bruteforce(problem)
 
 
-# -- the eliminator -------------------------------------------------------------
+# -- the spanning forest ---------------------------------------------------------
 
 
-def test_single_term_row_is_reduced_against_a_multi_term_pivot():
-    # packed keys with base 10: 20 is x^2 and 11 is xy
-    acc = _SpanAccumulator(5)
-    assert acc.add_terms(20, 1, 11, 3)
-    # 20 has a two-term pivot: 2*x^2 reduces to -6*xy = 4*xy
-    assert acc.add_terms(20, 2)
-    assert acc.rank == 2
-    assert acc.pivots[11] == ()
-    # 3*x^2 reduces to -9*xy = xy, which the new pivot cancels
-    assert not acc.add_terms(20, 3)
-    assert acc.rank == 2
+def test_a_cycle_adds_nothing():
+    parent = {}
+    _join(parent, 9, 4)
+    _join(parent, 4, 6)
+    assert len(parent) == 2
+    # 9 - 6 is (9 - 4) + (4 - 6), in either direction
+    _join(parent, 9, 6)
+    _join(parent, 6, 9)
+    assert len(parent) == 2
 
 
-def test_single_term_row_against_a_single_term_pivot_is_rejected():
-    acc = _SpanAccumulator(7)
-    assert acc.add_terms(5, 3)
-    assert not acc.add_terms(5, 6)
-    assert acc.rank == 1
+def test_a_one_term_row_joins_the_sink():
+    parent = {}
+    _join(parent, 5)
+    assert parent == {5: _SINK}
+    # 3*e and 6*e span the same line as e
+    _join(parent, 5)
+    assert len(parent) == 1
+    _join(parent, 7, _SINK)
+    assert len(parent) == 2
 
 
-def test_single_term_row_with_a_new_lead_is_inserted():
-    acc = _SpanAccumulator(7)
-    assert acc.add_terms(9, 4)
-    assert acc.add_terms(4, 6)
-    assert acc.pivots == {9: (), 4: ()}
+def test_an_edge_between_two_keys_already_joined_to_the_sink_adds_nothing():
+    parent = {}
+    _join(parent, 9)
+    _join(parent, 4)
+    _join(parent, 9, 4)
+    _join(parent, 4, 9)
+    assert len(parent) == 2
+    # an edge that reaches the sink's tree puts every key of its own tree in
+    # the span: 3 - 2 and 2 - 9 leave 3 and 2 in it, so 3 then adds nothing
+    _join(parent, 3, 2)
+    _join(parent, 2, 9)
+    assert len(parent) == 4
+    _join(parent, 3)
+    assert len(parent) == 4
 
 
-def test_two_term_row_that_cancels_against_a_two_term_pivot_is_dependent():
-    acc = _SpanAccumulator(7)
-    assert acc.add_terms(9, 1, 4, 3)
-    # c_b = 6 = c_a * x = 2 * 3: the row is twice the pivot
-    assert not acc.add_terms(9, 2, 4, 6)
-    assert not acc.add_terms(9, 4, 4, 5)
-    assert acc.pivots == {9: (4, 3)}
+def test_key_0_is_an_ordinary_key_not_the_sink():
+    # key 0 is the monomial 1: the row 0 - 1 is an edge, not the row -1
+    parent = {}
+    _join(parent, 1, 0)
+    _join(parent, 1)
+    assert len(parent) == 2
+    _join(parent, 0)
+    assert len(parent) == 2
+    fresh = {}
+    _join(fresh, 0)
+    assert fresh == {0: _SINK}
 
 
-def test_two_term_row_against_a_two_term_pivot_keeps_two_terms():
-    acc = _SpanAccumulator(7)
-    assert acc.add_terms(9, 1, 6, 2)
-    # b < c: 9 + 2 reduces to -2*6 + 2, led by 6
-    assert acc.add_terms(9, 1, 2, 1)
-    assert acc.pivots[6] == (2, 3)
-    # b > c: 9 + 7 reduces to 7 - 2*6, led by 7
-    assert acc.add_terms(9, 1, 7, 1)
-    assert acc.pivots[7] == (6, 5)
-    # b == c: 2*9 + 6 reduces to (1 - 4)*6 = 4*6, then against 6's pivot
-    # to -12*2 = 2*2
-    assert acc.add_terms(9, 2, 6, 1)
-    assert acc.pivots[2] == ()
-    assert acc.rank == 4
+def test_len_parent_counts_merges_after_path_halving():
+    # the smaller root becomes the parent, so joining from the top down
+    # builds the chain 8 -> 7 -> ... -> 1
+    parent = {}
+    for k in range(7, 0, -1):
+        _join(parent, k, k + 1)
+    assert parent == {k + 1: k for k in range(1, 8)}
+    # finding 8's root halves its path: 8, 6 and 4 now skip a step
+    _join(parent, 8)
+    assert len(parent) == 8
+    assert parent[8] == 6 and parent[6] == 4 and parent[4] == 2
+    assert parent[1] == _SINK
+    # every key is in the sink's tree, however long its path
+    for k in range(1, 9):
+        _join(parent, k)
+        _join(parent, _SINK, k)
+    assert len(parent) == 8
 
 
-def test_two_term_row_against_a_one_term_pivot_drops_its_lead():
-    acc = _SpanAccumulator(5)
-    assert acc.add_terms(8, 2)
-    assert acc.add_terms(8, 3, 3, 2)
-    assert acc.pivots == {8: (), 3: ()}
-    assert not acc.add_terms(8, 1, 3, 4)
-
-
-def test_single_term_row_is_chased_through_a_chain_of_two_term_pivots():
-    acc = _SpanAccumulator(7)
-    assert acc.add_terms(9, 1, 6, 2)
-    assert acc.add_terms(6, 1, 3, 4)
-    assert acc.add_terms(3, 1, 1, 5)
-    # the row follows 9 -> 6 -> 3 -> 1 with coefficients 1, -2, 8 = 1 and
-    # -5 = 2, and 1 has no pivot
-    assert acc.add_terms(9, 1)
-    assert acc.pivots[1] == ()
-    assert acc.rank == 4
-    # now every key of the chain is in the span
-    assert not any(acc.add_terms(k, 3) for k in (9, 6, 3, 1))
-
-
-def test_permutation_rows_over_f_2():
-    # l = 2: the image's coefficient l - 1 is 1, so e - g(e) is e + g(e)
-    acc = _SpanAccumulator(2)
-    assert acc.add_terms(3, 1, 1, 1)
-    assert acc.add_terms(3, 1, 2, 1)
-    assert acc.pivots[2] == (1, 1)
-    assert not acc.add_terms(2, 1, 1, 1)
-    assert acc.add_terms(1, 1)
-    assert not acc.add_terms(3, 1)
-    assert acc.rank == 3
+def test_the_sink_stays_a_root():
+    # 9 is joined to the sink, then to 4: 4 joins the sink's tree below it
+    parent = {}
+    _join(parent, 9)
+    _join(parent, 9, 4)
+    assert parent == {9: _SINK, 4: _SINK}
 
 
 # -- invariants ---------------------------------------------------------------

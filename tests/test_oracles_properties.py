@@ -2,12 +2,13 @@
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
 brute-force enumeration of exponent tuples; a differential test of the
-coinvariant oracle against the enumeration of every monomial pair; and
-differential tests of the F_l eliminator's one entry, add_terms, against
-sympy's rank over GF(l) and against term-by-term reduction of dict rows.
+coinvariant oracle against the enumeration of every monomial pair; and a
+differential test of the invariant oracle's spanning forest, _join,
+against sympy's rank over GF(l) and against term-by-term reduction of
+dict rows, the reference every rank here is checked against.
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
-module is skipped where hypothesis is missing, and the eliminator's test
+module is skipped where hypothesis is missing, and the forest's test
 where sympy is.
 """
 
@@ -25,8 +26,9 @@ from chevring import oracles  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
+    _SINK,
     _checked_dimensions,
-    _SpanAccumulator,
+    _join,
     coinvariants_hilbert_bruteforce,
     invariants_hilbert_bruteforce,
 )
@@ -132,24 +134,21 @@ def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
             assert x == ModPolynomial(7, variables, cutoff, {unit: 1})
 
 
-def _rows_fed_to_eliminator(problem):
-    """Every row invariants_hilbert_bruteforce gives its eliminator, in
-    order, one list per degree.  The recorder's pivots stay empty, so the
-    oracle never reaches full rank and feeds every row."""
-    rows = []
+def _rows_fed_to_forest(problem):
+    """Every row invariants_hilbert_bruteforce gives _join, in order, as
+    (a, b) pairs, one list per degree that has rows: each new parent dict
+    starts a degree.  The recorder never merges, so the oracle never reaches
+    full rank and feeds every row."""
+    parents, rows = [], []
 
-    class Recorder:
-        def __init__(self, l):
-            self.l = l
-            self.pivots = {}
+    def recorder(parent, a, b=_SINK):
+        assert not parent
+        if not parents or parent is not parents[-1]:
+            parents.append(parent)
             rows.append([])
+        rows[-1].append((a, b))
 
-        def add_terms(self, a, ca, b=0, cb=0):
-            assert 0 < ca < self.l and 0 <= cb < self.l
-            assert not cb or a > b
-            rows[-1].append({a: ca, b: cb} if cb else {a: ca})
-
-    with patch.object(oracles, "_SpanAccumulator", Recorder):
+    with patch.object(oracles, "_join", recorder):
         invariants_hilbert_bruteforce(problem)
     return rows
 
@@ -183,17 +182,25 @@ def _generator_rows(m, l, q, cutoff):
     return by_degree
 
 
+def _edge(row):
+    """The (key, image) pair of e - g(e), or (key, _SINK) for a one-term
+    row, with key the packed e, which each row lists first."""
+    key, *image = row
+    return (key, image[0] if image else _SINK)
+
+
 def _expected_rows(m, l, q, cutoff):
-    """Every row the invariant oracle forms, one list per degree, in its
-    order: the scaling rows (1 - q^{e_0}) e, then the m-cycle rows key by
-    key, then one transposition row per pair {e, tau(e)}, from the key
-    with e_1 > e_0."""
-    return [
-        [row for _, row in rows["gamma"]]
-        + [row for _, row in rows["sigma"]]
-        + [row for e, row in rows["tau"] if e[1] > e[0]]
+    """Every row the invariant oracle forms, as the pairs it gives _join,
+    one list per degree that has rows, in its order: the scaling rows
+    (1 - q^{e_0}) e, then the m-cycle rows key by key, then one
+    transposition row per pair {e, tau(e)}, from the key with e_1 > e_0."""
+    expected = [
+        [_edge(row) for _, row in rows["gamma"]]
+        + [_edge(row) for _, row in rows["sigma"]]
+        + [_edge(row) for e, row in rows["tau"] if e[1] > e[0]]
         for rows in _generator_rows(m, l, q, cutoff)
     ]
+    return [rows for rows in expected if rows]
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,7 +224,7 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
     problem = GradedActionProblem(
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
-    assert _rows_fed_to_eliminator(problem) == _expected_rows(m, l, q, cutoff)
+    assert _rows_fed_to_forest(problem) == _expected_rows(m, l, q, cutoff)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,36 +244,29 @@ def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
 def test_the_full_rank_stop_loses_nothing(m, cutoff, lq):
     """The oracle's series equals the one from every row of (gamma - id),
     (tau - id) and (sigma - id), both rows of each transposed pair
-    included, fed to a fresh eliminator with no stop; and no row reaches
-    the oracle's eliminator once the rank is the dimension of the degree."""
+    included, reduced term by term with no stop; and no row reaches _join
+    once the rank is the dimension of the degree."""
     l, q = lq
     problem = GradedActionProblem(
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
     dims = _checked_dimensions(problem)
-    degrees = []
+    base = cutoff + 1
 
-    class Checked(_SpanAccumulator):
-        def __init__(self, l):
-            super().__init__(l)
-            self.dim = dims[len(degrees)]
-            degrees.append(self)
+    def checked(parent, a, b=_SINK):
+        assert len(parent) < dims[sum(_exponents(a, m, base))]
+        _join(parent, a, b)
 
-        def add_terms(self, a, ca, b=0, cb=0):
-            assert len(self.pivots) < self.dim
-            return super().add_terms(a, ca, b, cb)
-
-    with patch.object(oracles, "_SpanAccumulator", Checked):
+    with patch.object(oracles, "_join", checked):
         series = invariants_hilbert_bruteforce(problem)
-    assert len(degrees) == cutoff + 1
 
     coefficients = []
     for dim, rows in zip(dims, _generator_rows(m, l, q, cutoff)):
-        acc = _SpanAccumulator(l)
-        for row in (row for g in rows.values() for _, row in g):
-            (a, ca), *rest = sorted(row.items(), reverse=True)
-            acc.add_terms(a, ca, *(rest[0] if rest else ()))
-        coefficients.append(dim - acc.rank)
+        pivots = {}
+        for g in rows.values():
+            for _, row in g:
+                _general_loop(l, pivots, row)
+        coefficients.append(dim - len(pivots))
     assert series == TruncatedSeries(cutoff, tuple(coefficients))
 
 
@@ -284,20 +284,19 @@ def _coinvariants_all_pairs(problem):
     coeffs = []
     for d in range(cutoff + 1):
         dim = dims[d]
-        acc = _SpanAccumulator(l)
-        add_terms = acc.add_terms
+        pivots = {}
         for w in range(d, 0, -1):
-            if acc.rank == dim:
+            if len(pivots) == dim:
                 break
             v = (1 - pow(q0, w, l)) % l
             if not v:
                 continue
             for b in basis[w]:
                 for mono in basis[d - w]:
-                    add_terms(b + mono, v)
-                if acc.rank == dim:
+                    _general_loop(l, pivots, {b + mono: v})
+                if len(pivots) == dim:
                     break
-        coeffs.append(dim - acc.rank)
+        coeffs.append(dim - len(pivots))
     return TruncatedSeries(cutoff, tuple(coeffs))
 
 
@@ -321,27 +320,15 @@ def test_coinvariants_match_the_all_pairs_enumeration(weights, lq, cutoff):
     assert coinvariants_hilbert_bruteforce(problem) == _coinvariants_all_pairs(problem)
 
 
-# -- the eliminator -------------------------------------------------------------
+# -- the spanning forest ---------------------------------------------------------
 
 KEYS = 8
-
-
-def _flat(pivots):
-    """Pivots stored as dicts {lead: 1, k1: c1, ...}, as _general_loop
-    stores them, in the eliminator's flat form {lead: (k1, c1, ...)} with
-    the tail keys decreasing."""
-    flat = {}
-    for lead, pivot in pivots.items():
-        assert pivot[lead] == 1 and max(pivot) == lead
-        tail = sorted((e for e in pivot if e != lead), reverse=True)
-        flat[lead] = tuple(x for e in tail for x in (e, pivot[e]))
-    return flat
 
 
 def _general_loop(l, pivots, row):
     """Reduce row, of any number of terms, against pivots term by term: add
     its normalised remainder as a new pivot and return True, or return False
-    when it reduces to zero.  The reference for add_terms."""
+    when it reduces to zero.  The reference for every rank in this file."""
     row = dict(row)
     while row:
         lead = max(row)
@@ -361,66 +348,41 @@ def _general_loop(l, pivots, row):
 
 
 @st.composite
-def short_rows(draw):
-    """(l, rows): rows of one or two terms on the keys 0..KEYS-1, key 0
-    included, as (a, c_a, b, c_b) with a > b and c_b = 0 for one term."""
+def edge_rows(draw):
+    """(l, rows): rows c*(e_a - e_b) and c*e_a, with c != 0 drawn at random,
+    on the keys 0..KEYS-1, key 0 included, as (a, b, c) with b = _SINK for
+    a one-term row."""
     l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     coefficient = st.integers(1, l - 1)
-    one = st.tuples(st.integers(0, KEYS - 1), coefficient, st.just(0), st.just(0))
+    one = st.tuples(st.integers(0, KEYS - 1), st.just(_SINK), coefficient)
     two = st.tuples(
         st.lists(st.integers(0, KEYS - 1), min_size=2, max_size=2, unique=True),
         coefficient,
-        coefficient,
-    ).map(lambda t: (max(t[0]), t[1], min(t[0]), t[2]))
+    ).map(lambda t: (*t[0], t[1]))
     return l, draw(st.lists(st.one_of(one, two), min_size=1, max_size=24))
 
 
 @settings(max_examples=150, deadline=None)
-@given(short_rows())
-@example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
-def test_eliminator_matches_sympy_rank_and_the_general_loop(case):
-    """Rows fed as scalars through add_terms give, row by row, sympy's rank
-    of the rows so far and grow exactly when that rank does, as
-    term-by-term reduction does."""
+@given(edge_rows())
+# rows on key 0: as the lone term, as an edge's second key, and as the key
+# a path of edges ends on
+@example((7, [(0, _SINK, 3), (2, 0, 1), (0, _SINK, 5)]))
+@example((5, [(1, 0, 2), (2, 1, 3), (2, _SINK, 3), (1, _SINK, 1)]))
+def test_forest_matches_sympy_rank_and_the_general_loop(case):
+    """Rows fed as key pairs through _join give, row by row, sympy's rank
+    over GF(l) of the rows so far as len(parent), and term-by-term
+    reduction of the same rows as dicts grows to the same rank."""
     DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
     GF = pytest.importorskip("sympy").GF
     l, rows = case
     field = GF(l)
-    acc = _SpanAccumulator(l)
-    reference = {}
-    fed = []
-    rank = 0
-    for a, ca, b, cb in rows:
-        row = {a: ca, b: cb} if cb else {a: ca}
+    parent, pivots, fed = {}, {}, []
+    for a, b, c in rows:
+        row = {a: c} if b == _SINK else {a: c, b: -c % l}
         fed.append(row)
-        grew = acc.add_terms(a, ca, b, cb)
+        _join(parent, a, b)
+        _general_loop(l, pivots, row)
         matrix = DomainMatrix(
             [[field(r.get(k, 0)) for k in range(KEYS)] for r in fed], (len(fed), KEYS), field
         )
-        before, rank = rank, matrix.rank()
-        assert acc.rank == rank
-        assert grew == (rank > before)
-        assert grew == _general_loop(l, reference, row)
-
-
-@settings(max_examples=150, deadline=None)
-@given(short_rows())
-# rows on key 0: as the lone term, as the second term, and as the lead that
-# a chain of two-term pivots ends on
-@example((7, [(0, 3, 0, 0), (2, 1, 0, 4), (0, 5, 0, 0)]))
-@example((5, [(1, 2, 0, 3), (2, 1, 1, 4), (2, 3, 0, 0), (1, 1, 0, 0)]))
-def test_add_terms_matches_add_on_a_dict(case):
-    """Rows fed as scalars through add_terms and as dicts, smaller key
-    first, through term-by-term reduction give the same grow flags, the
-    same pivots and the same rank, row by row; every pivot tail keeps zero
-    or two entries."""
-    l, rows = case
-    acc = _SpanAccumulator(l)
-    reference = {}
-    for a, ca, b, cb in rows:
-        row = {b: cb, a: ca} if cb else {a: ca}
-        grew = acc.add_terms(a, ca, b, cb)
-        assert grew == _general_loop(l, reference, row)
-        assert acc.pivots == _flat(reference)
-        assert acc.rank == len(reference)
-        assert all(len(tail) in (0, 2) for tail in acc.pivots.values())
+        assert len(parent) == matrix.rank() == len(pivots)
