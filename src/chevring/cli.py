@@ -147,19 +147,52 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--monomial-limit", type=_int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
+    # _parse's table for each subcommand, read off its parser: every store
+    # action by its option string, the namespace it starts from, and the
+    # dests it requires
+    for p in parser.subcommands.values():
+        stores = [a for a in p._actions if type(a) is argparse._StoreAction and a.nargs is None]
+        kept = [a for a in p._actions if argparse.SUPPRESS not in (a.dest, a.default)]
+        p.table = (
+            {flag: a for a in stores for flag in a.option_strings},
+            {a.dest: a.default for a in kept},
+            {a.dest for a in p._actions if a.required},
+        )
     return parser
 
 
 def _parse(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), in one argparse pass when argv[0]
-    names a subcommand: the root parser would classify every argument and
-    then hand the rest to that subcommand's parser, which classifies them
-    again.  Any other argv (empty, -h, an unknown word) goes to the root
-    parser, so every help text and usage message still comes from argparse."""
+    """build_parser().parse_args(argv), without argparse when argv[0] names a
+    subcommand and the rest is well formed: `--flag value` pairs, each flag an
+    exact option of that subcommand given once, each value not starting with
+    `-` and passing the option's type and choices, every required option
+    given.  The namespace is then built from the subcommand's table.  Any
+    other argv with a subcommand goes to that subcommand's parser alone, in
+    one argparse pass; any argv without one (empty, -h, an unknown word) goes
+    to the root parser.  So every help text and usage message, and the order
+    of the refusals, still comes from argparse."""
     parser = build_parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
+    options, defaults, required = sub.table
+    flags, values = argv[1::2], argv[2::2]
+    given = {}
+    if len(flags) == len(values):
+        for flag, value in zip(flags, values):
+            action = options.get(flag)
+            if action is None or action.dest in given or value.startswith("-"):
+                break
+            try:
+                value = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            given[action.dest] = value
+        else:
+            if required <= given.keys():
+                return argparse.Namespace(subcommand=argv[0], **{**defaults, **given})
     return sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
 
 

@@ -284,6 +284,21 @@ def test_base_beyond_exact_primality_exits_1():
     assert err.startswith("input error:") and "3.317e24" in err
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="no rank budget: the registry expands the degree list of GL_n with "
+    "range(), which cannot hold n = 2**63",
+)
+def test_a_rank_past_the_address_space_exits_1():
+    code, out, err = run_cli(
+        "present", "--family", "GL", "--rank", str(2**63), "--q", "4", "--l", "5",
+        "--theory", "cobordism",
+    )
+    assert (code, out) == (1, "")
+    assert err and "\n" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("present", "--family", "GL", "--rank", "2", "--q", "2", "--theory", "cobordism"),
     ("params", "--q", "2"),
@@ -504,6 +519,38 @@ def test_the_one_pass_runs_only_the_subcommand_parser(monkeypatch):
     assert cli._parse(list(_ONE_OF_EACH[0])).subcommand == "params"
     with pytest.raises(TypeError):
         cli._parse(["nonsense"])
+
+
+# one request of each (command, format) pair, in the shapes of the `queries`
+# workload of perfbench/: the required options with others, in its order
+_PAIRS = [
+    ("params", "--q", "3", "--l", "5", "--format", "text"),
+    ("params", "--n", "7", "--q", "9", "--l", "7", "--format", "json"),
+    ("present", "--family", "GL", "--rank", "3", "--theory", "chow", "--q", "4", "--l", "3",
+     "--format", "text"),
+    ("present", "--family", "Sp", "--rank", "4", "--theory", "cobordism", "--cutoff", "8",
+     "--grading", "chow", "--q", "3", "--l", "5", "--format", "json"),
+    ("present", "--family", "E8", "--rank", "8", "--theory", "cobordism", "--q", "11",
+     "--l", "7", "--format", "latex"),
+    ("series", "--family", "GL", "--rank", "5", "--theory", "chow", "--cutoff", "12",
+     "--q", "7", "--l", "3", "--format", "text"),
+    ("series", "--family", "SO_odd", "--rank", "3", "--theory", "cobordism", "--cutoff", "9",
+     "--grading", "topological", "--q", "8", "--l", "5", "--format", "json"),
+    ("series", "--family", "G2", "--rank", "2", "--theory", "cobordism", "--cutoff", "10",
+     "--q", "5", "--l", "13", "--format", "latex"),
+    ("compare", "--rank", "4", "--q", "3", "--l", "5", "--format", "text"),
+    ("compare", "--rank", "6", "--q", "16", "--l", "5", "--format", "json"),
+]
+
+
+def test_a_well_formed_request_runs_no_argparse_pass(fresh_parser, monkeypatch):
+    for sub in build_parser().subcommands.values():
+        monkeypatch.setattr(sub, "parse_known_args", None)  # fails if called
+    for argv in _ONE_OF_EACH + _PAIRS:
+        request = vars(cli._parse(list(argv)))
+        assert request == vars(build_parser.__wrapped__().parse_args(argv))
+    with pytest.raises(TypeError):
+        cli._parse(["params", "--q=3", "--l=5"])
 
 
 def test_the_env_variable_limit_is_read_on_every_request(fresh_parser, monkeypatch):

@@ -96,14 +96,18 @@ EXTRA = st.sampled_from(["--bogus", "-x", "--q=3", "--fam", "-h"])
 def command_lines(draw):
     """A subcommand with its required options and some others, in any order;
     then at most two faults: a required option left out, a value from BAD,
-    an unknown or malformed flag, a flag with no value."""
+    an unknown or malformed flag, a flag with no value, a repeated option,
+    `--flag=value`, an abbreviated flag, the `--` separator, a flag for a
+    value."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
     options, required = OPTIONS[command]
     flags = list(options)
     chosen = flags[:required] + draw(st.lists(st.sampled_from(flags[required:]), unique=True))
     chosen = draw(st.permutations(chosen))
     values = [draw(options[flag]) for flag in chosen]
-    for fault in draw(st.lists(st.sampled_from(["drop", "bad", "extra", "bare"]), max_size=2)):
+    faults = ["drop", "bad", "extra", "bare", "repeat", "joined", "abbreviated", "separator",
+              "flag value"]
+    for fault in draw(st.lists(st.sampled_from(faults), max_size=2)):
         if fault == "drop" and chosen:
             i = draw(st.integers(0, len(chosen) - 1))
             del chosen[i], values[i]
@@ -116,6 +120,23 @@ def command_lines(draw):
         elif fault == "bare":
             chosen.append(draw(st.sampled_from(flags)))
             values.append(None)
+        elif fault == "repeat":
+            flag = draw(st.sampled_from(flags))
+            chosen.append(flag)
+            values.append(draw(options[flag]))
+        elif fault == "joined" and chosen:
+            i = draw(st.integers(0, len(chosen) - 1))
+            if values[i] is not None:
+                chosen[i], values[i] = f"{chosen[i]}={values[i]}", None
+        elif fault == "abbreviated" and chosen:
+            i = draw(st.integers(0, len(chosen) - 1))
+            chosen[i] = chosen[i][: draw(st.integers(3, 5))]
+        elif fault == "separator":
+            i = draw(st.integers(0, len(chosen)))
+            chosen.insert(i, "--")
+            values.insert(i, None)
+        elif fault == "flag value" and chosen:
+            values[draw(st.integers(0, len(chosen) - 1))] = draw(st.sampled_from(flags))
     argv = [command]
     for flag, value in zip(chosen, values):
         argv += [flag] if value is None else [flag, value]
@@ -130,5 +151,10 @@ def command_lines(draw):
 @example(["params", "--q", "\u0663", "--l", "1_1"])
 @example(["verify", "--cutoff", "1", "--bogus"])
 @example(["compare", "--q", "3", "--l", "5", "--rank"])
+@example(["params", "--q", "3", "--l", "5", "--q", "4"])
+@example(["params", "--q=3", "--l", "5"])
+@example(["present", "--fam", "GL", "--rank", "2", "--q", "3", "--l", "5", "--theory", "chow"])
+@example(["params", "--q", "3", "--", "--l", "5"])
+@example(["compare", "--rank", "--q", "--q", "3", "--l", "5"])
 def test_one_argparse_pass_parses_drawn_command_lines_as_two(argv):
     assert one_pass_outcome(argv) == two_pass_outcome(argv)
