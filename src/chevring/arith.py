@@ -1,21 +1,21 @@
 """Exact integer arithmetic underlying every other module.
 
 All values are plain Python ``int`` (arbitrary precision), so products like
-q^r - 1 never wrap.  The two dataclasses bundle the arithmetic attached to a
-choice of finite field F_q and coefficient prime l: ``GaloisParams(p, q, l)``
-checks its inputs and derives r and a, and ``GLParams(base, n)`` checks n and
-derives m and e.  Derived fields are computed once and never re-checked.
+q^r - 1 never wrap.  Two immutable value classes bundle the arithmetic
+attached to a choice of finite field F_q and coefficient prime l:
+``GaloisParams(p, q, l)`` checks its inputs and derives r and a, and
+``GLParams(base, n)`` checks n and derives m and e.  Derived fields are
+computed once and never re-checked, and cannot be passed in.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 
-from .errors import InputError, PreconditionError, _integer
+from .errors import InputError, PreconditionError, _Frozen, _integer
 
 __all__ = [
     "GLParams",
@@ -302,23 +302,16 @@ def _exponent_of_l(q: int, r: int, l: int) -> int:
         k *= 2
 
 
-@dataclass(frozen=True)
-class GaloisParams:
+class GaloisParams(_Frozen):
     """The field F_q of characteristic p and a coefficient prime l != p, with
     the derived fields r, the multiplicative order of q mod l, and a, where
     q^r - 1 = l^a * h with h prime to l.  h is formed on first read only:
     q^r can run to millions of bits, and only the params report prints it."""
 
-    p: int
-    q: int
-    l: int
-    r: int = field(init=False)
-    a: int = field(init=False)
+    _fields = ("p", "q", "l", "r", "a")
 
-    def __post_init__(self):
-        for name in ("p", "q", "l"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        p, q, l = self.p, self.q, self.l
+    def __init__(self, p: int, q: int, l: int):
+        p, q, l = _integer(p, "p"), _integer(q, "q"), _integer(l, "l")
         require_prime(p, "p")
         if l == p:
             raise PreconditionError(
@@ -329,8 +322,7 @@ class GaloisParams:
             raise InputError(f"q = {q} is not a power of p = {p}")
         # proves l prime; q is a power of p != l, so l does not divide it
         r = multiplicative_order(q, l)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", _exponent_of_l(q, r, l))
+        self._set(p=p, q=q, l=l, r=r, a=_exponent_of_l(q, r, l))
 
     @cached_property
     def h(self) -> int:
@@ -364,23 +356,18 @@ def galois_params(p: int, q: int, l: int) -> GaloisParams:
     return GaloisParams(p=p, q=q, l=l)
 
 
-@dataclass(frozen=True)
-class GLParams:
+class GLParams(_Frozen):
     """GaloisParams together with a matrix size n >= 1 and the derived long
     division n = r*m + e, 0 <= e < r."""
 
-    base: GaloisParams
-    n: int
-    m: int = field(init=False)
-    e: int = field(init=False)
+    _fields = ("base", "n", "m", "e")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "n"))
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
-        m, e = divmod(self.n, self.base.r)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
+    def __init__(self, base: GaloisParams, n: int):
+        n = _integer(n, "n")
+        if n < 1:
+            raise InputError(f"n must be >= 1, got {n}")
+        m, e = divmod(n, base.r)
+        self._set(base=base, n=n, m=m, e=e)
 
 
 def gl_params(params: GaloisParams, n: int) -> GLParams:

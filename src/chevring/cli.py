@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from functools import lru_cache
 
 from . import presentations, rootdata, verify
@@ -84,7 +83,7 @@ def _monomial_limit(request: argparse.Namespace) -> int:
     if value is None:
         raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
         if raw is None:
-            return verify.Sweep.monomial_limit
+            return verify.Sweep().monomial_limit
         source = "CHEVRING_MONOMIAL_LIMIT"
         try:
             value = _int(raw)
@@ -350,7 +349,7 @@ def _run_compare(request: argparse.Namespace) -> str:
 
 
 def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
-    sweep = verify.Sweep(**{f.name: getattr(request, f.name) for f in fields(verify.Sweep)})
+    sweep = verify.Sweep(**{name: getattr(request, name) for name in verify.Sweep._fields})
     clauses = verify.run(sweep)
     passed = all(c.passed for c in clauses)
     if request.format == "json":

@@ -30,11 +30,10 @@ multiplied out factor by factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .arith import GaloisParams, multiplicative_order, require_prime
-from .errors import InputError, ResourceLimitError, _integer
+from .errors import InputError, ResourceLimitError, _Frozen, _integer
 from .poly import (
     ModPolynomial,
     TruncatedSeries,
@@ -66,32 +65,38 @@ NO_PERMUTATION = "none"
 FULL_SYMMETRIC = "full_symmetric"
 
 
-@dataclass(frozen=True)
-class GradedActionProblem:
+class GradedActionProblem(_Frozen):
     """A diagonal action of gamma (scaling a degree-w monomial by q^w) on a
     graded polynomial ring with the given variable weights, over F_l,
     optionally extended by the full symmetric group permuting the variables."""
 
-    weights: tuple[int, ...]
-    l: int
-    q: int
-    cutoff: int
-    permutation: str = NO_PERMUTATION
-    monomial_limit: int = DEFAULT_MONOMIAL_LIMIT
+    _fields = ("weights", "l", "q", "cutoff", "permutation", "monomial_limit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _checked_weights(self.weights))
-        for name in ("l", "q", "cutoff", "monomial_limit"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        require_prime(self.l, "l")
-        if self.q < 1 or gcd(self.q, self.l) != 1:
-            raise InputError(f"q = {self.q} must be positive and prime to l = {self.l}")
-        if self.cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {self.cutoff}")
-        if self.permutation not in (NO_PERMUTATION, FULL_SYMMETRIC):
-            raise InputError(f"unknown permutation component {self.permutation!r}")
-        if self.monomial_limit < 1:
+    def __init__(
+        self,
+        weights: tuple[int, ...],
+        l: int,
+        q: int,
+        cutoff: int,
+        permutation: str = NO_PERMUTATION,
+        monomial_limit: int = DEFAULT_MONOMIAL_LIMIT,
+    ):
+        weights = _checked_weights(weights)
+        l, q, cutoff = _integer(l, "l"), _integer(q, "q"), _integer(cutoff, "cutoff")
+        monomial_limit = _integer(monomial_limit, "monomial_limit")
+        require_prime(l, "l")
+        if q < 1 or gcd(q, l) != 1:
+            raise InputError(f"q = {q} must be positive and prime to l = {l}")
+        if cutoff < 0:
+            raise InputError(f"cutoff must be >= 0, got {cutoff}")
+        if permutation not in (NO_PERMUTATION, FULL_SYMMETRIC):
+            raise InputError(f"unknown permutation component {permutation!r}")
+        if monomial_limit < 1:
             raise InputError("monomial limit must be positive")
+        self._set(
+            weights=weights, l=l, q=q, cutoff=cutoff, permutation=permutation,
+            monomial_limit=monomial_limit,
+        )
 
 
 # -- monomial bookkeeping ---------------------------------------------------
@@ -317,18 +322,18 @@ def brauer_chern_total_class(m: int, params: GaloisParams) -> ModPolynomial:
     return total
 
 
-@dataclass(frozen=True)
-class Clause:
-    name: str
-    passed: bool
-    witness: str | None = None
-    instances: int = 1
+class Clause(_Frozen):
+    _fields = ("name", "passed", "witness", "instances")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None, instances: int = 1):
+        self._set(name=name, passed=passed, witness=witness, instances=instances)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    parameters: tuple[tuple[str, int], ...]
-    clauses: tuple[Clause, ...]
+class VerificationReport(_Frozen):
+    _fields = ("parameters", "clauses")
+
+    def __init__(self, parameters: tuple[tuple[str, int], ...], clauses: tuple[Clause, ...]):
+        self._set(parameters=parameters, clauses=clauses)
 
     @property
     def passed(self) -> bool:

@@ -26,11 +26,10 @@ degree d.  Doubling happens only at the presentation layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Mapping
 
-from .errors import InputError, _integer
+from .errors import InputError, _Frozen, _integer
 
 __all__ = [
     "ModPolynomial",
@@ -317,24 +316,21 @@ def elementary_symmetric(i: int, values):
     return es[i]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Coefficients c_0, ..., c_D of a Hilbert/Poincare series up to degree D."""
 
-    cutoff: int
-    coefficients: tuple[int, ...]
+    _fields = ("cutoff", "coefficients")
 
-    def __post_init__(self):
-        if type(self.cutoff) is not int:  # several are built per oracle call
-            object.__setattr__(self, "cutoff", _integer(self.cutoff, "cutoff"))
-        if self.cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {self.cutoff}")
-        if len(self.coefficients) != self.cutoff + 1:
-            raise InputError(
-                f"expected {self.cutoff + 1} coefficients, got {len(self.coefficients)}"
-            )
-        if any(c < 0 for c in self.coefficients):
+    def __init__(self, cutoff: int, coefficients: tuple[int, ...]):
+        if type(cutoff) is not int:  # several are built per oracle call
+            cutoff = _integer(cutoff, "cutoff")
+        if cutoff < 0:
+            raise InputError(f"cutoff must be >= 0, got {cutoff}")
+        if len(coefficients) != cutoff + 1:
+            raise InputError(f"expected {cutoff + 1} coefficients, got {len(coefficients)}")
+        if any(c < 0 for c in coefficients):
             raise InputError("series coefficients must be nonnegative")
+        self._set(cutoff=cutoff, coefficients=coefficients)
 
     def __getitem__(self, d: int) -> int:
         return self.coefficients[d]

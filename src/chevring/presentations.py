@@ -13,10 +13,8 @@ only at the rendering/serialization layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .arith import GLParams, GaloisParams, galois_params, gl_params
-from .errors import SCHEMA_VERSION, InputError, PreconditionError, _integer
+from .errors import SCHEMA_VERSION, InputError, PreconditionError, _Frozen, _integer
 from .poly import TruncatedSeries, hilbert_series_of_free_polynomial_ring
 from .rootdata import RootDatum, lookup
 
@@ -37,25 +35,27 @@ CHOW = "chow"
 TOPOLOGICAL = "topological"
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(_Frozen):
     """A finitely generated polynomial-ring presentation over Z/l^b of the
     theory's ring for the group (family, rank) over the field of params."""
 
-    theory: str  # "cobordism" or "chow"
-    family: str
-    rank: int
-    params: GaloisParams
-    b: int
-    # (algebraic degree, name) of each generator, held sorted: equal degrees
-    # order by name as strings
-    named_degrees: tuple[tuple[int, str], ...]
+    _fields = ("theory", "family", "rank", "params", "b", "named_degrees")
 
-    def __post_init__(self):
-        pairs = tuple(sorted(self.named_degrees))
+    def __init__(
+        self,
+        theory: str,  # "cobordism" or "chow"
+        family: str,
+        rank: int,
+        params: GaloisParams,
+        b: int,
+        # (algebraic degree, name) of each generator, held sorted: equal
+        # degrees order by name as strings
+        named_degrees: tuple[tuple[int, str], ...],
+    ):
+        pairs = tuple(sorted(named_degrees))
         if pairs and pairs[0][0] < 1:
             raise InputError(f"generator degree must be positive, got {pairs[0][0]}")
-        object.__setattr__(self, "named_degrees", pairs)
+        self._set(theory=theory, family=family, rank=rank, params=params, b=b, named_degrees=pairs)
 
     @property
     def grading(self) -> str:
@@ -203,13 +203,18 @@ def poincare_series(
     return hilbert_series_of_free_polynomial_ring(degrees, cutoff)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Frozen):
     """Structural comparison of the GL Chow and cobordism presentations."""
 
-    params: GLParams
-    chow_degrees: tuple[int, ...]
-    cobordism_degrees: tuple[int, ...]  # algebraic degrees
+    _fields = ("params", "chow_degrees", "cobordism_degrees")
+
+    def __init__(
+        self,
+        params: GLParams,
+        chow_degrees: tuple[int, ...],
+        cobordism_degrees: tuple[int, ...],  # algebraic degrees
+    ):
+        self._set(params=params, chow_degrees=chow_degrees, cobordism_degrees=cobordism_degrees)
 
     @property
     def equal(self) -> bool:

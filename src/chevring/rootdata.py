@@ -13,12 +13,11 @@ prime and validates every record against the classical identities
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
 from .arith import prime_power_base, require_prime
-from .errors import InputError, _integer
+from .errors import InputError, _Frozen, _integer
 
 __all__ = [
     "Registry",
@@ -30,14 +29,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    family: str
-    rank: int
-    degrees: tuple[int, ...]
-    weyl_order: int
-    torsion_primes: frozenset[int]
-    unipotent_exponent: int  # number N of positive roots
+class RootDatum(_Frozen):
+    _fields = ("family", "rank", "degrees", "weyl_order", "torsion_primes", "unipotent_exponent")
+
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        degrees: tuple[int, ...],
+        weyl_order: int,
+        torsion_primes: frozenset[int],
+        unipotent_exponent: int,  # number N of positive roots
+    ):
+        self._set(
+            family=family, rank=rank, degrees=degrees, weyl_order=weyl_order,
+            torsion_primes=torsion_primes, unipotent_exponent=unipotent_exponent,
+        )
 
 
 def _product(values: tuple[int, ...]) -> int:
@@ -49,19 +56,27 @@ def _product(values: tuple[int, ...]) -> int:
     return level[0] if level else 1
 
 
-@dataclass(frozen=True)
-class _Record:
+class _Record(_Frozen):
     """One group type; `degrees`, `weyl` (|W|) and `roots` (N) are functions of
     the rank, and |W| and N are written apart from the degrees so that the
     identities check the table."""
 
-    family: str
-    min_rank: int
-    fixed_rank: bool
-    degrees: Callable[[int], Iterable[int]]
-    weyl: Callable[[int], int]
-    roots: Callable[[int], int]
-    torsion_primes: frozenset[int]
+    _fields = ("family", "min_rank", "fixed_rank", "degrees", "weyl", "roots", "torsion_primes")
+
+    def __init__(
+        self,
+        family: str,
+        min_rank: int,
+        fixed_rank: bool,
+        degrees: Callable[[int], Iterable[int]],
+        weyl: Callable[[int], int],
+        roots: Callable[[int], int],
+        torsion_primes: frozenset[int],
+    ):
+        self._set(
+            family=family, min_rank=min_rank, fixed_rank=fixed_rank, degrees=degrees, weyl=weyl,
+            roots=roots, torsion_primes=torsion_primes,
+        )
 
     def admits(self, rank: int) -> bool:
         return rank == self.min_rank if self.fixed_rank else rank >= self.min_rank

@@ -8,12 +8,11 @@ that passes and a witness (a one-line description) for each that fails;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, repeat
 
 from . import oracles, presentations, rootdata
 from .arith import galois_params, require_prime, residues_one_per_order
-from .errors import InputError, ResourceLimitError, _integer
+from .errors import InputError, ResourceLimitError, _Frozen, _integer
 
 __all__ = ["SIZES", "Sweep", "run"]
 
@@ -24,39 +23,42 @@ SIZES = ("max_weight_entry", "max_weight_len", "max_m", "cutoff", "sp_max_rank")
 _SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(_Frozen):
     """The coefficient primes and sizes of one run; defaults as `chevring verify`.
     `primes` is kept as a tuple.  When the sweep is made, these are refused: a
     size, monomial limit or prime that is not an integer, a negative size, a
     monomial limit below 1, no primes, and an entry of `primes` that
     `require_prime` refuses or that is repeated."""
 
-    primes: tuple[int, ...] = (3, 5, 7, 11, 13)
-    max_weight_entry: int = 4
-    max_weight_len: int = 3
-    max_m: int = 2
-    cutoff: int = 8
-    sp_max_rank: int = 4
-    monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT
+    _fields = ("primes", *SIZES, "monomial_limit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(_integer(l, "l") for l in self.primes))
-        for name in SIZES:
-            value = _integer(getattr(self, name), name)
+    def __init__(
+        self,
+        primes: tuple[int, ...] = (3, 5, 7, 11, 13),
+        max_weight_entry: int = 4,
+        max_weight_len: int = 3,
+        max_m: int = 2,
+        cutoff: int = 8,
+        sp_max_rank: int = 4,
+        monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT,
+    ):
+        primes = tuple(_integer(l, "l") for l in primes)
+        sizes = dict(zip(SIZES, (max_weight_entry, max_weight_len, max_m, cutoff, sp_max_rank)))
+        for name, value in sizes.items():
+            sizes[name] = value = _integer(value, name)
             if value < 0:
                 raise InputError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "monomial_limit", _integer(self.monomial_limit, "monomial_limit"))
-        if self.monomial_limit < 1:
-            raise InputError(f"monomial_limit must be >= 1, got {self.monomial_limit}")
-        if not self.primes:
+        monomial_limit = _integer(monomial_limit, "monomial_limit")
+        if monomial_limit < 1:
+            raise InputError(f"monomial_limit must be >= 1, got {monomial_limit}")
+        if not primes:
             raise InputError("primes must not be empty")
-        for l in self.primes:
+        for l in primes:
             require_prime(l, "l")
-        for i, l in enumerate(self.primes):
-            if l in self.primes[:i]:
+        for i, l in enumerate(primes):
+            if l in primes[:i]:
                 raise InputError(f"l = {l} is repeated in --primes")
+        self._set(primes=primes, **sizes, monomial_limit=monomial_limit)
 
 
 def _fields(sweep: Sweep):

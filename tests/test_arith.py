@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -246,6 +247,23 @@ def test_h_digits_when_h_is_a_power_of_ten():
     gp = galois_params(q, q, 3)
     assert (gp.r, gp.a, gp.h) == (1, 1, 10**10)
     assert gp.h_digits() == 11
+
+
+@pytest.mark.parametrize(
+    "p, q, l",
+    [(2, 2, 101), (5, 25, 101), (3, 3, 1009), (3, 81, 499), (7, 7, 211), (2, 4, 1439),
+     (2, 2, 8209), (13, 13**3, 2003)],
+)
+def test_h_digits_from_the_decimal_logarithm(p, q, l):
+    gp = galois_params(p, q, l)
+    # the logarithm branch, the first two fields on its edge, and an h short
+    # enough to print, so that len(str(h)) can check it
+    assert gp.r * (q.bit_length() - 1) >= 100
+    digits = gp.h_digits()
+    assert "h" not in vars(gp)  # the logarithm did not need h
+    assert digits < sys.get_int_max_str_digits()
+    assert digits == len(str(gp.h))
+    assert gp.h is gp.h  # formed once
 
 
 def test_galois_params_validates_on_direct_construction():

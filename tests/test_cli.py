@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -699,14 +698,13 @@ def broken_oracles(monkeypatch):
     """Make every verify clause fail: c_0 of both closed forms is shifted by
     one, the scalar Chern check fails for every q but 1, and the restricted
     one at l = 5 only, so a first witness is not always the first instance."""
-    from dataclasses import replace
-
     from chevring import oracles
+    from chevring.poly import TruncatedSeries
 
     def shifted(closed_form):
         def shifted_closed_form(problem):
             series = closed_form(problem)
-            return replace(series, coefficients=(series[0] + 1,) + series.coefficients[1:])
+            return TruncatedSeries(series.cutoff, (series[0] + 1,) + series.coefficients[1:])
         return shifted_closed_form
 
     def report(passed):
@@ -788,7 +786,7 @@ def test_the_library_sweep_reads_the_oracles_at_call_time(broken_oracles):
 def test_the_verify_defaults_are_the_sweep_defaults(fresh_parser, monkeypatch):
     monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT", raising=False)
     request = parse_args(["verify"])
-    assert verify.Sweep(**{f.name: getattr(request, f.name) for f in fields(verify.Sweep)}) == (
+    assert verify.Sweep(**{name: getattr(request, name) for name in verify.Sweep._fields}) == (
         verify.Sweep()
     )
 
@@ -853,6 +851,11 @@ def _modules_loaded_by(code):
     return done.stdout.split()
 
 
+# dataclasses and the inspect module it imports (with ast, dis and tokenize)
+# took longer to load than the rest of `import chevring.rootdata` together
+_SLOW_TO_IMPORT = {"dataclasses", "inspect"}
+
+
 def test_cli_imports_only_the_standard_library():
     loaded = _modules_loaded_by("""
 from chevring.cli import parse_args, run
@@ -871,14 +874,17 @@ for code, argv in [
         if name.partition(".")[0] not in {"chevring", *sys.stdlib_module_names}
     ]
     assert outside == []
+    assert _SLOW_TO_IMPORT.isdisjoint(loaded)
 
 
 def test_a_module_loads_only_its_own_imports():
     def ours(code):
         return {name for name in _modules_loaded_by(code) if name.partition(".")[0] == "chevring"}
 
-    registry = ours("import chevring.rootdata\nchevring.rootdata.default_registry()")
+    loaded = _modules_loaded_by("import chevring.rootdata\nchevring.rootdata.default_registry()")
+    registry = {name for name in loaded if name.partition(".")[0] == "chevring"}
     assert registry == {"chevring", "chevring.errors", "chevring.arith", "chevring.rootdata"}
+    assert _SLOW_TO_IMPORT.isdisjoint(loaded)
     assert ours("import chevring") == {"chevring"}
     assert ours("import chevring\nassert not hasattr(chevring, 'no_such_name')") == {"chevring"}
     everything = ours("from chevring import *\nimport chevring\n"
