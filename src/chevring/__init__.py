@@ -26,7 +26,6 @@ _EXPORTS = {
     "ResourceLimitError": "errors",
     "GradedActionProblem": "oracles",
     "brauer_chern_total_class": "oracles",
-    "chern_scalar_checks": "oracles",
     "coinvariants_hilbert_bruteforce": "oracles",
     "coinvariants_hilbert_closedform": "oracles",
     "invariants_hilbert_bruteforce": "oracles",

@@ -20,18 +20,21 @@ Three families of checks, all exact over F_l:
   honest product of linear factors, each block's r factors multiplied
   together before the block joins the running product, and checked clause
   by clause against the components of one generating product of the
-  eta_j^r.
+  eta_j^r; at m = 1 its clauses are the scalar identities
+  e_j(1, q, ..., q^{r-1}) = 0 for 0 < j < r and q^{r(r-1)/2} = (-1)^{r-1}.
 
-None of these share logic with the closed forms they are compared against:
-the coinvariant spanning set is the generic degree-by-degree one, which
-never reads r, not the one-line diagonal shortcut, and the Chern class is
-multiplied out factor by factor.
+None of these share logic with the engines they are compared against: the
+coinvariant spanning set is the generic degree-by-degree one, which never
+reads r, not the one-line diagonal shortcut, and the Chern class is
+multiplied out factor by factor.  The two closed forms hold no rule of
+their own: each reads the presentation engine's r | d rule.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from . import presentations
 from .arith import GaloisParams, multiplicative_order, require_prime
 from .errors import InputError, ResourceLimitError, _Frozen, _integer
 from .poly import (
@@ -51,7 +54,6 @@ __all__ = [
     "NO_PERMUTATION",
     "VerificationReport",
     "brauer_chern_total_class",
-    "chern_scalar_checks",
     "coinvariants_hilbert_bruteforce",
     "coinvariants_hilbert_closedform",
     "invariants_hilbert_bruteforce",
@@ -160,12 +162,12 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
 
 
 def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeries:
-    """Series of the free polynomial ring on the variables whose weight is
-    divisible by r = ord(q mod l): the closed-form answer for the
-    coinvariants of the diagonal action."""
+    """Series of the free polynomial ring on the variables whose weight the
+    cobordism engine's rule keeps for r = ord(q mod l): the closed-form
+    answer for the coinvariants of the diagonal action."""
     _require_cyclic(problem)
     r = multiplicative_order(problem.q, problem.l)
-    kept = [w for w in problem.weights if w % r == 0]
+    kept = [w for _, w in presentations._divisible_degrees(problem.weights, r)]
     return hilbert_series_of_free_polynomial_ring(kept, problem.cutoff)
 
 
@@ -288,12 +290,14 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
 
 def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeries:
     """The expected answer: a free polynomial ring on generators of degrees
-    r, 2r, ..., m*r (the elementary symmetric functions of the eta_j^r)."""
+    r, 2r, ..., m*r (the elementary symmetric functions of the eta_j^r),
+    the degrees in 1..m*r that the engine's rule keeps, read off in O(m)."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
-    m = len(problem.weights)
     r = multiplicative_order(problem.q, problem.l)
-    return hilbert_series_of_free_polynomial_ring([i * r for i in range(1, m + 1)], problem.cutoff)
+    degrees = range(1, len(problem.weights) * r + 1)
+    kept = [d for _, d in presentations._divisible_degrees(degrees, r)]
+    return hilbert_series_of_free_polynomial_ring(kept, problem.cutoff)
 
 
 # -- Chern classes of the restricted lift -----------------------------------
@@ -346,22 +350,17 @@ def _clause(name: str, failures: list[str]) -> Clause:
     return Clause(name, not failures, "; ".join(failures) if failures else None)
 
 
-def _top_power_failures(q: int, l: int, r: int, coefficient: int | None = None) -> list[str]:
-    """The witness, if any, against q^{r(r-1)/2} = (-1)^{r-1} mod l; a
-    coefficient, when given, must equal both and is named first."""
-    power, sign = pow(q, r * (r - 1) // 2, l), (-1) ** (r - 1) % l
-    if power == sign and coefficient in (None, sign):
-        return []
-    lead = "" if coefficient is None else f"coefficient {coefficient}, "
-    return [f"{lead}q^{{r(r-1)/2}} = {power}, sign {sign}"]
-
-
 def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
     """Check the expected shape of the restricted total Chern class:
 
     1. homogeneous components vanish in degrees not divisible by r;
     2. the degree-i*r component is (-1)^{(r-1)i} e_i(eta_1^r, ..., eta_m^r);
     3. for m = 1, the degree-r coefficient is q^{r(r-1)/2} = (-1)^{r-1} mod l.
+
+    At m = 1 the total class is sum_j e_j(1, q, ..., q^{r-1}) eta^j, so
+    clauses 1 and 3 are the scalar identities behind the computation:
+    e_j(1, q, ..., q^{r-1}) = 0 mod l for 0 < j < r, and
+    q^{r(r-1)/2} = (-1)^{r-1} mod l.
 
     The expected components of clause 2 are those of one product,
     prod_j (1 + (-1)^{r-1} eta_j^r), whose degree-i*r component is
@@ -388,31 +387,13 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
         _clause("symmetric_function_identity", mismatches),
     ]
     if m == 1:
-        top = _top_power_failures(params.q, l, r, total.coefficient((r,)))
+        coefficient, power = total.coefficient((r,)), pow(params.q, r * (r - 1) // 2, l)
+        top = [] if coefficient == power == sign else [
+            f"coefficient {coefficient}, q^{{r(r-1)/2}} = {power}, sign {sign}"
+        ]
         clauses.append(_clause("top_coefficient_sign", top))
     return VerificationReport(
         parameters=(("m", m), ("p", params.p), ("q", params.q), ("l", l), ("r", r)),
         clauses=tuple(clauses),
     )
 
-
-def chern_scalar_checks(l: int, q: int) -> VerificationReport:
-    """Scalar identities behind the Chern-class computation: with r the order
-    of q mod l, e_j(1, q, ..., q^{r-1}) vanishes mod l for 0 < j < r, and
-    q^{r(r-1)/2} = (-1)^{r-1} mod l."""
-    r = multiplicative_order(q, l)
-    # e_0, ..., e_{r-1} of 1, q, ..., q^{r-1} mod l in one pass: multiply out
-    # prod_{i<r} (1 + q^i t) factor by factor, dropping t^r
-    es = [1] + [0] * (r - 1)
-    for k in range(r):
-        power = pow(q, k, l)
-        for j in range(min(k + 1, r - 1), 0, -1):
-            es[j] = (es[j] + power * es[j - 1]) % l
-    failures = [f"e_{j} = {value}" for j, value in enumerate(es) if j and value]
-    return VerificationReport(
-        parameters=(("q", q), ("l", l), ("r", r)),
-        clauses=(
-            _clause("intermediate_symmetric_values_vanish", failures),
-            _clause("top_power_is_sign", _top_power_failures(q, l, r)),
-        ),
-    )

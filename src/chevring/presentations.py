@@ -13,6 +13,8 @@ only at the rendering/serialization layer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .arith import GLParams, GaloisParams, galois_params, gl_params
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, _Frozen, _integer
 from .poly import TruncatedSeries, hilbert_series_of_free_polynomial_ring
@@ -134,6 +136,16 @@ def _generator_prefix(family: str) -> str:
     return "s"
 
 
+def _divisible_degrees(degrees: Sequence[int], r: int) -> list[tuple[int, int]]:
+    """(i, d_i) for each d_i of the degrees with r | d_i, i counted from 1 in
+    the given order: the generators the theorem keeps, and the one place its
+    rule is written.  A range of step 1, such as GL's degrees 1..n, is not
+    scanned: its entries divisible by r are every r-th one."""
+    if isinstance(degrees, range) and degrees.step == 1:
+        return [(i + 1, degrees[i]) for i in range(-degrees.start % r, len(degrees), r)]
+    return [(i, d) for i, d in enumerate(degrees, start=1) if d % r == 0]
+
+
 def _cobordism_indexed_degrees(datum: RootDatum, params: GaloisParams) -> list[tuple[int, int]]:
     """(i, d_i) for each degree d_i of the datum with r | d_i, in the
     datum's order; refused when l is a torsion prime of the datum."""
@@ -142,7 +154,7 @@ def _cobordism_indexed_degrees(datum: RootDatum, params: GaloisParams) -> list[t
             f"l = {params.l} is a torsion prime of {datum.family} rank {datum.rank}: "
             "the integral cohomology of the complex group must have no l-torsion"
         )
-    return [(i, d) for i, d in enumerate(datum.degrees, start=1) if d % params.r == 0]
+    return _divisible_degrees(datum.degrees, params.r)
 
 
 def cobordism_presentation(datum: RootDatum, params: GaloisParams) -> GradedPresentation:

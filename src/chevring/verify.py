@@ -2,8 +2,10 @@
 
 Each clause is a generator that yields None for each instance of a `Sweep`
 that passes and a witness (a one-line description) for each that fails;
-`CLAUSES` is their ordered table.  The oracles are looked up on the
-`oracles` module at each call, never bound at import.
+`CLAUSES` is their ordered table.  Every clause reads one table of fields,
+built once per run, and the oracles are compared with the presentations the
+CLI prints, for every type of the registry.  Oracles and engines are looked
+up on their modules at each call, never bound at import.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, repeat
 
 from . import oracles, presentations, rootdata
-from .arith import galois_params, require_prime, residues_one_per_order
+from .arith import (
+    GaloisParams, galois_params, gl_params, is_prime, require_prime, residues_one_per_order,
+)
 from .errors import InputError, ResourceLimitError, _Frozen, _integer
 
 __all__ = ["SIZES", "Sweep", "run"]
@@ -19,16 +23,18 @@ __all__ = ["SIZES", "Sweep", "run"]
 # the fields of a Sweep that size it, each refused below 0
 SIZES = ("max_weight_entry", "max_weight_len", "max_m", "cutoff", "sp_max_rank")
 
-# concrete fields driven through the Sp-pattern clause
-_SP_FIELDS = ((2, 2), (2, 4), (3, 3), (3, 9), (3, 27), (3, 81), (5, 5))
-
 
 class Sweep(_Frozen):
     """The coefficient primes and sizes of one run; defaults as `chevring verify`.
-    `primes` is kept as a tuple.  When the sweep is made, these are refused: a
-    size, monomial limit or prime that is not an integer, a negative size, a
-    monomial limit below 1, no primes, and an entry of `primes` that
-    `require_prime` refuses or that is repeated."""
+    `max_weight_entry` and `max_weight_len` size the weights of the
+    coinvariant clause, `max_m` the invariant and Chern clauses, `cutoff`
+    every series, and `sp_max_rank` the two presentation clauses: each
+    parametric type at that many ranks from its least, each fixed type when
+    it is at least 1, and GL_n for n up to twice it.  `primes` is kept as a
+    tuple.  When the sweep is made, these are refused: a size, monomial
+    limit or prime that is not an integer, a negative size, a monomial limit
+    below 1, no primes, and an entry of `primes` that `require_prime`
+    refuses or that is repeated."""
 
     _fields = ("primes", *SIZES, "monomial_limit")
 
@@ -61,103 +67,173 @@ class Sweep(_Frozen):
         self._set(primes=primes, **sizes, monomial_limit=monomial_limit)
 
 
-def _fields(sweep: Sweep):
-    """(l, q) for each prime l and the smallest q of each order mod l."""
-    return ((l, q) for l in sweep.primes for q in residues_one_per_order(l))
-
-
-def _sp_fields(sweep: Sweep):
-    """(q, l, params) for each concrete Sp field and each prime not dividing q."""
-    return ((q, l, galois_params(p, q, l)) for p, q in _SP_FIELDS for l in sweep.primes if q % l)
+def _field_table(sweep: Sweep) -> tuple[GaloisParams, ...]:
+    """galois_params(q, q, l) for each prime l of the sweep and each order r
+    dividing l - 1, with q the least prime congruent mod l to the smallest
+    residue of order r: a real field, which the engines accept, while the
+    oracles read only q mod l."""
+    table = []
+    for l in sweep.primes:
+        for q in residues_one_per_order(l):
+            while not is_prime(q):
+                q += l
+            table.append(galois_params(q, q, l))
+    return tuple(table)
 
 
 def _mismatch(where: str, got, expected) -> str | None:
     return None if got == expected else f"{where}: {got} != {expected}"
 
 
-def _problem(sweep: Sweep, weights, l: int, q: int, permutation=oracles.NO_PERMUTATION):
-    limit = sweep.monomial_limit
-    return oracles.GradedActionProblem(weights, l, q, sweep.cutoff, permutation, limit)
+def _problem(sweep: Sweep, weights, params, permutation=oracles.NO_PERMUTATION):
+    return oracles.GradedActionProblem(
+        weights, params.l, params.q, sweep.cutoff, permutation, sweep.monomial_limit
+    )
 
 
-def _oracle_witness(kind: str, where: str, problem, bruteforce, closedform) -> str | None:
+def _oracle_witness(kind: str, where: str, problem, bruteforce, expected) -> str | None:
     try:
         brute = bruteforce(problem)
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{kind} sweep at {where}: {exc}") from None
-    return _mismatch(where, brute, closedform(problem))
+    return _mismatch(where, brute, expected)
 
 
-def _registry(sweep: Sweep):
+def _valuation(n: int, l: int) -> int:
+    """v_l(n) for n != 0."""
+    v = 0
+    while n % l == 0:
+        n, v = n // l, v + 1
+    return v
+
+
+def _registry(sweep: Sweep, table):
     # the registry raises when a record fails; each record it counts passed
     return repeat(None, rootdata.validate_registry())
 
 
-def _coinvariants(sweep: Sweep):
-    for l, q in _fields(sweep):
+def _coinvariants(sweep: Sweep, table):
+    for params in table:
         for k in range(1, sweep.max_weight_len + 1):
             for weights in combinations_with_replacement(range(1, sweep.max_weight_entry + 1), k):
+                problem = _problem(sweep, weights, params)
                 yield _oracle_witness(
                     "coinvariant",
-                    f"weights {weights}, l = {l}, q = {q}",
-                    _problem(sweep, weights, l, q),
+                    f"weights {weights}, l = {params.l}, q = {params.q}",
+                    problem,
                     oracles.coinvariants_hilbert_bruteforce,
-                    oracles.coinvariants_hilbert_closedform,
+                    oracles.coinvariants_hilbert_closedform(problem),
                 )
 
 
-def _invariants(sweep: Sweep):
-    for l, q in _fields(sweep):
+def _invariants(sweep: Sweep, table):
+    for params in table:
         for m in range(1, sweep.max_m + 1):
+            problem = _problem(sweep, (1,) * m, params, oracles.FULL_SYMMETRIC)
             yield _oracle_witness(
                 "invariant",
-                f"m = {m}, l = {l}, q = {q}",
-                _problem(sweep, (1,) * m, l, q, oracles.FULL_SYMMETRIC),
+                f"m = {m}, l = {params.l}, q = {params.q}",
+                problem,
                 oracles.invariants_hilbert_bruteforce,
-                oracles.invariants_hilbert_closedform,
+                oracles.invariants_hilbert_closedform(problem),
             )
 
 
-def _chern_scalar(sweep: Sweep):
-    for l in sweep.primes:
-        for q in range(1, l):
-            yield None if oracles.chern_scalar_checks(l, q).passed else f"l = {l}, q = {q}"
-
-
-def _restricted_chern(sweep: Sweep):
-    for q, l, params in _sp_fields(sweep):
+def _restricted_chern(sweep: Sweep, table):
+    for params in table:
         for m in range(1, sweep.max_m + 1):
             report = oracles.verify_restricted_chern(m, params)
-            yield None if report.passed else f"m = {m}, q = {q}, l = {l}"
+            yield None if report.passed else f"m = {m}, q = {params.q}, l = {params.l}"
 
 
-def _sp_pattern(sweep: Sweep):
-    for q, l, params in _sp_fields(sweep):
-        for n in range(1, sweep.sp_max_rank + 1):
-            datum = rootdata.lookup("Sp", n)
-            closed = oracles.coinvariants_hilbert_closedform(_problem(sweep, datum.degrees, l, q))
+def _data(sweep: Sweep):
+    """Every type of the registry: a parametric one at sp_max_rank ranks
+    from its least, a fixed one at its rank when sp_max_rank >= 1."""
+    for record in rootdata._RECORDS:
+        ranks = min(sweep.sp_max_rank, 1) if record.fixed_rank else sweep.sp_max_rank
+        for rank in range(record.min_rank, record.min_rank + ranks):
+            yield rootdata.lookup(record.family, rank)
+
+
+def _l_part(where: str, datum, params, pres) -> str | None:
+    """For odd l, the witness, if any, against v_l(|G(F_q)|) being the sum
+    over the generators of a + v_l(d/r).  |G(F_q)| = q^N prod(q^{d_i} - 1),
+    and by lifting the exponent v_l(q^d - 1) is a + v_l(d/r) when r | d and
+    0 otherwise."""
+    l = params.l
+    if l == 2:
+        return None
+    # v_l(d/r) = v_l(d), as r divides l - 1
+    expected = sum(params.a + _valuation(d, l) for d in pres.algebraic_degrees())
+    got = _valuation(rootdata.group_order(datum, params.q), l)
+    return _mismatch(f"{where}, v_{l} of the group order", got, expected)
+
+
+def _cobordism(sweep: Sweep, table):
+    """The printed cobordism presentation of each type at each field whose
+    l is not a torsion prime: its Chow series is the coinvariant brute
+    force on the type's degrees, its topological series is that series on
+    the even degrees and 0 on the odd ones, and its generators give the
+    l-part of the group order."""
+    cutoff = sweep.cutoff
+    for datum in _data(sweep):
+        for params in table:
+            if params.l in datum.torsion_primes:
+                continue
+            where = f"{datum.family} rank {datum.rank}, q = {params.q}, l = {params.l}"
             pres = presentations.cobordism_presentation(datum, params)
-            series = presentations.poincare_series(pres, sweep.cutoff, presentations.CHOW)
-            yield _mismatch(f"Sp rank {n}, q = {q}, l = {l}", closed, series)
+            chow = presentations.poincare_series(pres, cutoff, presentations.CHOW)
+            topological = presentations.poincare_series(pres, 2 * cutoff, presentations.TOPOLOGICAL)
+            doubled = tuple(0 if k % 2 else chow[k // 2] for k in range(2 * cutoff + 1))
+            yield (
+                _oracle_witness(
+                    "coinvariant", where, _problem(sweep, datum.degrees, params),
+                    oracles.coinvariants_hilbert_bruteforce, chow,
+                )
+                or _mismatch(f"{where}, topological", topological.coefficients, doubled)
+                or _l_part(where, datum, params, pres)
+            )
+
+
+def _gl_chow(sweep: Sweep, table):
+    """For odd l, the printed b = 1 Chow presentation of GL_n has the
+    series of the coinvariant brute force on the degrees 1..n, and its
+    degrees are those of the cobordism presentation."""
+    for n in range(1, 2 * sweep.sp_max_rank + 1):
+        for params in table:
+            if params.l == 2:
+                continue
+            where = f"GL rank {n}, q = {params.q}, l = {params.l}"
+            gl = gl_params(params, n)
+            pres = presentations.chow_gl_presentation(gl)
+            witness = _oracle_witness(
+                "coinvariant", where, _problem(sweep, tuple(range(1, n + 1)), params),
+                oracles.coinvariants_hilbert_bruteforce,
+                presentations.poincare_series(pres, sweep.cutoff, presentations.CHOW),
+            )
+            if witness is None and not presentations.compare_chow_cobordism_gl(gl).equal:
+                witness = f"{where}: compare finds the Chow and cobordism degrees unequal"
+            yield witness
 
 
 CLAUSES = (
     ("registry-invariants", _registry),
     ("coinvariants-oracle-vs-closed-form", _coinvariants),
     ("invariants-oracle-vs-closed-form", _invariants),
-    ("chern-scalar-identities", _chern_scalar),
     ("restricted-chern-class", _restricted_chern),
-    ("sp-pattern-consistency", _sp_pattern),
+    ("cobordism-oracle-vs-presentation", _cobordism),
+    ("gl-chow-oracle-vs-presentation", _gl_chow),
 )
 
 
 def run(sweep: Sweep) -> tuple[oracles.Clause, ...]:
     """Every clause of `CLAUSES` over the sweep, in order, each with the
     number of instances it checked and its first witness, if any."""
+    table = _field_table(sweep)
     clauses = []
     for name, witnesses in CLAUSES:
         instances, first = 0, None
-        for witness in witnesses(sweep):
+        for witness in witnesses(sweep, table):
             instances += 1
             if first is None:
                 first = witness

@@ -589,9 +589,9 @@ def test_verify_json_summary():
         "registry-invariants",
         "coinvariants-oracle-vs-closed-form",
         "invariants-oracle-vs-closed-form",
-        "chern-scalar-identities",
         "restricted-chern-class",
-        "sp-pattern-consistency",
+        "cobordism-oracle-vs-presentation",
+        "gl-chow-oracle-vs-presentation",
     ]
 
 
@@ -635,7 +635,8 @@ def test_verify_sweep_sizes_of_zero_skip_their_clauses():
     assert (code, err) == (0, "")
     for clause in (
         "coinvariants-oracle-vs-closed-form", "invariants-oracle-vs-closed-form",
-        "restricted-chern-class", "sp-pattern-consistency",
+        "restricted-chern-class", "cobordism-oracle-vs-presentation",
+        "gl-chow-oracle-vs-presentation",
     ):
         assert f"{clause}: PASS (0 instances)" in out.splitlines()
 
@@ -695,24 +696,19 @@ def test_verify_refuses_a_monomial_limit_below_1_when_no_sweep_uses_it(limit, ca
 
 @pytest.fixture
 def broken_oracles(monkeypatch):
-    """Make every verify clause fail: c_0 of both closed forms is shifted by
-    one, the scalar Chern check fails for every q but 1, and the restricted
-    one at l = 5 only, so a first witness is not always the first instance."""
-    from chevring import oracles
-    from chevring.poly import TruncatedSeries
-
-    def shifted(closed_form):
-        def shifted_closed_form(problem):
-            series = closed_form(problem)
-            return TruncatedSeries(series.cutoff, (series[0] + 1,) + series.coefficients[1:])
-        return shifted_closed_form
+    """Make every verify clause but the registry's fail: the engine's r | d
+    rule keeps every degree, which both closed forms, the cobordism
+    presentation and the comparison read, and the restricted Chern check
+    fails at l = 5 only.  Each clause passes at r = 1, so a first witness is
+    not always the first instance."""
+    from chevring import oracles, presentations
 
     def report(passed):
         return oracles.VerificationReport((), (oracles.Clause("forced", passed),))
 
-    for name in ("coinvariants_hilbert_closedform", "invariants_hilbert_closedform"):
-        monkeypatch.setattr(oracles, name, shifted(getattr(oracles, name)))
-    monkeypatch.setattr(oracles, "chern_scalar_checks", lambda l, q: report(q == 1))
+    monkeypatch.setattr(
+        presentations, "_divisible_degrees", lambda degrees, r: list(enumerate(degrees, start=1))
+    )
     monkeypatch.setattr(oracles, "verify_restricted_chern", lambda m, params: report(params.l != 5))
 
 
@@ -723,13 +719,14 @@ FAILING_SWEEP = (
 FAILING_CLAUSES = [
     ("registry-invariants", True, 77, None),
     ("coinvariants-oracle-vs-closed-form", False, 10,
-     "weights (1,), l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1"),
+     "weights (1,), l = 3, q = 2: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1"),
     ("invariants-oracle-vs-closed-form", False, 5,
-     "m = 1, l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1"),
-    ("chern-scalar-identities", False, 6, "l = 3, q = 2"),
-    ("restricted-chern-class", False, 9, "m = 1, q = 2, l = 5"),
-    ("sp-pattern-consistency", False, 9,
-     "Sp rank 1, q = 2, l = 3: 2, 0, 1, 0, 1 != 1, 0, 1, 0, 1"),
+     "m = 1, l = 3, q = 2: 1, 0, 1, 0, 1 != 1, 1, 2, 2, 3"),
+    ("restricted-chern-class", False, 5, "m = 1, q = 11, l = 5"),
+    ("cobordism-oracle-vs-presentation", False, 44,
+     "GL rank 1, q = 2, l = 3: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1"),
+    ("gl-chow-oracle-vs-presentation", False, 10,
+     "GL rank 1, q = 2, l = 3: compare finds the Chow and cobordism degrees unequal"),
 ]
 
 
@@ -739,13 +736,14 @@ def test_verify_reports_every_failing_clause_in_text(broken_oracles):
     assert out.splitlines() == [
         "registry-invariants: PASS (77 instances)",
         "coinvariants-oracle-vs-closed-form: FAIL (10 instances) "
-        "[weights (1,), l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1]",
+        "[weights (1,), l = 3, q = 2: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1]",
         "invariants-oracle-vs-closed-form: FAIL (5 instances) "
-        "[m = 1, l = 3, q = 1: 1, 1, 1, 1, 1 != 2, 1, 1, 1, 1]",
-        "chern-scalar-identities: FAIL (6 instances) [l = 3, q = 2]",
-        "restricted-chern-class: FAIL (9 instances) [m = 1, q = 2, l = 5]",
-        "sp-pattern-consistency: FAIL (9 instances) "
-        "[Sp rank 1, q = 2, l = 3: 2, 0, 1, 0, 1 != 1, 0, 1, 0, 1]",
+        "[m = 1, l = 3, q = 2: 1, 0, 1, 0, 1 != 1, 1, 2, 2, 3]",
+        "restricted-chern-class: FAIL (5 instances) [m = 1, q = 11, l = 5]",
+        "cobordism-oracle-vs-presentation: FAIL (44 instances) "
+        "[GL rank 1, q = 2, l = 3: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1]",
+        "gl-chow-oracle-vs-presentation: FAIL (10 instances) "
+        "[GL rank 1, q = 2, l = 3: compare finds the Chow and cobordism degrees unequal]",
         "SOME CLAUSES FAILED",
     ]
 
@@ -791,6 +789,23 @@ def test_the_verify_defaults_are_the_sweep_defaults(fresh_parser, monkeypatch):
     )
 
 
+def test_the_field_table_has_a_prime_field_of_each_order():
+    table = verify._field_table(verify.Sweep(primes=(13,)))
+    assert [(p.p, p.q, p.l, p.r) for p in table] == [
+        (53, 53, 13, 1), (103, 103, 13, 2), (3, 3, 13, 3), (5, 5, 13, 4), (17, 17, 13, 6),
+        (2, 2, 13, 12),
+    ]
+    assert len(verify._field_table(verify.Sweep())) == 19
+
+
+def test_a_run_finds_the_residues_of_each_prime_once(monkeypatch):
+    calls = []
+    original = verify.residues_one_per_order
+    monkeypatch.setattr(verify, "residues_one_per_order", lambda l: calls.append(l) or original(l))
+    verify.run(verify.Sweep(primes=(3, 5), max_weight_len=1, cutoff=2, sp_max_rank=1))
+    assert calls == [3, 5]
+
+
 def test_a_sweep_checks_its_primes():
     with pytest.raises(InputError, match="^l = 3 is repeated in --primes$"):
         verify.Sweep(primes=(3, 3))
@@ -830,9 +845,9 @@ def test_a_sweep_of_zero_sizes_runs_only_the_size_free_clauses():
         "registry-invariants": 77,
         "coinvariants-oracle-vs-closed-form": 0,
         "invariants-oracle-vs-closed-form": 0,
-        "chern-scalar-identities": 2,
         "restricted-chern-class": 0,
-        "sp-pattern-consistency": 0,
+        "cobordism-oracle-vs-presentation": 0,
+        "gl-chow-oracle-vs-presentation": 0,
     }
 
 

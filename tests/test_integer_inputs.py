@@ -13,7 +13,7 @@ from chevring.arith import (
     residues_one_per_order,
 )
 from chevring.errors import InputError
-from chevring.oracles import brauer_chern_total_class, chern_scalar_checks, verify_restricted_chern
+from chevring.oracles import brauer_chern_total_class, verify_restricted_chern
 from chevring.poly import (
     TruncatedSeries,
     elementary_symmetric,
@@ -48,7 +48,6 @@ _P = galois_params(3, 9, 5)
         (lambda: multiplicative_order(2.0, 7), "q", 2.0),
         (lambda: multiplicative_order(2, 7.0), "l", 7.0),
         (lambda: residues_one_per_order(7.0), "l", 7.0),
-        (lambda: chern_scalar_checks(7.0, 2), "l", 7.0),
         (lambda: brauer_chern_total_class(1.5, _P), "m", 1.5),
         (lambda: verify_restricted_chern(1.5, _P), "m", 1.5),
         (lambda: is_prime(7.0), "n", 7.0),

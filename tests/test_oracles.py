@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from chevring.arith import galois_params, prime_power_base, residues_one_per_order
+from chevring.arith import galois_params, is_prime, prime_power_base, residues_one_per_order
 from chevring.errors import InputError, ResourceLimitError
 from chevring.oracles import (
     FULL_SYMMETRIC,
@@ -12,7 +12,6 @@ from chevring.oracles import (
     _SINK,
     _join,
     brauer_chern_total_class,
-    chern_scalar_checks,
     coinvariants_hilbert_bruteforce,
     coinvariants_hilbert_closedform,
     invariants_hilbert_bruteforce,
@@ -195,6 +194,18 @@ def test_invariants_match_product_formula_m_up_to_5():
                 assert invariants_hilbert_bruteforce(problem) == invariants_hilbert_closedform(problem), (m, l, q)
 
 
+def test_the_invariants_closed_form_does_not_scan_up_to_m_times_r():
+    # r = 1428574 for q = 2 mod this l: the generators r, ..., 5r lie past
+    # the cutoff, and a scan of the 7142870 degrees 1..5r would take about
+    # a second
+    problem = GradedActionProblem(
+        weights=(1,) * 5, l=10000019, q=2, cutoff=4, permutation=FULL_SYMMETRIC
+    )
+    start = time.perf_counter()
+    assert invariants_hilbert_closedform(problem).coefficients == (1, 0, 0, 0, 0)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_invariants_requires_symmetric_flag_and_unit_weights():
     with pytest.raises(InputError):
         invariants_hilbert_bruteforce(GradedActionProblem(weights=(1, 1), l=5, q=3, cutoff=4))
@@ -285,43 +296,52 @@ def test_verify_restricted_chern_sweep():
             assert verify_restricted_chern(m, params).passed, (q, l, m)
 
 
-def test_chern_scalar_checks_spec_case():
-    # q = 2, l = 7, r = 3: e_1(1,2,4) = 7 and e_2(1,2,4) = 14 vanish mod 7
-    report = chern_scalar_checks(7, 2)
+def test_the_m_1_chern_report_makes_the_scalar_checks():
+    # q = 2, l = 7, r = 3: e_1(1,2,4) = 7 and e_2(1,2,4) = 14 vanish mod 7,
+    # and the degree-3 coefficient 8 = q^3 = (-1)^2 mod 7
+    report = verify_restricted_chern(1, galois_params(2, 2, 7))
     assert report.passed
     assert dict(report.parameters)["r"] == 3
+    assert [c.name for c in report.clauses] == [
+        "off_degree_components_vanish", "symmetric_function_identity", "top_coefficient_sign",
+    ]
 
 
-def test_chern_scalar_checks_every_residue_up_to_13():
-    for l in (2, 3, 5, 7, 11, 13):
-        for q in range(1, l):
-            assert chern_scalar_checks(l, q).passed, (l, q)
+def _least_prime(c, l):
+    """The least prime congruent to c mod l."""
+    q = c
+    while not is_prime(q):
+        q += l
+    return q
 
 
-def test_chern_scalar_checks_every_residue_at_211_is_fast():
-    start = time.perf_counter()
-    assert all(chern_scalar_checks(211, q).passed for q in range(1, 211))
-    assert time.perf_counter() - start < 2
+def test_the_m_1_chern_report_passes_in_every_residue_class_up_to_13():
+    # a prime field for every q mod l, as the scalar identities were once
+    # checked for every residue q < l
+    cases = [(l, _least_prime(c, l)) for l in (2, 3, 5, 7, 11, 13) for c in range(1, l)]
+    assert len(cases) == 35
+    for l, q in cases:
+        assert verify_restricted_chern(1, galois_params(q, q, l)).passed, (l, q)
 
 
-def test_chern_scalar_checks_names_each_nonvanishing_value(monkeypatch):
-    # with a wrong order r = 3 for q = 2, l = 3: prod (1 + t)(1 + 2t)(1 + t)
-    # = 1 + 4t + 5t^2 + 2t^3, so e_1 = 1 and e_2 = 2 mod 3
-    import chevring.oracles
-
-    monkeypatch.setattr(chevring.oracles, "multiplicative_order", lambda q, l: 3)
-    report = chern_scalar_checks(3, 2)
+def test_the_m_1_chern_report_names_each_nonvanishing_value():
+    # with a wrong order r = 3 for q = 2, l = 5: prod (1 + t)(1 + 2t)(1 + 4t)
+    # = 1 + 7t + 14t^2 + 8t^3, so e_1 = 2 and e_2 = 4 mod 5, each named with
+    # its degree
+    params = _params(2, 5)
+    object.__setattr__(params, "r", 3)
+    report = verify_restricted_chern(1, params)
     assert not report.passed
-    assert report.clauses[0].witness == "e_1 = 1; e_2 = 2"
+    assert report.clauses[0].witness == "degree 1: 2*eta_1; degree 2: 4*eta_1^2"
 
 
-def test_chern_reports_name_a_wrong_top_power(monkeypatch):
-    # with a wrong order r = 2 for q = 1, l = 3: q^1 = 1, but (-1)^1 = 2 mod 3
-    import chevring.oracles
-
-    monkeypatch.setattr(chevring.oracles, "multiplicative_order", lambda q, l: 2)
-    assert chern_scalar_checks(3, 1).clauses[1] == Clause(
-        "top_power_is_sign", False, "q^{r(r-1)/2} = 1, sign 2"
+def test_chern_reports_name_a_wrong_top_power():
+    # with a wrong order r = 2 for q = 7, l = 3: the degree-2 coefficient of
+    # (1 + eta)^2 is 1, q^1 = 1, but (-1)^1 = 2 mod 3
+    params = _params(7, 3)
+    object.__setattr__(params, "r", 2)
+    assert verify_restricted_chern(1, params).clauses[2] == Clause(
+        "top_coefficient_sign", False, "coefficient 1, q^{r(r-1)/2} = 1, sign 2"
     )
     # with a wrong order r = 3 for q = 2, l = 3, the degree-3 coefficient of
     # (1 + eta)(1 + 2 eta)(1 + eta) is 2, q^3 = 2 and (-1)^2 = 1 mod 3

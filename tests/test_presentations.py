@@ -6,6 +6,7 @@ from chevring.presentations import (
     CHOW,
     TOPOLOGICAL,
     GradedPresentation,
+    _divisible_degrees,
     chow_gl_presentation,
     cobordism_presentation,
     compare_chow_cobordism_gl,
@@ -74,6 +75,14 @@ def test_cobordism_filter_is_r_divides_algebraic_degree():
             pres = cobordism_presentation(datum, params)
             expected = [d for d in datum.degrees if (2 * d) % (2 * params.r) == 0]
             assert list(pres.algebraic_degrees()) == expected
+
+
+@pytest.mark.parametrize("start, stop", [(1, 1), (1, 13), (2, 17), (5, 6), (7, 30)])
+def test_the_rule_reads_a_range_as_it_reads_the_tuple_of_its_entries(start, stop):
+    for r in range(1, 9):
+        kept = _divisible_degrees(range(start, stop), r)
+        assert kept == _divisible_degrees(tuple(range(start, stop)), r), r
+        assert kept == [(i, d) for i, d in enumerate(range(start, stop), 1) if d % r == 0]
 
 
 def test_cobordism_rejects_torsion_primes():

@@ -1,0 +1,95 @@
+"""Named engine mutants that `verify` must catch.
+
+Each case rebinds one function of the engines the CLI prints with a wrong
+version, and `verify.run` on a small sweep must then report the clause that
+catches it as failed.  `verify` looks the engines up on their modules at
+each call, so rebinding the module attribute is enough.
+"""
+
+import pytest
+
+from chevring import arith, presentations, rootdata, verify
+
+SWEEP = verify.Sweep(
+    primes=(3, 5, 7), max_weight_entry=2, max_weight_len=1, max_m=1, cutoff=4, sp_max_rank=1
+)
+
+
+def _failed():
+    return {c.name for c in verify.run(SWEEP) if not c.passed}
+
+
+def test_the_small_sweep_passes_on_the_engines_as_they_are():
+    assert _failed() == set()
+
+
+@pytest.mark.parametrize("family", [record.family for record in rootdata._RECORDS])
+def test_a_cobordism_engine_that_keeps_every_degree_of_one_family_fails(family, monkeypatch):
+    original = presentations._cobordism_indexed_degrees
+
+    def keep_every_degree(datum, params):
+        kept = original(datum, params)  # the torsion refusal still comes first
+        return list(enumerate(datum.degrees, start=1)) if datum.family == family else kept
+
+    monkeypatch.setattr(presentations, "_cobordism_indexed_degrees", keep_every_degree)
+    assert "cobordism-oracle-vs-presentation" in _failed()
+
+
+def test_a_chow_engine_that_drops_its_top_generator_fails(monkeypatch):
+    original = presentations._chow_gl_degrees
+
+    def drop_top(params, b):
+        return original(params, b)[:-1]
+
+    monkeypatch.setattr(presentations, "_chow_gl_degrees", drop_top)
+    assert _failed() == {"gl-chow-oracle-vs-presentation"}
+
+
+def test_a_comparison_that_reports_the_opposite_fails(monkeypatch):
+    flipped = property(lambda self: self.chow_degrees != self.cobordism_degrees)
+    monkeypatch.setattr(presentations.ComparisonReport, "equal", flipped)
+    assert _failed() == {"gl-chow-oracle-vs-presentation"}
+
+
+def test_a_topological_series_that_does_not_double_the_degrees_fails(monkeypatch):
+    original = presentations.poincare_series
+
+    def undoubled(pres, cutoff, grading=None):
+        return original(pres, cutoff, presentations.CHOW)
+
+    monkeypatch.setattr(presentations, "poincare_series", undoubled)
+    assert _failed() == {"cobordism-oracle-vs-presentation"}
+
+
+def test_an_exponent_a_shifted_by_one_fails(monkeypatch):
+    original = arith._exponent_of_l
+    monkeypatch.setattr(arith, "_exponent_of_l", lambda q, r, l: original(q, r, l) + 1)
+    assert _failed() == {"cobordism-oracle-vs-presentation"}
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """The shipped registry is built again from `rootdata._RECORDS` on its
+    next load, and once more after the test."""
+    rootdata.default_registry.cache_clear()
+    yield monkeypatch
+    rootdata.default_registry.cache_clear()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a torsion entry only decides which primes the engine refuses, and no "
+    "clause checks the refusals against the root system",
+)
+def test_a_torsion_entry_moved_to_another_prime_fails(fresh_registry):
+    def moved(record):
+        if record.family != "SO_odd":
+            return record
+        return rootdata._Record(
+            record.family, record.min_rank, record.fixed_rank, record.degrees, record.weyl,
+            record.roots, frozenset({3}),
+        )
+
+    fresh_registry.setattr(rootdata, "_RECORDS", tuple(map(moved, rootdata._RECORDS)))
+    assert rootdata.lookup("SO_odd", 1).torsion_primes == {3}
+    assert _failed()
