@@ -46,7 +46,6 @@ _EXPORTS = {
     "RootDatum": "rootdata",
     "group_order": "rootdata",
     "lookup": "rootdata",
-    "validate_registry": "rootdata",
 }
 _MODULES = frozenset({"arith", "cli", "errors", "oracles", "poly", "presentations", "rootdata", "verify"})
 

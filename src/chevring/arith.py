@@ -152,15 +152,6 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _next_prime(n: int) -> int:
-    """The least prime above n >= 1, by trial division (n is a root exponent,
-    below log_64 q)."""
-    n += 1
-    while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
-        n += 1
-    return n
-
-
 def prime_power_base(q: int) -> tuple[int, int]:
     """Write q = p^k with p prime and k >= 1, or raise InputError.
 
@@ -187,7 +178,7 @@ def prime_power_base(q: int) -> tuple[int, int]:
         if root**j == p:
             p, k = root, k * j
         else:
-            j = _next_prime(j)
+            j = next(i for i in count(j + 1) if is_prime(i))
     if p >= _MR_EXACT_BOUND:
         raise InputError(
             f"cannot tell whether {q} is a prime power: its base {p} is not below "

@@ -1,11 +1,13 @@
 """Registry of split reductive group types.
 
 Each record supplies the Lie-theoretic constants the presentation engines
-consume: rank, fundamental degrees (algebraic convention, so the generator of
-topological degree 2d is recorded as d), Weyl group order, torsion primes,
-and the number N of positive roots.  The records are the table `_RECORDS`
-below; a `Registry` built from it refuses any torsion entry that is not
-prime and validates every record against the classical identities
+consume: the rank and the fundamental degrees (algebraic convention, so the
+generator of topological degree 2d is recorded as d), and the torsion
+primes.  The records are the table `_RECORDS` below, which also writes each
+type's Weyl group order and number N of positive roots apart from its
+degrees.  A `Registry` built from it refuses a repeated family and any
+torsion entry that is not prime, and `lookup` checks every datum it
+returns against the classical identities
 
     prod(d_i) = |W|        and        N = sum(d_i - 1).
 """
@@ -25,26 +27,16 @@ __all__ = [
     "default_registry",
     "group_order",
     "lookup",
-    "validate_registry",
 ]
 
 
 class RootDatum(_Frozen):
-    _fields = ("family", "rank", "degrees", "weyl_order", "torsion_primes", "unipotent_exponent")
+    _fields = ("family", "rank", "degrees", "torsion_primes")
 
     def __init__(
-        self,
-        family: str,
-        rank: int,
-        degrees: tuple[int, ...],
-        weyl_order: int,
-        torsion_primes: frozenset[int],
-        unipotent_exponent: int,  # number N of positive roots
+        self, family: str, rank: int, degrees: tuple[int, ...], torsion_primes: frozenset[int]
     ):
-        self._set(
-            family=family, rank=rank, degrees=degrees, weyl_order=weyl_order,
-            torsion_primes=torsion_primes, unipotent_exponent=unipotent_exponent,
-        )
+        self._set(family=family, rank=rank, degrees=degrees, torsion_primes=torsion_primes)
 
 
 def _product(values: tuple[int, ...]) -> int:
@@ -105,14 +97,7 @@ class _Record(_Frozen):
                 f"{self.family} rank {rank}: sum(d_i - 1) = {sum(degrees) - rank} "
                 f"but the record's positive-root count is {roots}"
             )
-        return RootDatum(
-            family=self.family,
-            rank=rank,
-            degrees=degrees,
-            weyl_order=weyl,
-            torsion_primes=self.torsion_primes,
-            unipotent_exponent=roots,
-        )
+        return RootDatum(self.family, rank, degrees, self.torsion_primes)
 
 
 def _fixed(family: str, degrees: tuple[int, ...], weyl: int, roots: int, torsion: tuple[int, ...]):
@@ -154,17 +139,11 @@ _RECORDS = (
     _fixed("E8", (2, 8, 12, 14, 18, 20, 24, 30), 696729600, 120, (2, 3, 5)),
 )
 
-# How far parametric records are expanded when validating a registry.
-_VALIDATION_RANK_SPAN = 12
-
-
 class Registry:
-    """A validated registry; use :func:`default_registry` for the shipped one.
+    """The records by family; use :func:`default_registry` for the shipped one.
 
     Construction refuses a repeated family and a torsion entry that is not
-    prime, then expands every record over its validation rank range, raising
-    on any violated identity, and keeps the number of (family, rank)
-    instances so checked as ``instances``."""
+    prime, and expands no record: `lookup` checks each datum it returns."""
 
     def __init__(self, records: Iterable[_Record]):
         self._records: dict[str, _Record] = {}
@@ -174,12 +153,6 @@ class Registry:
             for t in sorted(rec.torsion_primes):
                 require_prime(t, f"{rec.family} torsion entry")
             self._records[rec.family] = rec
-        self.instances = 0
-        for rec in self._records.values():
-            span = 1 if rec.fixed_rank else _VALIDATION_RANK_SPAN
-            for rank in range(rec.min_rank, rec.min_rank + span):
-                rec.expand(rank)
-            self.instances += span
 
     def families(self) -> list[str]:
         return sorted(self._records)
@@ -200,18 +173,13 @@ def default_registry() -> Registry:
 
 
 def lookup(family: str, rank: int) -> RootDatum:
-    """Expand the shipped record for (family, rank)."""
+    """Expand the shipped record for (family, rank), checking both identities."""
     return default_registry().lookup(family, rank)
 
 
-def validate_registry() -> int:
-    """The number of (family, rank) instances on which the shipped registry
-    was validated when it was loaded; nothing is expanded again."""
-    return default_registry().instances
-
-
 def group_order(datum: RootDatum, q: int) -> int:
-    """Order of the group of F_q-points: q^N * prod(q^{d_i} - 1), exactly."""
+    """Order of the group of F_q-points: q^N * prod(q^{d_i} - 1), exactly,
+    with N = sum(d_i - 1), the identity `lookup` checks."""
     q = _integer(q, "q")
     prime_power_base(q)  # rejects non prime powers
-    return q**datum.unipotent_exponent * prod(q**d - 1 for d in datum.degrees)
+    return q ** (sum(datum.degrees) - len(datum.degrees)) * prod(q**d - 1 for d in datum.degrees)

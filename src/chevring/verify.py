@@ -10,7 +10,7 @@ up on their modules at each call, never bound at import.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 
 from . import oracles, presentations, rootdata
 from .arith import (
@@ -107,9 +107,29 @@ def _valuation(n: int, l: int) -> int:
     return v
 
 
+# how many ranks of each parametric record the registry clause looks up
+_REGISTRY_RANKS = 12
+
+
+def _ranks(record, count: int) -> range:
+    """count ranks of a parametric record from its least, or the one rank of
+    a fixed record when count >= 1."""
+    if record.fixed_rank:
+        count = min(count, 1)
+    return range(record.min_rank, record.min_rank + count)
+
+
 def _registry(sweep: Sweep, table):
-    # the registry raises when a record fails; each record it counts passed
-    return repeat(None, rootdata.validate_registry())
+    """Each record of the registry at its first 12 ranks, or its fixed one:
+    the lookup, which checks both identities, or its refusal."""
+    for record in rootdata._RECORDS:
+        for rank in _ranks(record, _REGISTRY_RANKS):
+            try:
+                rootdata.lookup(record.family, rank)
+            except InputError as exc:
+                yield str(exc)
+            else:
+                yield None
 
 
 def _coinvariants(sweep: Sweep, table):
@@ -150,8 +170,7 @@ def _data(sweep: Sweep):
     """Every type of the registry: a parametric one at sp_max_rank ranks
     from its least, a fixed one at its rank when sp_max_rank >= 1."""
     for record in rootdata._RECORDS:
-        ranks = min(sweep.sp_max_rank, 1) if record.fixed_rank else sweep.sp_max_rank
-        for rank in range(record.min_rank, record.min_rank + ranks):
+        for rank in _ranks(record, sweep.sp_max_rank):
             yield rootdata.lookup(record.family, rank)
 
 
@@ -169,12 +188,26 @@ def _l_part(where: str, datum, params, pres) -> str | None:
     return _mismatch(f"{where}, v_{l} of the group order", got, expected)
 
 
+def _names(where: str, datum, pres) -> str | None:
+    """The witness, if any, against b = 1 and against each printed name
+    <prefix>_<i> naming the degree d_i of the datum, 1 <= i <= rank."""
+    if pres.b != 1:
+        return f"{where}: b = {pres.b}, not 1"
+    for degree, name in pres.named_degrees:
+        index = name.rpartition("_")[2]
+        i = int(index) if index.isascii() and index.isdigit() else 0
+        if not (1 <= i <= datum.rank and datum.degrees[i - 1] == degree):
+            return f"{where}: generator {name} has degree {degree}, not the datum's d_{index}"
+    return None
+
+
 def _cobordism(sweep: Sweep, table):
     """The printed cobordism presentation of each type at each field whose
     l is not a torsion prime: its Chow series is the coinvariant brute
     force on the type's degrees, its topological series is that series on
-    the even degrees and 0 on the odd ones, and its generators give the
-    l-part of the group order."""
+    the even degrees and 0 on the odd ones, its generators give the l-part
+    of the group order, its b is 1, and each generator <prefix>_<i> has the
+    degree d_i."""
     cutoff = sweep.cutoff
     for datum in _data(sweep):
         for params in table:
@@ -192,6 +225,7 @@ def _cobordism(sweep: Sweep, table):
                 )
                 or _mismatch(f"{where}, topological", topological.coefficients, doubled)
                 or _l_part(where, datum, params, pres)
+                or _names(where, datum, pres)
             )
 
 

@@ -29,7 +29,8 @@ from chevring.presentations import (
     compare_chow_cobordism_gl,
     render_text,
 )
-from chevring.rootdata import _RECORDS, Registry, group_order, lookup
+from chevring.rootdata import group_order, lookup
+from chevring.verify import Sweep, run
 
 SWEEP_PRIMES = (3, 5, 7, 11, 13)
 
@@ -172,11 +173,14 @@ def test_criterion_6_chow_cobordism_structural_match():
 
 def test_criterion_7_registry_invariants():
     def body():
-        # Registry validates prod(d_i) = |W| and N = sum(d_i - 1) for every
-        # record while it is built, and raises on any violation
-        assert Registry(_RECORDS).instances == 77
+        # verify's registry clause looks up every record over its first 12
+        # ranks, or its fixed one, and lookup checks prod(d_i) = |W| and
+        # N = sum(d_i - 1) at each
+        sweep = Sweep(primes=(3,), max_weight_len=0, max_m=0, sp_max_rank=0)
+        (clause,) = (c for c in run(sweep) if c.name == "registry-invariants")
+        assert (clause.passed, clause.instances, clause.witness) == (True, 77, None)
 
-    _criterion(7, "registry load-time identities", 0.1, body)
+    _criterion(7, "registry identities", 0.1, body)
 
 
 def test_criterion_8_mod_lb_refinement():

@@ -176,6 +176,16 @@ def test_prime_power_base_refuses_a_4299_digit_q_quickly():
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("n", [2809, 3127, 3869, 4087, 4307])  # 53^2, 53*59, 53*73, 61*67, 59*73
+def test_pollard_brent_retraces_a_batch_that_overshoots(n, monkeypatch):
+    gcds = []
+    gcd = arith.math.gcd
+    monkeypatch.setattr(arith.math, "gcd", lambda a, b: gcds.append(gcd(a, b)) or gcds[-1])
+    d = arith._pollard_brent(n)
+    assert n in gcds  # a batch's gcd was n itself, so it was retraced step by step
+    assert 1 < d < n and n % d == 0
+
+
 def test_multiplicative_order_examples():
     assert multiplicative_order(81, 5) == 1
     assert multiplicative_order(9, 5) == 2

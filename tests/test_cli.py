@@ -851,6 +851,22 @@ def test_a_sweep_of_zero_sizes_runs_only_the_size_free_clauses():
     }
 
 
+def test_verify_at_l_2_skips_the_checks_stated_for_odd_l():
+    # l = 2 has one order, r = 1, at q = 3; the l-part of the group order and
+    # the GL Chow clause are checked for odd l only
+    code, out, err = run_cli("verify", "--primes", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "registry-invariants: PASS (77 instances)",
+        "coinvariants-oracle-vs-closed-form: PASS (34 instances)",
+        "invariants-oracle-vs-closed-form: PASS (2 instances)",
+        "restricted-chern-class: PASS (2 instances)",
+        "cobordism-oracle-vs-presentation: PASS (12 instances)",
+        "gl-chow-oracle-vs-presentation: PASS (0 instances)",
+        "all clauses passed",
+    ]
+
+
 # -- dependencies -------------------------------------------------------------------
 
 def _modules_loaded_by(code):

@@ -2,15 +2,11 @@ from math import factorial, prod
 
 import pytest
 
+from chevring import rootdata, verify
 from chevring.arith import galois_params, gl_params, multiplicative_order, prime_power_base
 from chevring.errors import InputError
 from chevring.rootdata import (
-    Registry,
-    _Record,
-    default_registry,
-    group_order,
-    lookup,
-    validate_registry,
+    _RECORDS, Registry, _Record, default_registry, group_order, lookup,
 )
 
 def _prime_powers(limit):
@@ -34,14 +30,14 @@ def test_lookup_gl_and_sp_degrees():
 
 
 def test_lookup_fixed_ranks_and_weyl_orders():
-    assert lookup("GL", 3).weyl_order == 6
+    assert prod(lookup("GL", 3).degrees) == 6
     assert lookup("SL", 2).degrees == (2, 3)
     assert lookup("G2", 2).degrees == (2, 6)
-    assert lookup("F4", 4).weyl_order == 1152
+    assert prod(lookup("F4", 4).degrees) == 1152
     assert lookup("E8", 8).degrees == (2, 8, 12, 14, 18, 20, 24, 30)
     so8 = lookup("SO_even", 4)
     assert so8.degrees == (2, 4, 4, 6)
-    assert so8.weyl_order == 192
+    assert prod(so8.degrees) == 192
 
 
 def test_lookup_errors():
@@ -81,26 +77,44 @@ def test_torsion_primes():
     assert lookup("E8", 8).torsion_primes == {2, 3, 5}
 
 
+# the 77 (family, rank) instances of the registry clause of `verify`
+CLAUSE_CASES = [(f, r) for f in ("GL", "SL", "Sp", "SO_odd") for r in range(1, 13)]
+CLAUSE_CASES += [("SO_even", r) for r in range(2, 14)] + [("Spin", r) for r in range(1, 13)]
+CLAUSE_CASES += [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
+
+
 def test_registry_identities_hold_for_all_shipped_records():
-    checked = validate_registry()
-    assert checked >= 70
-    cases = [(f, r) for f in ("GL", "SL", "Sp", "SO_odd", "Spin") for r in range(1, 13)]
-    cases += [("SO_even", r) for r in range(2, 13)]
-    cases += [("G2", 2), ("F4", 4), ("E6", 6), ("E7", 7), ("E8", 8)]
-    for family, rank in cases:
-        datum = lookup(family, rank)
-        assert prod(datum.degrees) == datum.weyl_order, (family, rank)
-        assert sum(d - 1 for d in datum.degrees) == datum.unipotent_exponent, (family, rank)
+    records = {record.family: record for record in _RECORDS}
+    for family, rank in CLAUSE_CASES:
+        datum, record = lookup(family, rank), records[family]
+        assert prod(datum.degrees) == record.weyl(rank), (family, rank)
+        assert sum(d - 1 for d in datum.degrees) == record.roots(rank), (family, rank)
 
 
-def test_validate_registry_reports_the_load_time_validation(monkeypatch):
-    loaded = default_registry().instances
+def test_the_verify_clause_looks_up_each_record_over_its_ranks(monkeypatch):
+    looked_up = []
 
+    def spy(family, rank):
+        looked_up.append((family, rank))
+        return lookup(family, rank)
+
+    monkeypatch.setattr(rootdata, "lookup", spy)
+    sweep = verify.Sweep(primes=(3,), max_weight_len=0, max_m=0, sp_max_rank=0)
+    clause = next(c for c in verify.run(sweep) if c.name == "registry-invariants")
+    assert (clause.passed, clause.instances) == (True, 77)
+    assert looked_up == CLAUSE_CASES
+
+
+def test_building_the_registry_expands_no_record(monkeypatch):
     def expand(self, rank):
-        raise AssertionError(f"{self.family} rank {rank} expanded again")
+        raise AssertionError(f"{self.family} rank {rank} expanded")
 
     monkeypatch.setattr(_Record, "expand", expand)
-    assert validate_registry() == loaded == 77
+    default_registry.cache_clear()
+    try:
+        assert default_registry().families() == sorted(record.family for record in _RECORDS)
+    finally:
+        default_registry.cache_clear()
 
 
 def test_order_divisibility_iff_degree_divisible():
@@ -134,14 +148,14 @@ def _gl(weyl=factorial, roots=lambda n: n * (n - 1) // 2, degrees=lambda n: rang
     return _Record("GL", 1, False, degrees, weyl, roots, frozenset(torsion))
 
 
-def test_registry_rejects_violated_identities():
+def test_lookup_rejects_violated_identities():
+    reg = Registry([_gl(weyl=lambda n: 2 * factorial(n))])
     with pytest.raises(InputError, match="^GL rank 1: prod\\(degrees\\) = 1 but"):
-        Registry([_gl(weyl=lambda n: 2 * factorial(n))])
+        reg.lookup("GL", 1)
+    reg = Registry([_gl(roots=lambda n: n)])
     with pytest.raises(InputError, match="^GL rank 1: sum\\(d_i - 1\\) = 0 but"):
-        Registry([_gl(roots=lambda n: n)])
-    reg = Registry([_gl()])
-    assert reg.lookup("GL", 4).weyl_order == 24
-    assert reg.instances == 12
+        reg.lookup("GL", 1)
+    assert prod(Registry([_gl()]).lookup("GL", 4).degrees) == 24
 
 
 def test_registry_rejects_torsion_entries_that_are_not_prime():
@@ -153,14 +167,16 @@ def test_registry_rejects_torsion_entries_that_are_not_prime():
     assert Registry([_gl(torsion=(2, 3))]).lookup("GL", 1).torsion_primes == {2, 3}
 
 
-def test_registry_rejects_a_wrong_degree_count():
+def test_lookup_rejects_a_wrong_degree_count():
+    reg = Registry([_gl(degrees=lambda n: range(1, n))])
     with pytest.raises(InputError, match="^GL rank 1: 0 fundamental degrees, expected 1$"):
-        Registry([_gl(degrees=lambda n: range(1, n))])
+        reg.lookup("GL", 1)
 
 
-def test_registry_rejects_a_degree_of_zero():
+def test_lookup_rejects_a_degree_of_zero():
+    reg = Registry([_gl(degrees=lambda n: range(n))])
     with pytest.raises(InputError, match="^GL rank 1: nonpositive fundamental degree$"):
-        Registry([_gl(degrees=lambda n: range(n))])
+        reg.lookup("GL", 1)
 
 
 def test_registry_rejects_a_repeated_family():

@@ -20,11 +20,9 @@ CASES = [
      "GaloisParams(p=2, q=4, l=1439, r=719, a=1)"),
     (GLParams, ("base", "n"), (F, 7), (F, 8),
      "GLParams(base=GaloisParams(p=3, q=9, l=5, r=2, a=1), n=7, m=3, e=1)"),
-    (RootDatum,
-     ("family", "rank", "degrees", "weyl_order", "torsion_primes", "unipotent_exponent"),
-     ("G2", 2, (2, 6), 12, frozenset({2}), 6), ("G2", 2, (2, 6), 12, frozenset(), 6),
-     "RootDatum(family='G2', rank=2, degrees=(2, 6), weyl_order=12, "
-     "torsion_primes=frozenset({2}), unipotent_exponent=6)"),
+    (RootDatum, ("family", "rank", "degrees", "torsion_primes"),
+     ("G2", 2, (2, 6), frozenset({2})), ("G2", 2, (2, 6), frozenset()),
+     "RootDatum(family='G2', rank=2, degrees=(2, 6), torsion_primes=frozenset({2}))"),
     (_Record, ("family", "min_rank", "fixed_rank", "degrees", "weyl", "roots", "torsion_primes"),
      ("X", 1, True, tuple, abs, abs, frozenset({3})),
      ("X", 1, False, tuple, abs, abs, frozenset({3})),
@@ -126,8 +124,7 @@ def test_derived_fields_cannot_be_passed_in():
 
 def test_defaults_and_reprs_of_values_the_package_builds():
     assert repr(lookup("G2", 2)) == (
-        "RootDatum(family='G2', rank=2, degrees=(2, 6), weyl_order=12, "
-        "torsion_primes=frozenset({2}), unipotent_exponent=6)"
+        "RootDatum(family='G2', rank=2, degrees=(2, 6), torsion_primes=frozenset({2}))"
     )
     assert repr(Clause("x", True)) == "Clause(name='x', passed=True, witness=None, instances=1)"
     assert repr(GradedActionProblem((1,), 3, 2, 0)) == (

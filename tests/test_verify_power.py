@@ -8,7 +8,8 @@ each call, so rebinding the module attribute is enough.
 
 import pytest
 
-from chevring import arith, presentations, rootdata, verify
+from chevring import arith, cli, presentations, rootdata, verify
+from chevring.errors import InputError
 
 SWEEP = verify.Sweep(
     primes=(3, 5, 7), max_weight_entry=2, max_weight_len=1, max_m=1, cutoff=4, sp_max_rank=1
@@ -67,6 +68,29 @@ def test_an_exponent_a_shifted_by_one_fails(monkeypatch):
     assert _failed() == {"cobordism-oracle-vs-presentation"}
 
 
+def test_generator_names_shifted_by_one_fail(monkeypatch):
+    original = presentations._divisible_degrees
+
+    def shifted(degrees, r):
+        return [(i + 1, d) for i, d in original(degrees, r)]
+
+    monkeypatch.setattr(presentations, "_divisible_degrees", shifted)
+    assert _failed() == {"cobordism-oracle-vs-presentation"}
+
+
+def test_a_cobordism_presentation_over_z_mod_l_squared_fails(monkeypatch):
+    original = presentations.cobordism_presentation
+
+    def b_2(datum, params):
+        pres = original(datum, params)
+        return presentations.GradedPresentation(
+            pres.theory, pres.family, pres.rank, pres.params, 2, pres.named_degrees
+        )
+
+    monkeypatch.setattr(presentations, "cobordism_presentation", b_2)
+    assert _failed() == {"cobordism-oracle-vs-presentation"}
+
+
 @pytest.fixture
 def fresh_registry(monkeypatch):
     """The shipped registry is built again from `rootdata._RECORDS` on its
@@ -93,3 +117,26 @@ def test_a_torsion_entry_moved_to_another_prime_fails(fresh_registry):
     fresh_registry.setattr(rootdata, "_RECORDS", tuple(map(moved, rootdata._RECORDS)))
     assert rootdata.lookup("SO_odd", 1).torsion_primes == {3}
     assert _failed()
+
+
+def test_a_record_broken_at_a_rank_only_the_registry_clause_reaches_fails_it(fresh_registry):
+    gl = rootdata._RECORDS[0]
+    broken = rootdata._Record(
+        gl.family, gl.min_rank, gl.fixed_rank, gl.degrees, lambda n: gl.weyl(n) + (n == 9),
+        gl.roots, gl.torsion_primes,
+    )
+    fresh_registry.setattr(rootdata, "_RECORDS", (broken, *rootdata._RECORDS[1:]))
+    with pytest.raises(InputError) as refusal:
+        rootdata.lookup("GL", 9)
+    witness = str(refusal.value)
+    assert witness == "GL rank 9: prod(degrees) = 362880 but the record's Weyl order is 362881"
+    # every other lookup answers, and so does a request that reads one
+    assert rootdata.lookup("GL", 10).degrees == tuple(range(1, 11))
+    sp = presentations.cobordism_presentation(rootdata.lookup("Sp", 2), arith.galois_params(3, 3, 5))
+    assert sp.named_degrees == ((4, "q_2"),)
+    assert [(c.name, c.instances, c.witness) for c in verify.run(SWEEP) if not c.passed] == [
+        ("registry-invariants", 77, witness)
+    ]
+    code, out, _ = cli.run(cli.parse_args(["verify"]))
+    assert code == 1
+    assert out.splitlines()[0] == f"registry-invariants: FAIL (77 instances) [{witness}]"
