@@ -291,11 +291,12 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
 def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeries:
     """The expected answer: a free polynomial ring on generators of degrees
     r, 2r, ..., m*r (the elementary symmetric functions of the eta_j^r),
-    the degrees in 1..m*r that the engine's rule keeps, read off in O(m)."""
+    the degrees in 1..m*r that the engine's rule keeps.  The series ignores
+    the degrees above its cutoff, so only 1..min(m*r, cutoff) are read."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     r = multiplicative_order(problem.q, problem.l)
-    degrees = range(1, len(problem.weights) * r + 1)
+    degrees = range(1, min(len(problem.weights) * r, problem.cutoff) + 1)
     kept = [d for _, d in presentations._divisible_degrees(degrees, r)]
     return hilbert_series_of_free_polynomial_ring(kept, problem.cutoff)
 

@@ -4,11 +4,14 @@ a bound on the weighted degree, on monomials packed into integers.
 A polynomial carries its whole context: the modulus l^b, an ordered tuple
 of (name, weight) variable pairs, and the cutoff D, the largest weighted
 degree a term may have.  Two polynomials interoperate only when their
-contexts agree exactly.  Arithmetic whose result would have a term above D
-raises InputError; nothing is truncated.
+contexts agree exactly.  A polynomial is built from the generators of its
+context and integers by +, * and **, the ring operations the total Chern
+class of the oracles needs.  Arithmetic whose result would have a term
+above D raises InputError; nothing is truncated.
 
 This module defines the monomial layout; the oracles compute variable
-places and generator images on its keys directly.  With base B = D + 1, the exponents of a monomial of weighted degree <= D are
+places and generator images on its keys directly.  With base B = D + 1,
+the exponents of a monomial of weighted degree <= D are
 base-B digits, the first variable's the most significant (Monagan-Pearce
 packed exponent vectors, CASC 2007); `packed_monomials` enumerates these
 keys for the oracles.  A `ModPolynomial` term on n variables puts the
@@ -27,7 +30,7 @@ degree d.  Doubling happens only at the presentation layer.
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InputError, _Frozen, _integer
 
@@ -86,15 +89,16 @@ class ModPolynomial:
     """Immutable polynomial over Z/modulus in a fixed weighted-variable
     context whose terms have weighted degree at most ``cutoff``.
 
-    The constructor takes ``terms`` as (exponent tuple, coefficient) pairs
-    or a mapping of them.  The stored ``terms`` map the packed keys of the
-    module docstring to coefficients, none zero mod the modulus.  Integers
-    mix freely as scalars in +, -, *.
+    The constructor builds the zero polynomial of a context; every other
+    polynomial is made from `generators` and integers by +, * and **.  The
+    stored ``terms`` map the packed keys of the module docstring to
+    coefficients, none zero mod the modulus.  Integers mix freely as
+    scalars in + and *.
     """
 
     __slots__ = ("modulus", "variables", "cutoff", "terms")
 
-    def __init__(self, modulus: int, variables, cutoff: int, terms=()):
+    def __init__(self, modulus: int, variables, cutoff: int):
         modulus, cutoff = _integer(modulus, "modulus"), _integer(cutoff, "cutoff")
         if modulus < 2:
             raise InputError(f"modulus must be >= 2, got {modulus}")
@@ -103,21 +107,7 @@ class ModPolynomial:
         self.modulus = modulus
         self.variables = _validated_variables(variables)
         self.cutoff = cutoff
-        nvars = len(self.variables)
-        limit = self._place() * (cutoff + 1)
-        merged: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coef in items:
-            e = tuple(int(x) for x in exps)
-            if len(e) != nvars:
-                raise InputError(f"exponent vector {e} does not match {nvars} variables")
-            if any(x < 0 for x in e):
-                raise InputError(f"negative exponent in {e}")
-            key = self._key(e)
-            if key >= limit:
-                raise InputError(f"monomial {e} has weighted degree above the cutoff {cutoff}")
-            merged[key] = merged.get(key, 0) + int(coef)
-        self.terms = {k: r for k, c in merged.items() if (r := c % modulus)}
+        self.terms: dict[int, int] = {}
 
     def _result(self, terms: dict) -> "ModPolynomial":
         """A polynomial in this context from terms formed by arithmetic on
@@ -153,10 +143,6 @@ class ModPolynomial:
             return 0
         return self.terms.get(self._key(e), 0)
 
-    def homogeneous_component(self, d: int) -> "ModPolynomial":
-        place = self._place()
-        return self._result({k: c for k, c in self.terms.items() if k // place == d})
-
     def homogeneous_components(self) -> dict[int, "ModPolynomial"]:
         place = self._place()
         buckets: dict[int, dict] = {}
@@ -176,7 +162,7 @@ class ModPolynomial:
                 f"mod {other.modulus} on {other.variables} up to degree {other.cutoff}"
             )
 
-    def _combine(self, other, sign: int) -> "ModPolynomial":
+    def __add__(self, other):
         if isinstance(other, int):
             other = {0: other}
         elif isinstance(other, ModPolynomial):
@@ -186,22 +172,10 @@ class ModPolynomial:
             return NotImplemented
         merged = dict(self.terms)
         for k, c in other.items():
-            merged[k] = merged.get(k, 0) + sign * c
+            merged[k] = merged.get(k, 0) + c
         return self._result(merged)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._combine(other, 1)
-
-    def __neg__(self):
-        return self._result({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -226,9 +200,7 @@ class ModPolynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self._result({0: other})
-        elif not isinstance(other, ModPolynomial):
+        if not isinstance(other, ModPolynomial):
             return NotImplemented
         return (
             self.modulus == other.modulus

@@ -139,10 +139,7 @@ def _generator_prefix(family: str) -> str:
 def _divisible_degrees(degrees: Sequence[int], r: int) -> list[tuple[int, int]]:
     """(i, d_i) for each d_i of the degrees with r | d_i, i counted from 1 in
     the given order: the generators the theorem keeps, and the one place its
-    rule is written.  A range of step 1, such as GL's degrees 1..n, is not
-    scanned: its entries divisible by r are every r-th one."""
-    if isinstance(degrees, range) and degrees.step == 1:
-        return [(i + 1, degrees[i]) for i in range(-degrees.start % r, len(degrees), r)]
+    rule is written."""
     return [(i, d) for i, d in enumerate(degrees, start=1) if d % r == 0]
 
 

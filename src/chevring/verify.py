@@ -119,17 +119,23 @@ def _ranks(record, count: int) -> range:
     return range(record.min_rank, record.min_rank + count)
 
 
-def _registry(sweep: Sweep, table):
-    """Each record of the registry at its first 12 ranks, or its fixed one:
-    the lookup, which checks both identities, or its refusal."""
+def _lookups(count: int):
+    """Each record of the registry at count ranks from its least, or at its
+    fixed rank when count >= 1: the datum `lookup` returns, having checked
+    both identities, or the text of its refusal."""
     for record in rootdata._RECORDS:
-        for rank in _ranks(record, _REGISTRY_RANKS):
+        for rank in _ranks(record, count):
             try:
-                rootdata.lookup(record.family, rank)
+                yield rootdata.lookup(record.family, rank)
             except InputError as exc:
                 yield str(exc)
-            else:
-                yield None
+
+
+def _registry(sweep: Sweep, table):
+    """Each record of the registry at its first 12 ranks, or its fixed one:
+    None for a datum, the refusal for a lookup refused."""
+    for datum in _lookups(_REGISTRY_RANKS):
+        yield datum if isinstance(datum, str) else None
 
 
 def _coinvariants(sweep: Sweep, table):
@@ -162,16 +168,12 @@ def _invariants(sweep: Sweep, table):
 def _restricted_chern(sweep: Sweep, table):
     for params in table:
         for m in range(1, sweep.max_m + 1):
-            report = oracles.verify_restricted_chern(m, params)
-            yield None if report.passed else f"m = {m}, q = {params.q}, l = {params.l}"
-
-
-def _data(sweep: Sweep):
-    """Every type of the registry: a parametric one at sp_max_rank ranks
-    from its least, a fixed one at its rank when sp_max_rank >= 1."""
-    for record in rootdata._RECORDS:
-        for rank in _ranks(record, sweep.sp_max_rank):
-            yield rootdata.lookup(record.family, rank)
+            failed = "; ".join(
+                c.name if c.witness is None else f"{c.name}: {c.witness}"
+                for c in oracles.verify_restricted_chern(m, params).clauses
+                if not c.passed
+            )
+            yield f"m = {m}, q = {params.q}, l = {params.l}: {failed}" if failed else None
 
 
 def _l_part(where: str, datum, params, pres) -> str | None:
@@ -207,9 +209,12 @@ def _cobordism(sweep: Sweep, table):
     force on the type's degrees, its topological series is that series on
     the even degrees and 0 on the odd ones, its generators give the l-part
     of the group order, its b is 1, and each generator <prefix>_<i> has the
-    degree d_i."""
+    degree d_i.  A rank whose lookup is refused yields the refusal once."""
     cutoff = sweep.cutoff
-    for datum in _data(sweep):
+    for datum in _lookups(sweep.sp_max_rank):
+        if isinstance(datum, str):
+            yield datum
+            continue
         for params in table:
             if params.l in datum.torsion_primes:
                 continue
@@ -232,7 +237,8 @@ def _cobordism(sweep: Sweep, table):
 def _gl_chow(sweep: Sweep, table):
     """For odd l, the printed b = 1 Chow presentation of GL_n has the
     series of the coinvariant brute force on the degrees 1..n, and its
-    degrees are those of the cobordism presentation."""
+    degrees are those of the cobordism presentation; a refusal of the
+    comparison's lookup is the witness."""
     for n in range(1, 2 * sweep.sp_max_rank + 1):
         for params in table:
             if params.l == 2:
@@ -245,8 +251,12 @@ def _gl_chow(sweep: Sweep, table):
                 oracles.coinvariants_hilbert_bruteforce,
                 presentations.poincare_series(pres, sweep.cutoff, presentations.CHOW),
             )
-            if witness is None and not presentations.compare_chow_cobordism_gl(gl).equal:
-                witness = f"{where}: compare finds the Chow and cobordism degrees unequal"
+            if witness is None:
+                try:
+                    if not presentations.compare_chow_cobordism_gl(gl).equal:
+                        witness = f"{where}: compare finds the Chow and cobordism degrees unequal"
+                except InputError as exc:
+                    witness = str(exc)
             yield witness
 
 

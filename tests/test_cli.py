@@ -722,7 +722,7 @@ FAILING_CLAUSES = [
      "weights (1,), l = 3, q = 2: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1"),
     ("invariants-oracle-vs-closed-form", False, 5,
      "m = 1, l = 3, q = 2: 1, 0, 1, 0, 1 != 1, 1, 2, 2, 3"),
-    ("restricted-chern-class", False, 5, "m = 1, q = 11, l = 5"),
+    ("restricted-chern-class", False, 5, "m = 1, q = 11, l = 5: forced"),
     ("cobordism-oracle-vs-presentation", False, 44,
      "GL rank 1, q = 2, l = 3: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1"),
     ("gl-chow-oracle-vs-presentation", False, 10,
@@ -739,7 +739,7 @@ def test_verify_reports_every_failing_clause_in_text(broken_oracles):
         "[weights (1,), l = 3, q = 2: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1]",
         "invariants-oracle-vs-closed-form: FAIL (5 instances) "
         "[m = 1, l = 3, q = 2: 1, 0, 1, 0, 1 != 1, 1, 2, 2, 3]",
-        "restricted-chern-class: FAIL (5 instances) [m = 1, q = 11, l = 5]",
+        "restricted-chern-class: FAIL (5 instances) [m = 1, q = 11, l = 5: forced]",
         "cobordism-oracle-vs-presentation: FAIL (44 instances) "
         "[GL rank 1, q = 2, l = 3: 1, 0, 0, 0, 0 != 1, 1, 1, 1, 1]",
         "gl-chow-oracle-vs-presentation: FAIL (10 instances) "

@@ -1,5 +1,6 @@
 """Every library entry point refuses an integer argument that is not
-integral with an InputError naming it, before any arithmetic on it."""
+integral with an InputError naming it, before any arithmetic on it, and an
+argument outside its domain with an InputError stating the domain."""
 
 import pytest
 
@@ -13,7 +14,12 @@ from chevring.arith import (
     residues_one_per_order,
 )
 from chevring.errors import InputError
-from chevring.oracles import brauer_chern_total_class, verify_restricted_chern
+from chevring.oracles import (
+    GradedActionProblem,
+    brauer_chern_total_class,
+    invariants_hilbert_closedform,
+    verify_restricted_chern,
+)
 from chevring.poly import (
     TruncatedSeries,
     elementary_symmetric,
@@ -63,3 +69,23 @@ def test_a_non_integral_integer_is_refused(call, name, value):
     with pytest.raises(InputError) as excinfo:
         call()
     assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplicative_order(0, 7), "q must be positive, got 0"),
+        (lambda: GradedActionProblem((1,), 5, 3, 4, monomial_limit=0),
+         "monomial limit must be positive"),
+        (lambda: invariants_hilbert_closedform(GradedActionProblem((1, 1), 5, 3, 4)),
+         "invariant oracle needs the full symmetric permutation component"),
+        (lambda: brauer_chern_total_class(0, _P), "m must be >= 1, got 0"),
+        (lambda: generators(5, (("x", 1),), 4)[0] ** -1,
+         "negative polynomial powers are not defined"),
+        (lambda: TruncatedSeries(-1, ()), "cutoff must be >= 0, got -1"),
+    ],
+)
+def test_an_argument_outside_its_domain_is_refused(call, message):
+    with pytest.raises(InputError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

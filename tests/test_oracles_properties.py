@@ -23,6 +23,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chevring import oracles  # noqa: E402
+from chevring.errors import InputError  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
@@ -119,19 +120,26 @@ def test_packed_monomials_match_exponent_tuples(weights, cutoff, data):
 @example(weights=(1, 1), cutoff=1)
 @example(weights=(3, 1, 2, 1), cutoff=9)
 def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
-    """The ModPolynomial monomial with exponents e of degree d is stored
-    under d * (cutoff + 1)^n plus the packed_monomials key of e: both sides
-    share one layout."""
+    """The ModPolynomial monomial with exponents e of degree d, a product of
+    generator powers, is stored under d * (cutoff + 1)^n plus the
+    packed_monomials key of e: both sides share one layout.  A context with
+    a weight above the cutoff refuses its generators, so there only 1 is
+    built, under key 0."""
     n, base = len(weights), cutoff + 1
     variables = tuple((f"x{i}", w) for i, w in enumerate(weights))
+    one = ModPolynomial(7, variables, cutoff).one()
+    assert one.terms == {0: 1}
+    if max(weights) > cutoff:
+        with pytest.raises(InputError, match="exceeds the cutoff"):
+            generators(7, variables, cutoff)
+        return
+    gens = generators(7, variables, cutoff)
     for d, keys in enumerate(packed_monomials(weights, cutoff)):
         for k in keys:
-            monomial = ModPolynomial(7, variables, cutoff, {_exponents(k, n, base): 1})
+            monomial = one
+            for x, e in zip(gens, _exponents(k, n, base)):
+                monomial = monomial * x**e
             assert monomial.terms == {d * base**n + k: 1}
-    if max(weights) <= cutoff:
-        for i, x in enumerate(generators(7, variables, cutoff)):
-            unit = tuple(int(j == i) for j in range(n))
-            assert x == ModPolynomial(7, variables, cutoff, {unit: 1})
 
 
 def _rows_fed_to_forest(problem):

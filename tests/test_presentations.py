@@ -241,6 +241,8 @@ def test_render_latex():
     assert render_latex(deep) == "\\mathbb{Z}/9[c_1, c_2]"
     ten = chow_gl_presentation(gl_params(_params(4, 3), 10), b=1)
     assert "c_{10}" in render_latex(ten)
+    plain = GradedPresentation("cobordism", "Sp", 1, _params(3, 5), 1, ((2, "x"),))
+    assert render_latex(plain) == "\\mathbb{F}_5[x]"
 
 
 def test_presentation_json_round_trip():

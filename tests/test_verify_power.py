@@ -8,8 +8,9 @@ each call, so rebinding the module attribute is enough.
 
 import pytest
 
-from chevring import arith, cli, presentations, rootdata, verify
+from chevring import arith, cli, oracles, presentations, rootdata, verify
 from chevring.errors import InputError
+from chevring.poly import generators
 
 SWEEP = verify.Sweep(
     primes=(3, 5, 7), max_weight_entry=2, max_weight_len=1, max_m=1, cutoff=4, sp_max_rank=1
@@ -140,3 +141,42 @@ def test_a_record_broken_at_a_rank_only_the_registry_clause_reaches_fails_it(fre
     code, out, _ = cli.run(cli.parse_args(["verify"]))
     assert code == 1
     assert out.splitlines()[0] == f"registry-invariants: FAIL (77 instances) [{witness}]"
+
+
+def test_a_record_refused_at_a_rank_every_registry_clause_reads_fails_those_three(fresh_registry):
+    gl = rootdata._RECORDS[0]
+    broken = rootdata._Record(
+        gl.family, gl.min_rank, gl.fixed_rank, gl.degrees, lambda n: gl.weyl(n) + (n == 2),
+        gl.roots, gl.torsion_primes,
+    )
+    fresh_registry.setattr(rootdata, "_RECORDS", (broken, *rootdata._RECORDS[1:]))
+    witness = "GL rank 2: prod(degrees) = 2 but the record's Weyl order is 3"
+    code, out, err = cli.run(cli.parse_args(["verify"]))
+    assert (code, err) == (1, "")
+    # the refused rank is one instance of the cobordism clause, not one per field
+    assert out.splitlines() == [
+        f"registry-invariants: FAIL (77 instances) [{witness}]",
+        "coinvariants-oracle-vs-closed-form: PASS (646 instances)",
+        "invariants-oracle-vs-closed-form: PASS (38 instances)",
+        "restricted-chern-class: PASS (38 instances)",
+        f"cobordism-oracle-vs-presentation: FAIL (522 instances) [{witness}]",
+        f"gl-chow-oracle-vs-presentation: FAIL (152 instances) [{witness}]",
+        "SOME CLAUSES FAILED",
+    ]
+
+
+def test_a_chern_witness_names_each_check_that_failed(monkeypatch):
+    original = oracles.brauer_chern_total_class
+
+    def plus_eta(m, params):
+        total = original(m, params)
+        return total + generators(params.l, total.variables, total.cutoff)[0]
+
+    monkeypatch.setattr(oracles, "brauer_chern_total_class", plus_eta)
+    sweep = verify.Sweep(primes=(3,), max_m=1)
+    # at r = 1 the added eta_1 is in degree r, at r = 2 off it
+    assert list(verify._restricted_chern(sweep, verify._field_table(sweep))) == [
+        "m = 1, q = 7, l = 3: symmetric_function_identity: degree 1: got 2*eta_1, "
+        "expected eta_1; top_coefficient_sign: coefficient 2, q^{r(r-1)/2} = 1, sign 1",
+        "m = 1, q = 2, l = 3: off_degree_components_vanish: degree 1: eta_1",
+    ]
