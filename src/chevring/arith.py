@@ -304,13 +304,14 @@ class GaloisParams(_Frozen):
     def __init__(self, p: int, q: int, l: int):
         p, q, l = _integer(p, "p"), _integer(q, "q"), _integer(l, "l")
         require_prime(p, "p")
+        # a malformed input is refused before a failed hypothesis
+        if not _power_exponent(q, p):
+            prime_power_base(q)  # a q that is no prime power is reported as such
+            raise InputError(f"q = {q} is not a power of p = {p}")
         if l == p:
             raise PreconditionError(
                 f"l = p = {l}: the coefficient prime must differ from the field characteristic"
             )
-        if not _power_exponent(q, p):
-            prime_power_base(q)  # a q that is no prime power is reported as such
-            raise InputError(f"q = {q} is not a power of p = {p}")
         # proves l prime; q is a power of p != l, so l does not divide it
         r = multiplicative_order(q, l)
         self._set(p=p, q=q, l=l, r=r, a=_exponent_of_l(q, r, l))

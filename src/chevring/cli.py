@@ -1,5 +1,5 @@
-"""Command-line front end: argument parsing, input refusals and rendering;
-the library computes every answer (`chevring.verify` runs the sweeps).
+"""Command-line front end: argument parsing, rendering and the refusals only
+it can make; the library computes every answer and makes every other refusal.
 
 Subcommands: params, present, series, compare, verify.  Exit codes: 0 on
 success, 1 on usage/input/resource errors, 2 when a mathematical hypothesis
@@ -16,8 +16,8 @@ import os
 import sys
 from functools import lru_cache
 
-from . import presentations, rootdata, verify
-from .arith import galois_params, gl_params, prime_power_base
+from . import presentations, rootdata
+from .arith import GaloisParams, galois_params, gl_params, prime_power_base
 from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
 
 
@@ -76,22 +76,16 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _monomial_limit(request: argparse.Namespace) -> int:
-    """--monomial-limit, else CHEVRING_MONOMIAL_LIMIT, else the oracles' default;
-    the variable is read on every call, never frozen into the parser."""
-    source, value = "--monomial-limit", request.monomial_limit
-    if value is None:
-        raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
-        if raw is None:
-            return verify.Sweep().monomial_limit
-        source = "CHEVRING_MONOMIAL_LIMIT"
-        try:
-            value = _int(raw)
-        except argparse.ArgumentTypeError:
-            raise UsageError(f"{source} must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError(f"{source} must be >= 1, got {value}")
-    return value
+def _monomial_limit(request: argparse.Namespace) -> int | None:
+    """--monomial-limit, else CHEVRING_MONOMIAL_LIMIT, else None (the sweep's
+    default); the variable is read on every call, never frozen into the parser."""
+    raw = os.environ.get("CHEVRING_MONOMIAL_LIMIT")
+    if request.monomial_limit is not None or raw is None:
+        return request.monomial_limit
+    try:
+        return _int(raw)
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"CHEVRING_MONOMIAL_LIMIT must be an integer, got {raw!r}")
 
 
 @lru_cache(maxsize=1)
@@ -138,11 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the built-in verification sweeps")
-    defaults = verify.Sweep()
-    p_verify.add_argument("--primes", default=",".join(map(str, defaults.primes)))
-    for name in verify.SIZES:
-        flag = f"--{name.replace('_', '-')}"
-        p_verify.add_argument(flag, type=_int, default=getattr(defaults, name))
+    p_verify.add_argument("--primes")
+    p_verify.add_argument("--max-weight-entry", type=_int)
+    p_verify.add_argument("--max-weight-len", type=_int)
+    p_verify.add_argument("--max-m", type=_int)
+    p_verify.add_argument("--cutoff", type=_int)
+    p_verify.add_argument("--sp-max-rank", type=_int)
     p_verify.add_argument("--monomial-limit", type=_int)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -198,40 +193,31 @@ def _parse(argv) -> argparse.Namespace:
 def parse_args(argv) -> argparse.Namespace:
     request = _parse(argv)
     if request.subcommand == "verify":
-        try:
-            request.primes = tuple(_int(t.strip()) for t in request.primes.split(","))
-        except argparse.ArgumentTypeError:
-            raise UsageError(
-                f"--primes must be a comma-separated integer list, got {request.primes!r}"
-            )
-        for flag in verify.SIZES:
-            value = getattr(request, flag)
-            if value < 0:
-                raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+        if request.primes is not None:
+            try:
+                request.primes = tuple(_int(t.strip()) for t in request.primes.split(","))
+            except argparse.ArgumentTypeError:
+                raise UsageError(
+                    f"--primes must be a comma-separated integer list, got {request.primes!r}"
+                )
         request.monomial_limit = _monomial_limit(request)
     return request
 
 
-def _infer_p(request: argparse.Namespace) -> int:
-    base, _ = prime_power_base(request.q)
-    if request.p is not None and request.p != base:
-        raise InputError(
-            f"--p {request.p} contradicts --q {request.q}, whose characteristic is {base}"
-        )
-    return base
+def _field(request: argparse.Namespace) -> GaloisParams:
+    """The request's field and prime: p is read off q unless --p is given,
+    and `galois_params` refuses a --p that q is not a power of."""
+    p = prime_power_base(request.q)[0] if request.p is None else request.p
+    return galois_params(p, request.q, request.l)
 
 
 def _presentation(request: argparse.Namespace) -> presentations.GradedPresentation:
-    if request.theory == "chow":
-        if request.family != "GL":
-            raise InputError("chow presentations are available for the GL family only")
-        if request.l == 2:
-            raise PreconditionError(
-                "l must be odd: the mod-l Chow presentation for GL is stated for odd primes only"
-            )
-        params = galois_params(_infer_p(request), request.q, request.l)
+    chow = request.theory == "chow"
+    if chow and request.family != "GL":
+        raise InputError("chow presentations are available for the GL family only")
+    params = _field(request)
+    if chow:
         return presentations.chow_gl_presentation(gl_params(params, request.rank), b=request.b)
-    params = galois_params(_infer_p(request), request.q, request.l)
     if request.b != 1:
         raise InputError("--b is meaningful for the chow theory only")
     datum = rootdata.lookup(request.family, request.rank)
@@ -242,7 +228,7 @@ def _presentation(request: argparse.Namespace) -> presentations.GradedPresentati
 
 
 def _run_params(request: argparse.Namespace) -> str:
-    params = galois_params(_infer_p(request), request.q, request.l)
+    params = _field(request)
     # CPython refuses to convert an int of more digits than this to str or
     # JSON (0: no limit); check before h is formed.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -331,7 +317,7 @@ def _latex_series(series) -> str:
 
 
 def _run_compare(request: argparse.Namespace) -> str:
-    params = galois_params(_infer_p(request), request.q, request.l)
+    params = _field(request)
     report = presentations.compare_chow_cobordism_gl(gl_params(params, request.rank))
     if request.format == "json":
         return _json(report.to_json_dict())
@@ -349,7 +335,10 @@ def _run_compare(request: argparse.Namespace) -> str:
 
 
 def _run_verify(request: argparse.Namespace) -> tuple[bool, str]:
-    sweep = verify.Sweep(**{name: getattr(request, name) for name in verify.Sweep._fields})
+    from . import verify  # imported here, so that only a sweep loads the oracles
+
+    fields = verify.Sweep._fields  # a field left out takes the Sweep default
+    sweep = verify.Sweep(**{f: v for f in fields if (v := getattr(request, f)) is not None})
     clauses = verify.run(sweep)
     passed = all(c.passed for c in clauses)
     if request.format == "json":

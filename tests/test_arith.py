@@ -239,6 +239,8 @@ def test_galois_params_errors():
         galois_params(3, 8, 5)  # 8 is not a power of 3
     with pytest.raises(InputError):
         galois_params(4, 16, 5)  # p must be prime
+    with pytest.raises(InputError):
+        galois_params(2, 9, 2)  # a malformed q is refused before l = p
 
 
 def test_galois_params_reconstruction():
@@ -250,13 +252,22 @@ def test_galois_params_reconstruction():
         assert gp.a >= 1
 
 
-def test_h_digits_when_h_is_a_power_of_ten():
-    # q = 3 * 10^10 + 1 is prime, so with l = 3: r = 1, a = 1 and h = 10^10,
-    # where log10(h) is an integer and the digit count must come from h itself
-    q = 3 * 10**10 + 1
-    gp = galois_params(q, q, 3)
-    assert (gp.r, gp.a, gp.h) == (1, 1, 10**10)
-    assert gp.h_digits() == 11
+@pytest.mark.parametrize(
+    "q, l, h, digits",
+    [
+        (499999999999999999998781, 249999999999999999999391, 10**24 - 2440, 24),
+        (500000000000000000004277, 250000000000000000002139, 10**24 + 8552, 25),
+    ],
+)
+def test_h_digits_when_h_is_near_a_power_of_ten(q, l, h, digits):
+    # q is prime and q = -1 mod l, so r = 2, a = 1 and q^r >= 2^100: the
+    # logarithm branch, where log10(h) lies within 1e-20 of the integer 24
+    # and the digit count must come from h itself
+    gp = galois_params(q, q, l)
+    assert (gp.r, gp.a) == (2, 1)
+    assert gp.r * (q.bit_length() - 1) >= 100
+    assert gp.h_digits() == digits
+    assert gp.h == h and len(str(h)) == digits
 
 
 @pytest.mark.parametrize(

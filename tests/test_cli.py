@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -89,7 +90,7 @@ def test_compare_golden_text():
 
 def test_exit_2_for_even_l_in_chow():
     code, out, err = run_cli(
-        "present", "--family", "GL", "--rank", "2", "--q", "2", "--l", "2",
+        "present", "--family", "GL", "--rank", "2", "--q", "3", "--l", "2",
         "--theory", "chow",
     )
     assert code == 2
@@ -144,7 +145,7 @@ def test_exit_1_for_bad_inputs():
     code, _, err = run_cli("params", "--q", "12", "--l", "5")
     assert code == 1 and "prime power" in err
     code, _, err = run_cli("params", "--q", "9", "--l", "5", "--p", "5")
-    assert code == 1 and "contradicts" in err
+    assert code == 1 and "is not a power of p" in err
     code, _, err = run_cli(
         "present", "--family", "SU", "--rank", "2", "--q", "3", "--l", "5",
         "--theory", "cobordism",
@@ -160,6 +161,24 @@ def test_exit_1_for_bad_inputs():
         "--theory", "cobordism", "--b", "2",
     )
     assert (code, err) == (1, "input error: --b is meaningful for the chow theory only")
+
+
+@pytest.mark.parametrize(
+    "q, l, code, err",
+    [
+        (12, 2, 1, "input error: 12 is not a prime power"),
+        (2, 2, 2, "hypothesis violated: l = p = 2: "
+                  "the coefficient prime must differ from the field characteristic"),
+        (3, 2, 2, "hypothesis violated: l must be odd: "
+                  "the mod-l Chow presentation for GL is stated for odd primes only"),
+    ],
+)
+def test_present_chow_and_compare_refuse_alike(q, l, code, err):
+    field = ("--q", str(q), "--l", str(l))
+    assert run_cli("present", "--family", "GL", "--rank", "3", *field, "--theory", "chow") == (
+        code, "", err
+    )
+    assert run_cli("compare", "--rank", "3", *field) == (code, "", err)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
@@ -319,6 +338,11 @@ def test_usage_errors_exit_1(capsys):
     assert main(["nonsense"]) == 1
 
 
+def test_run_refuses_a_namespace_of_no_subcommand():
+    request = argparse.Namespace(subcommand="nonsense")
+    assert run(request) == (1, "", "usage error: unknown subcommand 'nonsense'")
+
+
 # more digits than int() converts by default (4300), so int() raises ValueError
 _DIGITS_5000 = "9" * 5000
 
@@ -465,10 +489,10 @@ def test_a_refused_parse_leaves_the_next_one_correct(fresh_parser):
     with pytest.raises(UsageError):
         parse_args(["present", "--family", "Sp", "--rank", "4", "--theory", "bogus"])
     with pytest.raises(UsageError):
-        parse_args(["verify", "--cutoff", "-1"])
+        parse_args(["verify", "--cutoff", "x"])
     for argv in _ONE_OF_EACH[:4]:
         assert vars(parse_args(list(argv))) == vars(build_parser.__wrapped__().parse_args(argv))
-    assert parse_args(["verify"]).cutoff == 8
+    assert parse_args(["verify"]).cutoff is None
 
 
 def parse_outcome(parse, argv):
@@ -558,7 +582,7 @@ def test_the_env_variable_limit_is_read_on_every_request(fresh_parser, monkeypat
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "20000")
     assert parse_args(["verify"]).monomial_limit == 20000
     monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT")
-    assert parse_args(["verify"]).monomial_limit == chevring.oracles.DEFAULT_MONOMIAL_LIMIT
+    assert parse_args(["verify"]).monomial_limit is None
 
 
 # -- verify -----------------------------------------------------------------------
@@ -602,7 +626,7 @@ def test_verify_monomial_limit_resource_error():
     assert "resource limit" in err and "degree" in err
 
 
-def test_verify_env_variable_limit(monkeypatch):
+def test_verify_env_variable_limit(monkeypatch, capsys):
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "10")
     code, _, err = run_cli("verify", "--primes", "3")
     assert code == 1 and "resource limit" in err
@@ -610,8 +634,9 @@ def test_verify_env_variable_limit(monkeypatch):
     with pytest.raises(UsageError):
         parse_args(["verify"])
     monkeypatch.setenv("CHEVRING_MONOMIAL_LIMIT", "-3")
-    with pytest.raises(UsageError, match="^CHEVRING_MONOMIAL_LIMIT must be >= 1, got -3$"):
-        parse_args(["verify"])
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: monomial_limit must be >= 1, got -3\n")
     # the flag takes precedence over the variable
     assert parse_args(["verify", "--monomial-limit", "7"]).monomial_limit == 7
 
@@ -620,11 +645,10 @@ def test_verify_env_variable_limit(monkeypatch):
     "flag", ["--max-m", "--max-weight-len", "--max-weight-entry", "--sp-max-rank", "--cutoff"]
 )
 def test_verify_refuses_a_negative_sweep_size(flag, capsys):
-    with pytest.raises(UsageError, match=f"^{flag} must be >= 0, got -1$"):
-        parse_args(["verify", flag, "-1"])
     assert main(["verify", flag, "-1"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"usage error: {flag} must be >= 0, got -1\n")
+    field = flag[2:].replace("-", "_")
+    assert (captured.out, captured.err) == ("", f"input error: {field} must be >= 0, got -1\n")
 
 
 def test_verify_sweep_sizes_of_zero_skip_their_clauses():
@@ -690,7 +714,7 @@ def test_verify_refuses_a_monomial_limit_below_1_when_no_sweep_uses_it(limit, ca
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (
-        "", f"usage error: --monomial-limit must be >= 1, got {limit}\n"
+        "", f"input error: monomial_limit must be >= 1, got {limit}\n"
     )
 
 
@@ -784,9 +808,11 @@ def test_the_library_sweep_reads_the_oracles_at_call_time(broken_oracles):
 def test_the_verify_defaults_are_the_sweep_defaults(fresh_parser, monkeypatch):
     monkeypatch.delenv("CHEVRING_MONOMIAL_LIMIT", raising=False)
     request = parse_args(["verify"])
-    assert verify.Sweep(**{name: getattr(request, name) for name in verify.Sweep._fields}) == (
-        verify.Sweep()
-    )
+    assert [getattr(request, name) for name in verify.Sweep._fields] == [None] * 7
+    sweeps = []
+    monkeypatch.setattr(verify, "run", lambda sweep: sweeps.append(sweep) or ())
+    assert run(request) == (0, "all clauses passed", "")
+    assert sweeps == [verify.Sweep()]
 
 
 def test_the_field_table_has_a_prime_field_of_each_order():
@@ -921,6 +947,23 @@ def test_a_module_loads_only_its_own_imports():
     everything = ours("from chevring import *\nimport chevring\n"
                       "assert all(name in globals() for name in chevring.__all__)")
     assert "chevring.poly" in everything and "chevring.cli" not in everything
+    requests = """
+from chevring import cli
+for argv in [
+    ["params", "--q", "3", "--l", "5"],
+    ["present", "--family", "Sp", "--rank", "4", "--q", "3", "--l", "5", "--theory", "cobordism"],
+    ["series", "--family", "GL", "--rank", "4", "--q", "4", "--l", "3", "--theory", "chow",
+     "--cutoff", "12"],
+    ["compare", "--rank", "4", "--q", "3", "--l", "5"],
+]:
+    assert cli.run(cli.parse_args(argv))[0] == 0, argv
+"""
+    assert ours(requests) == {
+        "chevring", "chevring.errors", "chevring.arith", "chevring.poly", "chevring.rootdata",
+        "chevring.presentations", "chevring.cli",
+    }
+    sweep = 'assert cli.run(cli.parse_args(["verify", "--primes", "3", "--cutoff", "2"]))[0] == 0'
+    assert {"chevring.verify", "chevring.oracles"} <= ours(requests + sweep)
 
 
 def test_a_closed_pipe_ends_without_a_traceback():

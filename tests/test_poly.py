@@ -136,6 +136,14 @@ def test_polynomial_equality_and_scalars():
     assert zero != 0 and eta.one() != 1
 
 
+def test_a_polynomial_takes_no_str_and_shows_its_ring():
+    eta = eta_poly()
+    for bad in (lambda: eta + "x", lambda: "x" + eta, lambda: eta * "x", lambda: "x" * eta):
+        with pytest.raises(TypeError):
+            bad()
+    assert repr(1 + 4 * eta**2) == "<ModPolynomial mod 5: 1 + 4*eta^2>"
+
+
 def test_constructor_validation():
     with pytest.raises(InputError):
         ModPolynomial(1, ETA, 4)
