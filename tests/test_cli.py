@@ -169,8 +169,6 @@ def test_exit_1_for_bad_inputs():
         (12, 2, 1, "input error: 12 is not a prime power"),
         (2, 2, 2, "hypothesis violated: l = p = 2: "
                   "the coefficient prime must differ from the field characteristic"),
-        (3, 2, 2, "hypothesis violated: l must be odd: "
-                  "the mod-l Chow presentation for GL is stated for odd primes only"),
     ],
 )
 def test_present_chow_and_compare_refuse_alike(q, l, code, err):
