@@ -336,7 +336,7 @@ def test_usage_errors_exit_1(capsys):
     assert main(["nonsense"]) == 1
 
 
-def test_run_refuses_a_namespace_of_no_subcommand():
+def test_run_refuses_an_unknown_subcommand():
     request = argparse.Namespace(subcommand="nonsense")
     assert run(request) == (1, "", "usage error: unknown subcommand 'nonsense'")
 
