@@ -25,7 +25,6 @@ _EXPORTS = {
     "PreconditionError": "errors",
     "ResourceLimitError": "errors",
     "GradedActionProblem": "oracles",
-    "brauer_chern_total_class": "oracles",
     "coinvariants_hilbert_bruteforce": "oracles",
     "coinvariants_hilbert_closedform": "oracles",
     "invariants_hilbert_bruteforce": "oracles",

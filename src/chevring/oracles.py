@@ -16,32 +16,34 @@ Three families of checks, all exact over F_l:
   rows first, then the m-cycle rows, then one transposition row per
   transposed pair of monomials, and stops once the forest spans the whole
   graded piece;
-* the total Chern class of the restricted lift on m blocks, expanded as an
-  honest product of linear factors, each block's r factors multiplied
-  together before the block joins the running product, and checked clause
-  by clause against the components of one generating product of the
-  eta_j^r; at m = 1 its clauses are the scalar identities
-  e_j(1, q, ..., q^{r-1}) = 0 for 0 < j < r and q^{r(r-1)/2} = (-1)^{r-1}.
+* the total Chern class of the restricted lift on m blocks,
+  prod_j B(eta_j) with one block B(eta) = prod_{i<r} (1 + q^i eta): the
+  block's r linear factors are multiplied out into its r + 1 coefficients,
+  and since the m blocks are in distinct variables and F_l has no zero
+  divisors, no term of the class cancels, so each clause against the
+  generating product of the eta_j^r is read off those coefficients,
+  with no polynomial in m variables formed; at m = 1 its clauses are the
+  scalar identities e_j(1, q, ..., q^{r-1}) = 0 for 0 < j < r and
+  q^{r(r-1)/2} = (-1)^{r-1}.
 
 None of these share logic with the engines they are compared against: the
 coinvariant spanning set is the generic degree-by-degree one, which never
-reads r, not the one-line diagonal shortcut, and the Chern class is
-multiplied out factor by factor.  The two closed forms hold no rule of
-their own: each reads the presentation engine's r | d rule.
+reads r, not the one-line diagonal shortcut, and the Chern block is
+multiplied out factor by factor from the powers of q.  The two closed
+forms hold no rule of their own: each reads the presentation engine's
+r | d rule.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from . import presentations
 from .arith import GaloisParams, multiplicative_order, require_prime
 from .errors import InputError, ResourceLimitError, _Frozen, _integer
 from .poly import (
-    ModPolynomial,
     TruncatedSeries,
     _checked_weights,
-    generators,
     hilbert_series_of_free_polynomial_ring,
     packed_monomials,
 )
@@ -53,7 +55,6 @@ __all__ = [
     "GradedActionProblem",
     "NO_PERMUTATION",
     "VerificationReport",
-    "brauer_chern_total_class",
     "coinvariants_hilbert_bruteforce",
     "coinvariants_hilbert_closedform",
     "invariants_hilbert_bruteforce",
@@ -304,29 +305,6 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
 # -- Chern classes of the restricted lift -----------------------------------
 
 
-def brauer_chern_total_class(m: int, params: GaloisParams) -> ModPolynomial:
-    """Total Chern class of the restricted lift on m blocks:
-    prod_{j=1..m} prod_{i=0..r-1} (1 + q^i eta_j) in F_l[eta_1, ..., eta_m].
-
-    Each block's r linear factors are multiplied together first, from
-    1 + eta_j, and the running product is then multiplied by the block,
-    the first block being the start: the same m*r factors in m*r - 1
-    products, none of them of the running product by a single factor."""
-    m = _integer(m, "m")
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
-    l, r = params.l, params.r
-    variables = tuple((f"eta_{j}", 1) for j in range(1, m + 1))
-    # m*r linear factors: the product has degree exactly m*r
-    total = None
-    for eta in generators(l, variables, m * r):
-        block = 1 + eta
-        for i in range(1, r):
-            block = block * (1 + pow(params.q, i, l) * eta)
-        total = block if total is None else total * block
-    return total
-
-
 class Clause(_Frozen):
     _fields = ("name", "passed", "witness", "instances")
 
@@ -351,44 +329,105 @@ def _clause(name: str, failures: list[str]) -> Clause:
     return Clause(name, not failures, "; ".join(failures) if failures else None)
 
 
+def _chern_block(q: int, r: int, l: int) -> list[int]:
+    """The coefficients b_0, ..., b_r of one block of the restricted lift,
+    B(eta) = prod_{i<r} (1 + q^i eta) mod l, multiplied in factor by
+    factor."""
+    block, power = [1], 1
+    for _ in range(r):
+        block = [(b + power * lower) % l for b, lower in zip(block + [0], [0] + block)]
+        power = power * q % l
+    return block
+
+
+def _monomial(exponents: tuple[int, ...]) -> str:
+    return "*".join(
+        f"eta_{j}" if e == 1 else f"eta_{j}^{e}" for j, e in enumerate(exponents, start=1) if e
+    )
+
+
+def _term(coefficient: int, exponents: tuple[int, ...]) -> str:
+    """One term: 0, or the monomial, after its coefficient when that is
+    not 1."""
+    if coefficient == 0:
+        return "0"
+    monomial = _monomial(exponents)
+    return monomial if coefficient == 1 else f"{coefficient}*{monomial}"
+
+
+def _wrong_term(m: int, exponents: tuple[int, ...], coefficient: int, expected=None) -> str:
+    """The witness for one term of the m-block class: at m = 1, where the
+    term is the whole component of its degree, that component; above, the
+    monomial and its coefficient."""
+    degree = sum(exponents)
+    if m == 1:
+        got = _term(coefficient, exponents)
+        if expected is None:
+            return f"degree {degree}: {got}"
+        return f"degree {degree}: got {got}, expected {_term(expected, exponents)}"
+    text = f"degree {degree}: {_monomial(exponents)} has coefficient {coefficient}"
+    return text if expected is None else f"{text}, expected {expected}"
+
+
+def _sum_to_a_multiple(off: list[int], r: int, m: int) -> tuple[int, ...] | None:
+    """At most m entries of ``off``, repeats allowed, whose sum is a
+    multiple of r, found by a search over the residues mod r that keeps
+    the first entries to reach each residue; None when there are none."""
+    reached = {0: ()}
+    for _ in range(m):
+        layer = {}
+        for residue, entries in reached.items():
+            for k in off:
+                layer.setdefault((residue + k) % r, entries + (k,))
+        if 0 in layer:
+            return layer[0]
+        reached = layer
+    return None
+
+
 def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
-    """Check the expected shape of the restricted total Chern class:
+    """Check the expected shape of the restricted total Chern class
+    prod_{j=1..m} B(eta_j), with one block B(eta) = prod_{i<r} (1 + q^i eta):
 
     1. homogeneous components vanish in degrees not divisible by r;
     2. the degree-i*r component is (-1)^{(r-1)i} e_i(eta_1^r, ..., eta_m^r);
     3. for m = 1, the degree-r coefficient is q^{r(r-1)/2} = (-1)^{r-1} mod l.
 
-    At m = 1 the total class is sum_j e_j(1, q, ..., q^{r-1}) eta^j, so
-    clauses 1 and 3 are the scalar identities behind the computation:
-    e_j(1, q, ..., q^{r-1}) = 0 mod l for 0 < j < r, and
+    The blocks are in distinct variables, so the class has the coefficient
+    b_{k_1} ... b_{k_m} at eta_1^{k_1} ... eta_m^{k_m}: distinct exponent
+    vectors are distinct monomials, and F_l has no zero divisors, so no
+    term cancels and the clauses are read off the r + 1 coefficients b_k
+    of the block alone.  With b_0 = 1, clause 1 fails exactly when some
+    b_k with 0 < k < r is nonzero.  Clause 2 compares the terms whose
+    exponents are all 0 or r, with coefficient a power of b_r, against
+    (-1)^{(r-1)i} e_i(eta^r), which they match exactly when b_r = (-1)^{r-1};
+    every other term of degree i*r is a wrong term, and one exists exactly
+    when at most m of the nonzero off-degree exponents sum to a multiple of
+    r.  At m = 1 the block is the class, so clauses 1 and 3 are the scalar
+    identities e_j(1, q, ..., q^{r-1}) = 0 mod l for 0 < j < r and
     q^{r(r-1)/2} = (-1)^{r-1} mod l.
 
-    The expected components of clause 2 are those of one product,
-    prod_j (1 + (-1)^{r-1} eta_j^r), whose degree-i*r component is
-    (-1)^{(r-1)i} e_i(eta^r); both classes are split into components once.
-    Failures are reported, not raised.
+    Each witness names the wrong terms: at m = 1 the whole component, at
+    m >= 2 one monomial for each wrong block coefficient and one for the
+    search.  Failures are reported, not raised.
     """
+    m = _integer(m, "m")
+    if m < 1:
+        raise InputError(f"m must be >= 1, got {m}")
     l, r = params.l, params.r
-    total = brauer_chern_total_class(m, params)
-    components = total.homogeneous_components()
-    offenders = [f"degree {d}: {comp}" for d, comp in components.items() if d % r != 0]
+    block = _chern_block(params.q, r, l)
     sign = (-1) ** (r - 1) % l
-    expected_class = total.one()
-    for eta in generators(l, total.variables, total.cutoff):
-        expected_class = expected_class * (1 + sign * eta**r)
-    expected_components = expected_class.homogeneous_components()
-    zero = ModPolynomial(l, total.variables, total.cutoff)
-    mismatches = []
-    for d in range(r, m * r + 1, r):
-        got, expected = components.get(d, zero), expected_components.get(d, zero)
-        if got != expected:
-            mismatches.append(f"degree {d}: got {got}, expected {expected}")
+    off = [k for k in range(1, r) if block[k]]
+    offenders = [_wrong_term(m, (k,), block[k]) for k in off]
+    mismatches = [] if block[r] == sign else [_wrong_term(m, (r,), block[r], sign)]
+    if exponents := _sum_to_a_multiple(off, r, m):
+        mismatches.append(_wrong_term(m, exponents, prod(block[k] for k in exponents) % l, 0))
     clauses = [
         _clause("off_degree_components_vanish", offenders),
         _clause("symmetric_function_identity", mismatches),
     ]
     if m == 1:
-        coefficient, power = total.coefficient((r,)), pow(params.q, r * (r - 1) // 2, l)
+        coefficient, power = block[r], pow(params.q, r * (r - 1) // 2, l)
         top = [] if coefficient == power == sign else [
             f"coefficient {coefficient}, q^{{r(r-1)/2}} = {power}, sign {sign}"
         ]
@@ -397,4 +436,3 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
         parameters=(("m", m), ("p", params.p), ("q", params.q), ("l", l), ("r", r)),
         clauses=tuple(clauses),
     )
-

@@ -5,9 +5,8 @@ A polynomial carries its whole context: the modulus l^b, an ordered tuple
 of (name, weight) variable pairs, and the cutoff D, the largest weighted
 degree a term may have.  Two polynomials interoperate only when their
 contexts agree exactly.  A polynomial is built from the generators of its
-context and integers by +, * and **, the ring operations the total Chern
-class of the oracles needs.  Arithmetic whose result would have a term
-above D raises InputError; nothing is truncated.
+context and integers by +, * and **.  Arithmetic whose result would have a
+term above D raises InputError; nothing is truncated.
 
 This module defines the monomial layout; the oracles compute variable
 places and generator images on its keys directly.  With base B = D + 1,
@@ -94,6 +93,10 @@ class ModPolynomial:
     stored ``terms`` map the packed keys of the module docstring to
     coefficients, none zero mod the modulus.  Integers mix freely as
     scalars in + and *.
+
+    No module of the package multiplies polynomials: the restricted Chern
+    check reads its clauses off one block's coefficients.  The class stays
+    only while the benchmark under perfbench/ traces `multiply` as a layer.
     """
 
     __slots__ = ("modulus", "variables", "cutoff", "terms")

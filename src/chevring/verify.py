@@ -166,14 +166,34 @@ def _invariants(sweep: Sweep, table):
 
 
 def _restricted_chern(sweep: Sweep, table):
+    """The restricted Chern check at each field and m = 1..max_m, then, for
+    odd l, the printed Chow degrees of GL_{m*r} against the positive
+    degrees of the m-block class.  No term of that class cancels (see
+    `oracles.verify_restricted_chern`), so its degrees are the m-fold
+    sumset of the block's support."""
     for params in table:
+        block = oracles._chern_block(params.q, params.r, params.l)
+        support = [k for k, b in enumerate(block) if b]
+        degrees = {0}
         for m in range(1, sweep.max_m + 1):
+            degrees = {d + k for d in degrees for k in support}
+            where = f"m = {m}, q = {params.q}, l = {params.l}"
             failed = "; ".join(
                 c.name if c.witness is None else f"{c.name}: {c.witness}"
                 for c in oracles.verify_restricted_chern(m, params).clauses
                 if not c.passed
             )
-            yield f"m = {m}, q = {params.q}, l = {params.l}: {failed}" if failed else None
+            if failed:
+                yield f"{where}: {failed}"
+            elif params.l == 2:  # the Chow presentation is stated for odd l only
+                yield None
+            else:
+                n = m * params.r
+                pres = presentations.chow_gl_presentation(gl_params(params, n))
+                printed = pres.algebraic_degrees()
+                yield _mismatch(
+                    f"{where}, Chow degrees of GL rank {n}", printed, tuple(sorted(degrees - {0}))
+                )
 
 
 def _l_part(where: str, datum, params, pres) -> str | None:

@@ -16,13 +16,13 @@ from chevring.errors import InputError, PreconditionError
 from chevring.oracles import (
     FULL_SYMMETRIC,
     GradedActionProblem,
-    brauer_chern_total_class,
+    _chern_block,
     coinvariants_hilbert_bruteforce,
     coinvariants_hilbert_closedform,
     invariants_hilbert_bruteforce,
     invariants_hilbert_closedform,
 )
-from chevring.poly import elementary_symmetric, generators
+from chevring.poly import elementary_symmetric
 from chevring.presentations import (
     chow_gl_presentation,
     cobordism_presentation,
@@ -151,9 +151,8 @@ def test_criterion_5_chern_identities():
                 for j in range(1, r):
                     assert elementary_symmetric(j, powers) % l == 0, (l, q, j)
                 assert pow(q, r * (r - 1) // 2, l) == (-1) ** (r - 1) % l, (l, q)
-        total = brauer_chern_total_class(1, _params(3, 5))
-        (eta,) = generators(5, total.variables, total.cutoff)
-        assert total == 1 + 4 * eta**4
+        # the one block at q = 3, l = 5, r = 4 is 1 + 4 eta^4
+        assert _chern_block(3, 4, 5) == [1, 0, 0, 0, 4]
 
     _criterion(5, "Chern vanishing and sign identities", 1.0, body)
 

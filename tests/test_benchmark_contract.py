@@ -55,9 +55,9 @@ def test_the_tracer_wraps_and_restores_the_targets(spans):
     assert summary["arith.galois_params"]["calls"] == 2
     assert summary["oracles.verify_restricted_chern"]["calls"] == 1
     assert summary["oracles.invariants_hilbert_bruteforce"]["calls"] == 1
-    # m = 2 blocks of r = 4 factors: m*r - 1 = 7 products for the total
-    # class, then 3 per eta_j^4 and 1 per factor of the expected class
-    assert summary["poly.multiply"]["calls"] == 7 + 2 * (3 + 1)
+    # the Chern check reads its clauses off one block of r + 1 integer
+    # coefficients, so it multiplies no polynomial
+    assert summary["poly.multiply"]["calls"] == 0
 
 
 def test_the_coinvariants_workload_shape():

@@ -875,6 +875,15 @@ def test_a_sweep_of_zero_sizes_runs_only_the_size_free_clauses():
     }
 
 
+def test_a_sweep_to_m_19_passes_every_clause():
+    # the restricted Chern clause reads one block of r + 1 coefficients per
+    # field, so m = 19 forms no product of 2^19 terms
+    clauses = verify.run(verify.Sweep(primes=(13,), max_m=19, cutoff=2))
+    assert [(c.name, c.passed) for c in clauses] == [(name, True) for name, _ in verify.CLAUSES]
+    # six fields of l = 13, each at m = 1..19
+    assert clauses[3].instances == 6 * 19
+
+
 def test_verify_at_l_2_skips_the_checks_stated_for_odd_l():
     # l = 2 has one order, r = 1, at q = 3; the l-part of the group order and
     # the GL Chow clause are checked for odd l only

@@ -25,7 +25,7 @@ def test_every_name_in_each_modules_all_resolves():
 
 def test_every_name_the_package_imports_resolves():
     assert chevring.__all__ == sorted(chevring._EXPORTS)
-    assert len(chevring._EXPORTS) == 31
+    assert len(chevring._EXPORTS) == 30
     for attr, module_name in chevring._EXPORTS.items():
         module = importlib.import_module(f"chevring.{module_name}")
         assert hasattr(module, attr), (module_name, attr)

@@ -16,7 +16,6 @@ from chevring.arith import (
 from chevring.errors import InputError
 from chevring.oracles import (
     GradedActionProblem,
-    brauer_chern_total_class,
     invariants_hilbert_closedform,
     verify_restricted_chern,
 )
@@ -54,7 +53,6 @@ _P = galois_params(3, 9, 5)
         (lambda: multiplicative_order(2.0, 7), "q", 2.0),
         (lambda: multiplicative_order(2, 7.0), "l", 7.0),
         (lambda: residues_one_per_order(7.0), "l", 7.0),
-        (lambda: brauer_chern_total_class(1.5, _P), "m", 1.5),
         (lambda: verify_restricted_chern(1.5, _P), "m", 1.5),
         (lambda: is_prime(7.0), "n", 7.0),
         (lambda: require_prime(7.0), "n", 7.0),
@@ -79,7 +77,7 @@ def test_a_non_integral_integer_is_refused(call, name, value):
          "monomial limit must be positive"),
         (lambda: invariants_hilbert_closedform(GradedActionProblem((1, 1), 5, 3, 4)),
          "invariant oracle needs the full symmetric permutation component"),
-        (lambda: brauer_chern_total_class(0, _P), "m must be >= 1, got 0"),
+        (lambda: verify_restricted_chern(0, _P), "m must be >= 1, got 0"),
         (lambda: generators(5, (("x", 1),), 4)[0] ** -1,
          "negative polynomial powers are not defined"),
         (lambda: TruncatedSeries(-1, ()), "cutoff must be >= 0, got -1"),

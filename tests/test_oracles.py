@@ -10,15 +10,15 @@ from chevring.oracles import (
     Clause,
     GradedActionProblem,
     _SINK,
+    _chern_block,
     _join,
-    brauer_chern_total_class,
     coinvariants_hilbert_bruteforce,
     coinvariants_hilbert_closedform,
     invariants_hilbert_bruteforce,
     invariants_hilbert_closedform,
     verify_restricted_chern,
 )
-from chevring.poly import generators, hilbert_series_of_free_polynomial_ring
+from chevring.poly import hilbert_series_of_free_polynomial_ring
 from chevring.presentations import CHOW, cobordism_presentation, poincare_series
 from chevring.rootdata import lookup
 
@@ -240,36 +240,35 @@ def test_problem_validation():
 # -- Chern classes ------------------------------------------------------------
 
 
-def test_total_class_m1_q3_l5():
-    total = brauer_chern_total_class(1, _params(3, 5))
-    (eta,) = generators(5, total.variables, total.cutoff)
-    assert total == 1 + 4 * eta**4
-    assert str(total) == "1 + 4*eta_1^4"
+def test_the_block_at_q3_l5():
+    # r = 4: (1 + eta)(1 + 3 eta)(1 + 4 eta)(1 + 2 eta) = 1 + 4 eta^4 mod 5
+    assert _chern_block(3, 4, 5) == [1, 0, 0, 0, 4]
 
 
-def test_total_class_r_equals_1():
-    total = brauer_chern_total_class(1, _params(4, 3))
-    (eta,) = generators(3, total.variables, total.cutoff)
-    assert total == 1 + eta
+def test_the_block_at_r_equals_1():
+    assert _chern_block(4, 1, 3) == [1, 1]
 
 
-def test_total_class_is_product_of_single_block_answers():
-    params = _params(3, 5)
-    total = brauer_chern_total_class(2, params)
-    eta1, eta2 = generators(5, total.variables, total.cutoff)
-    assert total == (1 + 4 * eta1**4) * (1 + 4 * eta2**4)
+def test_the_block_is_the_product_of_its_linear_factors():
+    # sympy's expansion over GF(l), also at orders r that are not q's
+    sympy = pytest.importorskip("sympy")
+    eta = sympy.Symbol("eta")
+    for q, l in [(3, 5), (9, 5), (2, 7), (4, 7), (2, 13), (5, 11), (2, 3), (7, 2)]:
+        for r in range(1, 9):
+            factors = [1 + pow(q, i, l) * eta for i in range(r)]
+            expanded = sympy.Poly(sympy.Mul(*factors), eta, modulus=l)
+            coefficients = [int(c) % l for c in reversed(expanded.all_coeffs())]
+            assert _chern_block(q, r, l) == coefficients, (q, l, r)
 
 
-def test_total_class_is_galois_invariant():
-    # q scales every eta_j, so it acts on the degree-d component by q^d
+def test_the_block_is_galois_invariant():
+    # q scales eta, so it acts on the degree-k coefficient by q^k; each
+    # block of the m-block class is then invariant, and so is their product
     for q, l in [(3, 5), (9, 5), (2, 7), (4, 7), (2, 13), (5, 11)]:
         params = _params(q, l)
-        for m in (1, 2, 3):
-            total = brauer_chern_total_class(m, params)
-            components = total.homogeneous_components()
-            assert len(components) > 1, (q, l, m)
-            image = sum(pow(q, d, l) * h for d, h in components.items())
-            assert image == total, (q, l, m)
+        block = _chern_block(q, params.r, l)
+        assert sum(1 for b in block if b) > 1, (q, l)
+        assert all(b * pow(q, k, l) % l == b for k, b in enumerate(block)), (q, l)
 
 
 def test_verify_restricted_chern_passes_and_reports_clauses():
@@ -362,18 +361,19 @@ def test_chern_reports_name_a_wrong_top_power():
         ),
         (
             2,
-            "degree 1: eta_2 + eta_1; degree 2: 2*eta_2^2 + eta_1*eta_2 + 2*eta_1^2; "
-            "degree 4: 2*eta_1*eta_2^3 + eta_1^2*eta_2^2 + 2*eta_1^3*eta_2; "
-            "degree 5: eta_1^2*eta_2^3 + eta_1^3*eta_2^2",
-            "degree 3: got 2*eta_2^3 + 2*eta_1*eta_2^2 + 2*eta_1^2*eta_2 + 2*eta_1^3, "
-            "expected eta_2^3 + eta_1^3",
+            "degree 1: eta_1 has coefficient 1; degree 2: eta_1^2 has coefficient 2",
+            "degree 3: eta_1^3 has coefficient 2, expected 1; "
+            "degree 3: eta_1*eta_2^2 has coefficient 2, expected 0",
         ),
     ],
 )
 def test_chern_reports_name_every_off_degree_and_symmetric_mismatch(m, off_degree, symmetric):
     # with a wrong order r = 3 for q = 2, l = 3, the total class has terms
     # in degrees prime to 3, and its degree-3 part is not e_1(eta^3), the
-    # sign (-1)^{(r-1)i} being 1; each witness names every offending degree
+    # sign (-1)^{(r-1)i} being 1.  The block is 1 + eta + 2 eta^2 + 2 eta^3:
+    # at m = 1 each witness names every offending component, at m = 2 a
+    # monomial for each wrong block coefficient, and eta_1*eta_2^2, whose
+    # exponents 1 + 2 sum to r
     params = _params(2, 3)
     object.__setattr__(params, "r", 3)
     off, sym = verify_restricted_chern(m, params).clauses[:2]

@@ -2,14 +2,16 @@
 of the degree-led keys ModPolynomial stores, and of the generator images
 the invariant oracle forms on packed keys, driven by hypothesis against a
 brute-force enumeration of exponent tuples; a differential test of the
-coinvariant oracle against the enumeration of every monomial pair; and a
+coinvariant oracle against the enumeration of every monomial pair; a
 differential test of the invariant oracle's spanning forest, _join,
 against sympy's rank over GF(l) and against term-by-term reduction of
-dict rows, the reference every rank here is checked against.
+dict rows, the reference every rank here is checked against; and a
+differential test of the restricted Chern clauses, read off one drawn
+block, against sympy's expansion of the m-block product over GF(l).
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
-module is skipped where hypothesis is missing, and the forest's test
-where sympy is.
+module is skipped where hypothesis is missing, and the forest's and the
+Chern clauses' tests where sympy is.
 """
 
 from itertools import product
@@ -23,6 +25,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chevring import oracles  # noqa: E402
+from chevring.arith import galois_params  # noqa: E402
 from chevring.errors import InputError  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
@@ -32,6 +35,7 @@ from chevring.oracles import (  # noqa: E402
     _join,
     coinvariants_hilbert_bruteforce,
     invariants_hilbert_bruteforce,
+    verify_restricted_chern,
 )
 from chevring.poly import (  # noqa: E402
     ModPolynomial,
@@ -394,3 +398,59 @@ def test_forest_matches_sympy_rank_and_the_general_loop(case):
             [[field(r.get(k, 0)) for k in range(KEYS)] for r in fed], (len(fed), KEYS), field
         )
         assert len(parent) == matrix.rank() == len(pivots)
+
+
+@st.composite
+def drawn_blocks(draw):
+    """(l, q, m, block): a prime field F_q with q < 30 and l <= 13, m <= 3,
+    and a block b_0 = 1, b_1, ..., b_r of any residues mod l, r <= 6."""
+    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if q != l]))
+    r = draw(st.integers(1, 6))
+    block = [1] + draw(st.lists(st.integers(0, l - 1), min_size=r, max_size=r))
+    return l, q, draw(st.integers(1, 3)), block
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_blocks())
+# a wrong top coefficient alone, off-degree exponents 1 + 2 = r at m = 2,
+# and 1 + 1 + 1 = r, which only m = 3 reaches
+@example((5, 3, 2, [1, 0, 0, 0, 1]))
+@example((3, 2, 2, [1, 1, 2, 2]))
+@example((7, 2, 3, [1, 1, 0, 1]))
+@example((7, 2, 2, [1, 1, 0, 1]))
+def test_the_chern_verdicts_match_the_expanded_block_product(case):
+    """With the block replaced by a drawn one, each clause of
+    `verify_restricted_chern` has the verdict that sympy's expansion of
+    prod_j B(eta_j) over GF(l) gives it."""
+    sympy = pytest.importorskip("sympy")
+    l, q, m, block = case
+    r = len(block) - 1
+    params = galois_params(q, q, l)
+    object.__setattr__(params, "r", r)
+    with patch.object(oracles, "_chern_block", lambda q, r, l: block):
+        report = verify_restricted_chern(m, params)
+    got = {c.name: c.passed for c in report.clauses}
+
+    etas = sympy.symbols(f"eta_1:{m + 1}")
+    sign = (-1) ** (r - 1)
+    total = sympy.Poly(
+        sympy.Mul(*(sum(b * eta**k for k, b in enumerate(block)) for eta in etas)),
+        *etas, modulus=l,
+    )
+    expected = sympy.Poly(sympy.Mul(*(1 + sign * eta**r for eta in etas)), *etas, modulus=l)
+
+    def degrees(poly):
+        """The degree of each nonzero term."""
+        return [sum(exps) for exps, c in poly.terms() if int(c) % l]
+
+    want = {
+        "off_degree_components_vanish": all(d % r == 0 for d in degrees(total)),
+        "symmetric_function_identity": all(d % r or d == 0 for d in degrees(total - expected)),
+    }
+    if m == 1:
+        coefficient = int(total.coeff_monomial(etas[0] ** r)) % l
+        want["top_coefficient_sign"] = (
+            coefficient == pow(q, r * (r - 1) // 2, l) == sign % l
+        )
+    assert got == want, (block, got, want)

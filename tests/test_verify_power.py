@@ -10,7 +10,6 @@ import pytest
 
 from chevring import arith, cli, oracles, presentations, rootdata, verify
 from chevring.errors import InputError
-from chevring.poly import generators
 
 SWEEP = verify.Sweep(
     primes=(3, 5, 7), max_weight_entry=2, max_weight_len=1, max_m=1, cutoff=4, sp_max_rank=1
@@ -44,7 +43,7 @@ def test_a_chow_engine_that_drops_its_top_generator_fails(monkeypatch):
         return original(params, b)[:-1]
 
     monkeypatch.setattr(presentations, "_chow_gl_degrees", drop_top)
-    assert _failed() == {"gl-chow-oracle-vs-presentation"}
+    assert _failed() == {"gl-chow-oracle-vs-presentation", "restricted-chern-class"}
 
 
 def test_a_comparison_that_reports_the_opposite_fails(monkeypatch):
@@ -166,13 +165,13 @@ def test_a_record_refused_at_a_rank_every_registry_clause_reads_fails_those_thre
 
 
 def test_a_chern_witness_names_each_check_that_failed(monkeypatch):
-    original = oracles.brauer_chern_total_class
+    original = oracles._chern_block
 
-    def plus_eta(m, params):
-        total = original(m, params)
-        return total + generators(params.l, total.variables, total.cutoff)[0]
+    def plus_eta(q, r, l):
+        block = original(q, r, l)
+        return [(b + (k == 1)) % l for k, b in enumerate(block)]
 
-    monkeypatch.setattr(oracles, "brauer_chern_total_class", plus_eta)
+    monkeypatch.setattr(oracles, "_chern_block", plus_eta)
     sweep = verify.Sweep(primes=(3,), max_m=1)
     # at r = 1 the added eta_1 is in degree r, at r = 2 off it
     assert list(verify._restricted_chern(sweep, verify._field_table(sweep))) == [
@@ -180,3 +179,31 @@ def test_a_chern_witness_names_each_check_that_failed(monkeypatch):
         "expected eta_1; top_coefficient_sign: coefficient 2, q^{r(r-1)/2} = 1, sign 1",
         "m = 1, q = 2, l = 3: off_degree_components_vanish: degree 1: eta_1",
     ]
+
+
+def test_a_block_with_one_factor_q_to_the_i_plus_1_fails(monkeypatch):
+    original = oracles._chern_block
+
+    def last_factor_q_to_the_r(q, r, l):
+        # the factors 1 + q^i eta for i < r - 1, then 1 + q^r eta for i = r - 1
+        block = original(q, r - 1, l) + [0]
+        power = pow(q, r, l)
+        return [(b + power * lower) % l for b, lower in zip(block, [0] + block)]
+
+    monkeypatch.setattr(oracles, "_chern_block", last_factor_q_to_the_r)
+    # at r = 1 the factor q^1 is q^0 mod l; every l of SWEEP has an r >= 2
+    assert _failed() == {"restricted-chern-class"}
+
+
+def test_a_chow_engine_that_drops_its_top_generator_past_the_presentation_clauses_fails(
+    monkeypatch,
+):
+    # with sp_max_rank = 0 no presentation clause runs, so only the
+    # restricted Chern clause reads the printed Chow degrees of GL_{m r}
+    def drop_top(params, b):
+        r = params.base.r
+        return range(r, params.m * r, r)
+
+    monkeypatch.setattr(presentations, "_chow_gl_degrees", drop_top)
+    sweep = verify.Sweep(primes=(3, 5, 7), max_m=2, cutoff=4, sp_max_rank=0)
+    assert {c.name for c in verify.run(sweep) if not c.passed} == {"restricted-chern-class"}
