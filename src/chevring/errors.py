@@ -19,7 +19,10 @@ class PreconditionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An oracle instance exceeds its configured memory budget."""
+    """A computation would pass a limit: an oracle instance has a degree
+    with more monomials than its monomial limit, or `chevring params` would
+    print an h of more decimal digits than the interpreter converts to
+    text."""
 
 
 def _integer(value, name: str) -> int:

@@ -168,10 +168,13 @@ def _invariants(sweep: Sweep, table):
 def _restricted_chern(sweep: Sweep, table):
     """The restricted Chern check at each field and m = 1..max_m, then, for
     odd l, the printed Chow degrees of GL_{m*r} against the positive
-    degrees of the m-block class.  No term of that class cancels (see
-    `oracles.verify_restricted_chern`), so its degrees are the m-fold
-    sumset of the block's support."""
+    degrees of the m-block class.  The check's verdict is the same at every
+    m (see `oracles.verify_restricted_chern`), so it runs once per field,
+    at m = 1, whose report has the clauses of every m and one more,
+    top_coefficient_sign.  No term of the m-block class cancels, so its
+    degrees are the m-fold sumset of the block's support."""
     for params in table:
+        clauses = oracles.verify_restricted_chern(1, params).clauses
         block = oracles._chern_block(params.q, params.r, params.l)
         support = [k for k, b in enumerate(block) if b]
         degrees = {0}
@@ -180,8 +183,8 @@ def _restricted_chern(sweep: Sweep, table):
             where = f"m = {m}, q = {params.q}, l = {params.l}"
             failed = "; ".join(
                 c.name if c.witness is None else f"{c.name}: {c.witness}"
-                for c in oracles.verify_restricted_chern(m, params).clauses
-                if not c.passed
+                for c in clauses
+                if not c.passed and (m == 1 or c.name != "top_coefficient_sign")
             )
             if failed:
                 yield f"{where}: {failed}"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import chevring
-from chevring import cli, verify
+from chevring import cli, oracles, verify
 from chevring.arith import GaloisParams, galois_params, is_prime
 from chevring.cli import UsageError, build_parser, main, parse_args, run
 from chevring.errors import InputError
@@ -723,7 +723,7 @@ def broken_oracles(monkeypatch):
     presentation and the comparison read, and the restricted Chern check
     fails at l = 5 only.  Each clause passes at r = 1, so a first witness is
     not always the first instance."""
-    from chevring import oracles, presentations
+    from chevring import presentations
 
     def report(passed):
         return oracles.VerificationReport((), (oracles.Clause("forced", passed),))
@@ -882,6 +882,24 @@ def test_a_sweep_to_m_19_passes_every_clause():
     assert [(c.name, c.passed) for c in clauses] == [(name, True) for name, _ in verify.CLAUSES]
     # six fields of l = 13, each at m = 1..19
     assert clauses[3].instances == 6 * 19
+
+
+def test_the_chern_block_is_formed_as_often_at_m_19_as_at_m_1(monkeypatch):
+    # the restricted Chern verdict is the same at every m, so the clause
+    # forms each field's block a fixed number of times, whatever max_m is
+    original, calls = oracles._chern_block, []
+
+    def counted(q, r, l):
+        calls.append((q, r, l))
+        return original(q, r, l)
+
+    monkeypatch.setattr(oracles, "_chern_block", counted)
+    counts = []
+    for max_m in (1, 19):
+        calls.clear()
+        verify.run(verify.Sweep(primes=(13,), max_m=max_m, cutoff=2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_verify_at_l_2_skips_the_checks_stated_for_odd_l():

@@ -15,6 +15,7 @@ Chern clauses' tests where sympy is.
 """
 
 from itertools import product
+from math import prod
 from unittest.mock import patch
 
 import pytest
@@ -402,55 +403,60 @@ def test_forest_matches_sympy_rank_and_the_general_loop(case):
 
 @st.composite
 def drawn_blocks(draw):
-    """(l, q, m, block): a prime field F_q with q < 30 and l <= 13, m <= 3,
-    and a block b_0 = 1, b_1, ..., b_r of any residues mod l, r <= 6."""
+    """(l, q, block): a prime field F_q with q < 30 and l <= 13, and a block
+    b_0 = 1, b_1, ..., b_r of any residues mod l, r <= 6."""
     l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29) if q != l]))
     r = draw(st.integers(1, 6))
-    block = [1] + draw(st.lists(st.integers(0, l - 1), min_size=r, max_size=r))
-    return l, q, draw(st.integers(1, 3)), block
+    return l, q, [1] + draw(st.lists(st.integers(0, l - 1), min_size=r, max_size=r))
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn_blocks())
-# a wrong top coefficient alone, off-degree exponents 1 + 2 = r at m = 2,
-# and 1 + 1 + 1 = r, which only m = 3 reaches
-@example((5, 3, 2, [1, 0, 0, 0, 1]))
-@example((3, 2, 2, [1, 1, 2, 2]))
-@example((7, 2, 3, [1, 1, 0, 1]))
-@example((7, 2, 2, [1, 1, 0, 1]))
+# a wrong top coefficient alone; off-degree exponents 1 + 2 = r, which
+# m = 2 reaches; 1 + 1 + 1 = r, which only m = 3 reaches; and the true
+# block at q = 3, l = 5, which passes
+@example((5, 3, [1, 0, 0, 0, 1]))
+@example((3, 2, [1, 1, 2, 2]))
+@example((7, 2, [1, 1, 0, 1]))
+@example((5, 3, [1, 0, 0, 0, 4]))
 def test_the_chern_verdicts_match_the_expanded_block_product(case):
-    """With the block replaced by a drawn one, each clause of
-    `verify_restricted_chern` has the verdict that sympy's expansion of
-    prod_j B(eta_j) over GF(l) gives it."""
+    """With the block replaced by a drawn one, `verify_restricted_chern`
+    passes at each m <= 3 exactly when sympy's expansion of prod_j B(eta_j)
+    over GF(l) is prod_j (1 + s eta_j^r), s = (-1)^{r-1}, and, at m = 1,
+    q^{r(r-1)/2} = s; and at m = 1, the one-variable class, each clause has
+    the verdict that sympy gives it."""
     sympy = pytest.importorskip("sympy")
-    l, q, m, block = case
+    l, q, block = case
     r = len(block) - 1
+    sign = (-1) ** (r - 1)
+    power_is_sign = pow(q, r * (r - 1) // 2, l) == sign % l
     params = galois_params(q, q, l)
     object.__setattr__(params, "r", r)
-    with patch.object(oracles, "_chern_block", lambda q, r, l: block):
-        report = verify_restricted_chern(m, params)
-    got = {c.name: c.passed for c in report.clauses}
-
-    etas = sympy.symbols(f"eta_1:{m + 1}")
-    sign = (-1) ** (r - 1)
-    total = sympy.Poly(
-        sympy.Mul(*(sum(b * eta**k for k, b in enumerate(block)) for eta in etas)),
-        *etas, modulus=l,
-    )
-    expected = sympy.Poly(sympy.Mul(*(1 + sign * eta**r for eta in etas)), *etas, modulus=l)
 
     def degrees(poly):
         """The degree of each nonzero term."""
         return [sum(exps) for exps, c in poly.terms() if int(c) % l]
 
-    want = {
-        "off_degree_components_vanish": all(d % r == 0 for d in degrees(total)),
-        "symmetric_function_identity": all(d % r or d == 0 for d in degrees(total - expected)),
-    }
-    if m == 1:
-        coefficient = int(total.coeff_monomial(etas[0] ** r)) % l
-        want["top_coefficient_sign"] = (
-            coefficient == pow(q, r * (r - 1) // 2, l) == sign % l
-        )
-    assert got == want, (block, got, want)
+    for m in (1, 2, 3):
+        with patch.object(oracles, "_chern_block", lambda q, r, l: block):
+            report = verify_restricted_chern(m, params)
+        etas = sympy.symbols(f"eta_1:{m + 1}")
+
+        def over_etas(factor):
+            """prod_j factor(eta_j), multiplied as polynomials over GF(l)."""
+            return prod(sympy.Poly(factor(eta), *etas, modulus=l) for eta in etas)
+
+        total = over_etas(lambda eta: sum(b * eta**k for k, b in enumerate(block)))
+        expected = over_etas(lambda eta: 1 + sign * eta**r)
+        assert report.passed == (total == expected and (m > 1 or power_is_sign)), (block, m)
+        if m == 1:
+            coefficient = int(total.coeff_monomial(etas[0] ** r)) % l
+            want = {
+                "off_degree_components_vanish": all(d % r == 0 for d in degrees(total)),
+                "symmetric_function_identity": all(
+                    d % r or d == 0 for d in degrees(total - expected)
+                ),
+                "top_coefficient_sign": coefficient == sign % l and power_is_sign,
+            }
+            assert {c.name: c.passed for c in report.clauses} == want, (block, want)
