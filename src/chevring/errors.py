@@ -20,9 +20,10 @@ class PreconditionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A computation would pass a limit: an oracle instance has a degree
-    with more monomials than its monomial limit, or `chevring params` would
-    print an h of more decimal digits than the interpreter converts to
-    text."""
+    with more monomials than its monomial limit, a registry lookup asks for
+    more fundamental degrees than the interpreter can list in one range, or
+    `chevring params` would print an h of more decimal digits than the
+    interpreter converts to text."""
 
 
 def _integer(value, name: str) -> int:

@@ -8,14 +8,12 @@ Three families of checks, all exact over F_l:
   ideal with homogeneous generators; both are monomials, so J_d is closed
   as a set of monomials, with no row reduction;
 * invariants of the wreath-type action (coordinate scaling plus the full
-  symmetric group on the variables), by joint kernels of (g - id): every
-  row is a nonzero multiple of e - g(e) or of e, an edge between two
-  monomials or from a monomial to a sink standing for 0, so the rank of a
-  degree's rows is the size of a spanning forest of that graph, kept by
-  union-find with no arithmetic over F_l; each degree takes its scaling
-  rows first, then the m-cycle rows, then one transposition row per
-  transposed pair of monomials, and stops once the forest spans the whole
-  graded piece;
+  symmetric group on the variables), by an orbit search over the monomials
+  of each degree: every generator sends a monomial to a scalar times a
+  monomial, so an invariant has one free coefficient on each orbit none of
+  whose monomials is scaled by a q^{e_0} != 1 mod l, and none on any other
+  orbit; the forward images of the m-cycle and a transposition close each
+  orbit, as the group is finite, with no arithmetic over F_l;
 * the total Chern class of the restricted lift on m blocks,
   prod_j B(eta_j) with one block B(eta) = prod_{i<r} (1 + q^i eta), against
   prod_j (1 + s eta_j^r) with s = (-1)^{r-1}: the two are equal exactly
@@ -174,117 +172,75 @@ def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSe
 # -- wreath-type invariants -------------------------------------------------
 
 
-_SINK = -1
-
-
-def _join(parent: dict[int, int], a: int, b: int = _SINK) -> None:
-    """Add the row c*(a - b), or c*a when b is the sink, for any nonzero c,
-    to the span held by ``parent``: a union-find over packed keys plus the
-    sink vertex _SINK, which stands for 0, in which a root has no entry.
-
-    The rows are the edge vectors of a graph on the keys and the sink, and
-    over every field their rank is the number of edges in a spanning
-    forest, so ``len(parent)`` is the rank: a merge gives one root a
-    parent, and path halving only rewrites entries that already exist.
-    The smaller root becomes the parent, so the sink stays a root, and a
-    key joined to it is found in two lookups and no write."""
-    get = parent.get
-    while (up := get(a)) is not None:
-        if (top := get(up)) is None:
-            a = up
-            break
-        # path halving: point a at its grandparent and step there
-        parent[a] = a = top
-    while (up := get(b)) is not None:
-        if (top := get(up)) is None:
-            b = up
-            break
-        parent[b] = b = top
-    if a < b:
-        parent[b] = a
-    elif b < a:
-        parent[a] = b
-
-
 def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
     """Series of the ring of invariants under the group generated by the
     coordinate scaling eta_1 -> q*eta_1 and the full symmetric group on the
     variables: in each degree, the joint kernel of (g - id) over the monomial
-    basis, for g running over the generators.
+    basis, for g running over the generators, counted as orbits.
 
-    The symmetric group is generated by the transposition of the first two
-    variables and the m-cycle (either alone suffices only for m <= 2).  Each
-    generator sends a monomial e to a scalar multiple of a monomial,
-    bijectively on the basis, so the rows of (g - id) are, up to a nonzero
-    scalar, e - g(e) for the permutations and e for the scaling row
-    (1 - q^{e_0}) e; their rank is subtracted from the dimension of the
-    degree.  Images are formed on packed keys without unpacking: with
-    B = cutoff + 1 and P_i the place of variable i, the transposition adds
-    (e_1 - e_0)(P_0 - P_1) to a key, and the m-cycle maps it to
-    (key - e_0 P_0) B + e_0.
+    The symmetric group is generated by the m-cycle sigma and, for m >= 3,
+    the transposition tau of the first two variables (at m = 2 sigma is
+    tau, and at m <= 1 the identity).  Each generator sends a monomial e to
+    a scalar times a monomial: the permutations with scalar 1, the scaling
+    with q^{e_0}.  So the group permutes the monomials, and an invariant
+    f = sum a_e e is, on each orbit, zero or a multiple of the orbit's sum.
+    It is zero when some e of the orbit has q^{e_0} != 1 mod l: the scaling
+    fixes e and multiplies it by q^{e_0}, so a_e = 0, and the coefficients
+    along an orbit are nonzero multiples of each other.  Otherwise the
+    scaling fixes every monomial of the orbit, every generator permutes it
+    with scalar 1, and its sum is invariant.  The dimension of the degree
+    is thus the number of orbits with no scaled key, over every field, F_2
+    included.  That is dim R_d less the rank of the rows of (g - id):
+    e - g(e) links e to g(e), (1 - q^{e_0}) e links e to 0, and each set of
+    linked monomials not linked to 0 is an orbit, which adds one dimension.
 
-    So the rows are the edge vectors of a graph on the monomials plus a sink
-    standing for 0: e - g(e) joins e to g(e), and e joins e to the sink.
-    Over every field, F_2 included, their rank is the number of edges in a
-    spanning forest.  On a connected component C the edge vectors span the
-    vectors on C whose entries sum to 0, and dropping the sink's coordinate
-    is injective on that space.  _join keeps the forest, and its size is the
-    rank.
-
-    Each degree takes its nonzero scaling rows first (none when
-    q = 1 mod l), then the m-cycle rows key by key, then the transposition
-    rows.  The transposition is an involution, so the row at tau(e) is the
-    row at e times -1 and adds nothing to the span: each pair {e, tau(e)}
-    gives one row, from the key with e_1 > e_0.  No row is fed once the rank
-    equals dim R_d: the span is then all of R_d, so no later row could grow
-    it, and the rank is exact."""
+    Each degree is searched from every key not yet seen, following the
+    forward images of sigma and tau.  The group is finite, so the inverse
+    of a generator is one of its powers, and the forward images close the
+    orbit.  Images are formed on packed keys without unpacking: with
+    B = cutoff + 1 and P_i the place of variable i, sigma maps a key to
+    (key - e_0 P_0) B + e_0, and tau adds (e_1 - e_0)(P_0 - P_1) to it.  The
+    only arithmetic mod l is the table of the e_0 with q^{e_0} != 1."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
         raise InputError("invariant oracle expects all variable weights equal to 1")
     m = len(problem.weights)
-    l, cutoff = problem.l, problem.cutoff
+    cutoff = problem.cutoff
     base = cutoff + 1
     _checked_dimensions(problem)
-    bases = packed_monomials(problem.weights, cutoff)
     # places of the first two variables in a packed key; with m = 0 the one
-    # key is 0, whose scaling row 1 - q^0 vanishes
+    # key is 0, and with m = 1 sigma maps each key to itself
     p0 = base ** max(m - 1, 0)
     p1 = p0 // base
-    scale = [pow(problem.q, k, l) != 1 for k in range(base)]
-    # with q = 1 mod l no scaling row survives, and the pass is skipped
-    scaled = any(scale)
-    join = _join
+    shift = p0 - p1
+    scaled = [pow(problem.q, k, problem.l) != 1 for k in range(base)]
 
     coeffs = []
-    for basis in bases:
-        parent, dim = {}, len(basis)
-        if scaled:
-            # the scaling on the first variable: e -> q^{e_0} e
-            for key in basis:
-                if scale[key // p0]:
-                    join(parent, key)
-        if m >= 3:
-            # the m-cycle: e_0 moves from the first place to the last
-            for key in basis:
-                if len(parent) == dim:
-                    # the span is all of R_d: no later row can grow it
-                    break
+    for basis in packed_monomials(problem.weights, cutoff):
+        seen, orbits = set(), 0
+        for start in basis:
+            if start in seen:
+                continue
+            seen.add(start)
+            orbit, free = [start], True
+            # the loop also visits the keys appended while it runs
+            for key in orbit:
                 e0 = key // p0
-                image = (key - e0 * p0) * base + e0
-                if image != key:
-                    join(parent, key, image)
-        if m >= 2:
-            # the transposition of the first two variables, once per pair
-            # {e, tau(e)}: from the key with e_1 > e_0
-            for key in basis:
-                if len(parent) == dim:
-                    break
-                e0 = key // p0
-                e1 = key // p1 % base
-                if e1 > e0:
-                    join(parent, key, key + (e1 - e0) * (p0 - p1))
-        coeffs.append(dim - len(parent))
+                rest = key - e0 * p0
+                if scaled[e0]:
+                    free = False
+                image = rest * base + e0
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+                if m >= 3:
+                    image = key + (rest // p1 - e0) * shift
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            orbits += free
+        coeffs.append(orbits)
     return TruncatedSeries(cutoff, tuple(coeffs))
 
 

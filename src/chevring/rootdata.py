@@ -14,12 +14,13 @@ returns against the classical identities
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterable
 from functools import lru_cache
 from math import factorial, prod
 
 from .arith import prime_power_base, require_prime
-from .errors import InputError, _Frozen, _integer
+from .errors import InputError, ResourceLimitError, _Frozen, _integer
 
 __all__ = [
     "Registry",
@@ -77,6 +78,11 @@ class _Record(_Frozen):
         if not self.admits(rank):
             pat = f"= {self.min_rank}" if self.fixed_rank else f">= {self.min_rank}"
             raise InputError(f"family {self.family} needs rank {pat}, got {rank}")
+        if rank > sys.maxsize:
+            raise ResourceLimitError(
+                f"{self.family} rank {rank}: more fundamental degrees than the "
+                f"interpreter can list, at most {sys.maxsize}"
+            )
         degrees = tuple(sorted(self.degrees(rank)))
         if len(degrees) != rank:
             raise InputError(

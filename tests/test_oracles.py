@@ -9,9 +9,7 @@ from chevring.oracles import (
     FULL_SYMMETRIC,
     Clause,
     GradedActionProblem,
-    _SINK,
     _chern_block,
-    _join,
     coinvariants_hilbert_bruteforce,
     coinvariants_hilbert_closedform,
     invariants_hilbert_bruteforce,
@@ -78,87 +76,6 @@ def test_resource_limit_names_the_offending_degree():
     # 15 monomials of degree 4 in three variables
     with pytest.raises(ResourceLimitError, match="^degree 4: 15 monomials exceed"):
         coinvariants_hilbert_bruteforce(problem)
-
-
-# -- the spanning forest ---------------------------------------------------------
-
-
-def test_a_cycle_adds_nothing():
-    parent = {}
-    _join(parent, 9, 4)
-    _join(parent, 4, 6)
-    assert len(parent) == 2
-    # 9 - 6 is (9 - 4) + (4 - 6), in either direction
-    _join(parent, 9, 6)
-    _join(parent, 6, 9)
-    assert len(parent) == 2
-
-
-def test_a_one_term_row_joins_the_sink():
-    parent = {}
-    _join(parent, 5)
-    assert parent == {5: _SINK}
-    # 3*e and 6*e span the same line as e
-    _join(parent, 5)
-    assert len(parent) == 1
-    _join(parent, 7, _SINK)
-    assert len(parent) == 2
-
-
-def test_an_edge_between_two_keys_already_joined_to_the_sink_adds_nothing():
-    parent = {}
-    _join(parent, 9)
-    _join(parent, 4)
-    _join(parent, 9, 4)
-    _join(parent, 4, 9)
-    assert len(parent) == 2
-    # an edge that reaches the sink's tree puts every key of its own tree in
-    # the span: 3 - 2 and 2 - 9 leave 3 and 2 in it, so 3 then adds nothing
-    _join(parent, 3, 2)
-    _join(parent, 2, 9)
-    assert len(parent) == 4
-    _join(parent, 3)
-    assert len(parent) == 4
-
-
-def test_key_0_is_an_ordinary_key_not_the_sink():
-    # key 0 is the monomial 1: the row 0 - 1 is an edge, not the row -1
-    parent = {}
-    _join(parent, 1, 0)
-    _join(parent, 1)
-    assert len(parent) == 2
-    _join(parent, 0)
-    assert len(parent) == 2
-    fresh = {}
-    _join(fresh, 0)
-    assert fresh == {0: _SINK}
-
-
-def test_len_parent_counts_merges_after_path_halving():
-    # the smaller root becomes the parent, so joining from the top down
-    # builds the chain 8 -> 7 -> ... -> 1
-    parent = {}
-    for k in range(7, 0, -1):
-        _join(parent, k, k + 1)
-    assert parent == {k + 1: k for k in range(1, 8)}
-    # finding 8's root halves its path: 8, 6 and 4 now skip a step
-    _join(parent, 8)
-    assert len(parent) == 8
-    assert parent[8] == 6 and parent[6] == 4 and parent[4] == 2
-    assert parent[1] == _SINK
-    # every key is in the sink's tree, however long its path
-    for k in range(1, 9):
-        _join(parent, k)
-        _join(parent, _SINK, k)
-    assert len(parent) == 8
-
-
-def test_the_sink_stays_a_root():
-    # 9 is joined to the sink, then to 4: 4 joins the sink's tree below it
-    parent = {}
-    _join(parent, 9)
-    _join(parent, 9, 4)
-    assert parent == {9: _SINK, 4: _SINK}
 
 
 # -- invariants ---------------------------------------------------------------

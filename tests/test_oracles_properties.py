@@ -1,17 +1,17 @@
-"""Property tests of the packed monomial enumerator behind both oracles,
-of the degree-led keys ModPolynomial stores, and of the generator images
-the invariant oracle forms on packed keys, driven by hypothesis against a
-brute-force enumeration of exponent tuples; a differential test of the
-coinvariant oracle against the enumeration of every monomial pair; a
-differential test of the invariant oracle's spanning forest, _join,
-against sympy's rank over GF(l) and against term-by-term reduction of
-dict rows, the reference every rank here is checked against; and a
-differential test of the restricted Chern clauses, read off one drawn
-block, against sympy's expansion of the m-block product over GF(l).
+"""Property tests of the packed monomial enumerator behind both oracles
+and of the degree-led keys ModPolynomial stores, driven by hypothesis
+against a brute-force enumeration of exponent tuples; two differential
+tests of the invariant oracle's orbit count: against term-by-term
+reduction of every row of (g - id), with the generator images found by
+unpack -> permute -> repack, and against sympy's joint nullspace over
+GF(l) of the matrices (g - id); a differential test of the coinvariant
+oracle against the enumeration of every monomial pair; and a differential
+test of the restricted Chern clauses, read off one drawn block, against
+sympy's expansion of the m-block product over GF(l).
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
-module is skipped where hypothesis is missing, and the forest's and the
-Chern clauses' tests where sympy is.
+module is skipped where hypothesis is missing, and the nullspace and
+Chern clause tests where sympy is.
 """
 
 from itertools import product
@@ -31,9 +31,7 @@ from chevring.errors import InputError  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
-    _SINK,
     _checked_dimensions,
-    _join,
     coinvariants_hilbert_bruteforce,
     invariants_hilbert_bruteforce,
     verify_restricted_chern,
@@ -147,25 +145,6 @@ def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
             assert monomial.terms == {d * base**n + k: 1}
 
 
-def _rows_fed_to_forest(problem):
-    """Every row invariants_hilbert_bruteforce gives _join, in order, as
-    (a, b) pairs, one list per degree that has rows: each new parent dict
-    starts a degree.  The recorder never merges, so the oracle never reaches
-    full rank and feeds every row."""
-    parents, rows = [], []
-
-    def recorder(parent, a, b=_SINK):
-        assert not parent
-        if not parents or parent is not parents[-1]:
-            parents.append(parent)
-            rows.append([])
-        rows[-1].append((a, b))
-
-    with patch.object(oracles, "_join", recorder):
-        invariants_hilbert_bruteforce(problem)
-    return rows
-
-
 def _generator_rows(m, l, q, cutoff):
     """Every nonzero row of (g - id) over the monomial basis, one dict
     {g: [(e, row), ...]} per degree, key by key, for g the scaling gamma of
@@ -195,27 +174,6 @@ def _generator_rows(m, l, q, cutoff):
     return by_degree
 
 
-def _edge(row):
-    """The (key, image) pair of e - g(e), or (key, _SINK) for a one-term
-    row, with key the packed e, which each row lists first."""
-    key, *image = row
-    return (key, image[0] if image else _SINK)
-
-
-def _expected_rows(m, l, q, cutoff):
-    """Every row the invariant oracle forms, as the pairs it gives _join,
-    one list per degree that has rows, in its order: the scaling rows
-    (1 - q^{e_0}) e, then the m-cycle rows key by key, then one
-    transposition row per pair {e, tau(e)}, from the key with e_1 > e_0."""
-    expected = [
-        [_edge(row) for _, row in rows["gamma"]]
-        + [_edge(row) for _, row in rows["sigma"]]
-        + [_edge(row) for e, row in rows["tau"] if e[1] > e[0]]
-        for rows in _generator_rows(m, l, q, cutoff)
-    ]
-    return [rows for rows in expected if rows]
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(1, 6),
@@ -232,55 +190,79 @@ def _expected_rows(m, l, q, cutoff):
 @example(m=6, cutoff=14, lq=(7, 3))
 @example(m=6, cutoff=1, lq=(3, 2))
 @example(m=4, cutoff=0, lq=(5, 1))
-def test_invariant_rows_are_unpack_permute_repack(m, cutoff, lq):
-    l, q = lq
-    problem = GradedActionProblem(
-        weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
-    )
-    assert _rows_fed_to_forest(problem) == _expected_rows(m, l, q, cutoff)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    m=st.integers(1, 5),
-    cutoff=st.integers(0, 12),
-    lq=st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
-        lambda l: st.tuples(st.just(l), st.integers(1, l - 1))
-    ),
-)
 # q = 1 mod l, where no scaling row exists; r = 2 with m = 1, where every
 # odd degree is full after its one scaling row; and the largest case
 @example(m=5, cutoff=12, lq=(13, 1))
 @example(m=1, cutoff=12, lq=(3, 2))
 @example(m=5, cutoff=12, lq=(2, 1))
 @example(m=4, cutoff=12, lq=(7, 3))
-def test_the_full_rank_stop_loses_nothing(m, cutoff, lq):
-    """The oracle's series equals the one from every row of (gamma - id),
-    (tau - id) and (sigma - id), both rows of each transposed pair
-    included, reduced term by term with no stop; and no row reaches _join
-    once the rank is the dimension of the degree."""
+def test_the_orbit_count_is_the_rank_of_every_generator_row(m, cutoff, lq):
+    """The oracle's series equals dim R_d less the rank of every row of
+    (gamma - id), (tau - id) and (sigma - id), with the images found by
+    unpack -> permute -> repack and both rows of each transposed pair
+    included, reduced term by term."""
     l, q = lq
     problem = GradedActionProblem(
         weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
     )
-    dims = _checked_dimensions(problem)
-    base = cutoff + 1
-
-    def checked(parent, a, b=_SINK):
-        assert len(parent) < dims[sum(_exponents(a, m, base))]
-        _join(parent, a, b)
-
-    with patch.object(oracles, "_join", checked):
-        series = invariants_hilbert_bruteforce(problem)
-
     coefficients = []
-    for dim, rows in zip(dims, _generator_rows(m, l, q, cutoff)):
+    for dim, rows in zip(_checked_dimensions(problem), _generator_rows(m, l, q, cutoff)):
         pivots = {}
         for g in rows.values():
             for _, row in g:
                 _general_loop(l, pivots, row)
         coefficients.append(dim - len(pivots))
-    assert series == TruncatedSeries(cutoff, tuple(coefficients))
+    assert invariants_hilbert_bruteforce(problem) == TruncatedSeries(cutoff, tuple(coefficients))
+
+
+def _generator_matrices(m, l, q, d):
+    """The matrices of gamma, tau (m >= 2) and sigma (m >= 3) on the
+    monomials of degree d in m variables, over GF(l), with the monomials
+    listed as exponent tuples and each image found by permuting the tuple
+    or scaling it by q^{e_0}."""
+    basis = sorted(e for e in product(range(d + 1), repeat=m) if sum(e) == d)
+    index = {e: i for i, e in enumerate(basis)}
+    maps = [lambda e: (e, pow(q, e[0], l))]
+    if m >= 2:
+        maps.append(lambda e: ((e[1], e[0], *e[2:]), 1))
+    if m >= 3:
+        maps.append(lambda e: ((*e[1:], e[0]), 1))
+    matrices = []
+    for g in maps:
+        matrix = [[0] * len(basis) for _ in basis]
+        for e in basis:
+            image, c = g(e)
+            matrix[index[image]][index[e]] = c
+        matrices.append(matrix)
+    return len(basis), matrices
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11, 13])
+def test_the_invariant_series_is_sympys_joint_nullspace(m, l):
+    """For every q < l and cutoff <= 6, each coefficient of the oracle's
+    series is the dimension of sympy's nullspace over GF(l) of the stacked
+    matrices (g - id), g = gamma, tau, sigma, on the monomials of that
+    degree: the invariants themselves, with no rows or orbits formed."""
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
+    field = pytest.importorskip("sympy").GF(l)
+    for q in range(1, l):
+        kernel = []
+        for d in range(7):
+            n, matrices = _generator_matrices(m, l, q, d)
+            stacked = [
+                [field(c - (i == j)) for j, c in enumerate(row)]
+                for matrix in matrices
+                for i, row in enumerate(matrix)
+            ]
+            nullspace = DomainMatrix(stacked, (len(stacked), n), field).nullspace()
+            kernel.append(nullspace.shape[0])
+        for cutoff in range(7):
+            problem = GradedActionProblem(
+                weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
+            )
+            series = invariants_hilbert_bruteforce(problem)
+            assert series.coefficients == tuple(kernel[: cutoff + 1]), (q, cutoff)
 
 
 # -- the coinvariant oracle -----------------------------------------------------
@@ -333,9 +315,7 @@ def test_coinvariants_match_the_all_pairs_enumeration(weights, lq, cutoff):
     assert coinvariants_hilbert_bruteforce(problem) == _coinvariants_all_pairs(problem)
 
 
-# -- the spanning forest ---------------------------------------------------------
-
-KEYS = 8
+# -- the reference rank ----------------------------------------------------------
 
 
 def _general_loop(l, pivots, row):
@@ -358,47 +338,6 @@ def _general_loop(l, pivots, row):
             elif e in row:
                 del row[e]
     return False
-
-
-@st.composite
-def edge_rows(draw):
-    """(l, rows): rows c*(e_a - e_b) and c*e_a, with c != 0 drawn at random,
-    on the keys 0..KEYS-1, key 0 included, as (a, b, c) with b = _SINK for
-    a one-term row."""
-    l = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
-    coefficient = st.integers(1, l - 1)
-    one = st.tuples(st.integers(0, KEYS - 1), st.just(_SINK), coefficient)
-    two = st.tuples(
-        st.lists(st.integers(0, KEYS - 1), min_size=2, max_size=2, unique=True),
-        coefficient,
-    ).map(lambda t: (*t[0], t[1]))
-    return l, draw(st.lists(st.one_of(one, two), min_size=1, max_size=24))
-
-
-@settings(max_examples=150, deadline=None)
-@given(edge_rows())
-# rows on key 0: as the lone term, as an edge's second key, and as the key
-# a path of edges ends on
-@example((7, [(0, _SINK, 3), (2, 0, 1), (0, _SINK, 5)]))
-@example((5, [(1, 0, 2), (2, 1, 3), (2, _SINK, 3), (1, _SINK, 1)]))
-def test_forest_matches_sympy_rank_and_the_general_loop(case):
-    """Rows fed as key pairs through _join give, row by row, sympy's rank
-    over GF(l) of the rows so far as len(parent), and term-by-term
-    reduction of the same rows as dicts grows to the same rank."""
-    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
-    GF = pytest.importorskip("sympy").GF
-    l, rows = case
-    field = GF(l)
-    parent, pivots, fed = {}, {}, []
-    for a, b, c in rows:
-        row = {a: c} if b == _SINK else {a: c, b: -c % l}
-        fed.append(row)
-        _join(parent, a, b)
-        _general_loop(l, pivots, row)
-        matrix = DomainMatrix(
-            [[field(r.get(k, 0)) for k in range(KEYS)] for r in fed], (len(fed), KEYS), field
-        )
-        assert len(parent) == matrix.rank() == len(pivots)
 
 
 @st.composite

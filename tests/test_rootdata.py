@@ -1,10 +1,11 @@
+import sys
 from math import factorial, prod
 
 import pytest
 
 from chevring import rootdata, verify
 from chevring.arith import galois_params, gl_params, multiplicative_order, prime_power_base
-from chevring.errors import InputError
+from chevring.errors import InputError, ResourceLimitError
 from chevring.rootdata import (
     _RECORDS, Registry, _Record, default_registry, group_order, lookup,
 )
@@ -171,6 +172,20 @@ def test_lookup_rejects_a_wrong_degree_count():
     reg = Registry([_gl(degrees=lambda n: range(1, n))])
     with pytest.raises(InputError, match="^GL rank 1: 0 fundamental degrees, expected 1$"):
         reg.lookup("GL", 1)
+
+
+def test_lookup_refuses_a_rank_past_the_address_space_before_listing_degrees():
+    # range() holds at most sys.maxsize items; the degrees are never asked for
+    def degrees(n):
+        raise AssertionError("the degrees were built")
+
+    reg = Registry([_gl(degrees=degrees)])
+    for rank in (sys.maxsize + 1, 2**200):
+        with pytest.raises(ResourceLimitError, match=f"^GL rank {rank}: more fundamental"):
+            reg.lookup("GL", rank)
+    # a family of one rank refuses every other rank as bad input first
+    with pytest.raises(InputError, match="^family G2 needs rank = 2"):
+        lookup("G2", sys.maxsize + 1)
 
 
 def test_lookup_rejects_a_degree_of_zero():
