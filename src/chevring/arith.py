@@ -245,9 +245,7 @@ def multiplicative_order(q: int, l: int) -> int:
     Starts from l - 1 and strips each prime factor while q to the remaining
     exponent stays 1 mod l: O(log l) modular powers once l - 1 is factored.
     """
-    q, l = _integer(q, "q"), _integer(l, "l")
-    if q < 1:
-        raise InputError(f"q must be positive, got {q}")
+    q, l = _integer(q, "q", 1), _integer(l, "l")
     require_prime(l, "l")
     if q % l == 0:
         raise PreconditionError(
@@ -355,9 +353,7 @@ class GLParams(_Frozen):
     _fields = ("base", "n", "m", "e")
 
     def __init__(self, base: GaloisParams, n: int):
-        n = _integer(n, "n")
-        if n < 1:
-            raise InputError(f"n must be >= 1, got {n}")
+        n = _integer(n, "n", 1)
         m, e = divmod(n, base.r)
         self._set(base=base, n=n, m=m, e=e)
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import presentations, rootdata
 from .arith import GaloisParams, galois_params, gl_params, prime_power_base
-from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError
+from .errors import SCHEMA_VERSION, InputError, PreconditionError, ResourceLimitError, _integer
 
 
 class UsageError(Exception):
@@ -263,8 +263,8 @@ def _run_present(request: argparse.Namespace) -> str:
     pres = _presentation(request)
     if request.format == "latex":
         # the series is never printed here, so only its cutoff is checked
-        if request.cutoff is not None and request.cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {request.cutoff}")
+        if request.cutoff is not None:
+            _integer(request.cutoff, "cutoff", 0)
         return presentations.render_latex(pres)
     series = None
     if request.cutoff is not None:

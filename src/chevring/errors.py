@@ -26,13 +26,17 @@ class ResourceLimitError(RuntimeError):
     interpreter converts to text."""
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, refusing one that is not integral: a cutoff of 4.5
-    is refused here, not carried on to fail later with a TypeError."""
+def _integer(value, name: str, least: int | None = None) -> int:
+    """value as an int, refusing one that is not integral or is below least:
+    a cutoff of 4.5 is refused here, not carried on to fail later with a
+    TypeError."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class _Frozen:

@@ -82,17 +82,13 @@ class GradedActionProblem(_Frozen):
         monomial_limit: int = DEFAULT_MONOMIAL_LIMIT,
     ):
         weights = _checked_weights(weights)
-        l, q, cutoff = _integer(l, "l"), _integer(q, "q"), _integer(cutoff, "cutoff")
-        monomial_limit = _integer(monomial_limit, "monomial_limit")
+        l, q, cutoff = _integer(l, "l"), _integer(q, "q"), _integer(cutoff, "cutoff", 0)
+        monomial_limit = _integer(monomial_limit, "monomial_limit", 1)
         require_prime(l, "l")
         if q < 1 or gcd(q, l) != 1:
             raise InputError(f"q = {q} must be positive and prime to l = {l}")
-        if cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {cutoff}")
         if permutation not in (NO_PERMUTATION, FULL_SYMMETRIC):
             raise InputError(f"unknown permutation component {permutation!r}")
-        if monomial_limit < 1:
-            raise InputError("monomial limit must be positive")
         self._set(
             weights=weights, l=l, q=q, cutoff=cutoff, permutation=permutation,
             monomial_limit=monomial_limit,
@@ -325,9 +321,7 @@ def verify_restricted_chern(m: int, params: GaloisParams) -> VerificationReport:
     Each witness names the wrong terms of the block, as eta_1^k.  Failures
     are reported, not raised.
     """
-    m = _integer(m, "m")
-    if m < 1:
-        raise InputError(f"m must be >= 1, got {m}")
+    m = _integer(m, "m", 1)
     l, r = params.l, params.r
     block = _chern_block(params.q, r, l)
     sign = (-1) ** (r - 1) % l

@@ -51,7 +51,7 @@ def packed_monomials(weights: tuple[int, ...], cutoff: int) -> list[list[int]]:
     the exponents are base-(cutoff + 1) digits, the first variable's the most
     significant.  Each degree's list is increasing, and the order of keys is
     the lexicographic order of exponents."""
-    cutoff = _integer(cutoff, "cutoff")
+    weights, cutoff = _checked_weights(weights), _integer(cutoff, "cutoff", 0)
     base = cutoff + 1
     by_degree = [[0]] + [[] for _ in range(cutoff)]
     place = 1
@@ -71,7 +71,7 @@ def _checked_weights(weights) -> tuple[int, ...]:
         ws = tuple(map(index, weights))
     except TypeError as exc:
         raise InputError(f"variable weights must be positive integers: {exc}") from None
-    if any(w < 1 for w in ws):
+    if ws and min(ws) < 1:
         raise InputError("variable weights must be positive integers")
     return ws
 
@@ -102,11 +102,7 @@ class ModPolynomial:
     __slots__ = ("modulus", "variables", "cutoff", "terms")
 
     def __init__(self, modulus: int, variables, cutoff: int):
-        modulus, cutoff = _integer(modulus, "modulus"), _integer(cutoff, "cutoff")
-        if modulus < 2:
-            raise InputError(f"modulus must be >= 2, got {modulus}")
-        if cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {cutoff}")
+        modulus, cutoff = _integer(modulus, "modulus", 2), _integer(cutoff, "cutoff", 0)
         self.modulus = modulus
         self.variables = _validated_variables(variables)
         self.cutoff = cutoff
@@ -297,10 +293,8 @@ class TruncatedSeries(_Frozen):
     _fields = ("cutoff", "coefficients")
 
     def __init__(self, cutoff: int, coefficients: tuple[int, ...]):
-        if type(cutoff) is not int:  # several are built per oracle call
-            cutoff = _integer(cutoff, "cutoff")
-        if cutoff < 0:
-            raise InputError(f"cutoff must be >= 0, got {cutoff}")
+        if type(cutoff) is not int or cutoff < 0:  # several are built per oracle call
+            cutoff = _integer(cutoff, "cutoff", 0)
         if len(coefficients) != cutoff + 1:
             raise InputError(f"expected {cutoff + 1} coefficients, got {len(coefficients)}")
         if any(c < 0 for c in coefficients):
@@ -324,12 +318,12 @@ class TruncatedSeries(_Frozen):
 def hilbert_series_of_free_polynomial_ring(degrees: Iterable[int], cutoff: int) -> TruncatedSeries:
     """Series of a free commutative polynomial ring on generators of the given
     degrees: c_d counts multisets of the degrees summing to d."""
-    cutoff = _integer(cutoff, "cutoff")
-    if cutoff < 0:
-        raise InputError(f"cutoff must be >= 0, got {cutoff}")
+    cutoff = _integer(cutoff, "cutoff", 0)
     coeffs = [0] * (cutoff + 1)
     coeffs[0] = 1
     for d in degrees:
+        if type(d) is not int:
+            d = _integer(d, "generator degree")
         if d < 1:
             raise InputError(f"generator degrees must be positive, got {d}")
         for t in range(d, cutoff + 1):

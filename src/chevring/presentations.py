@@ -165,11 +165,9 @@ def cobordism_presentation(datum: RootDatum, params: GaloisParams) -> GradedPres
 
 def _chow_gl_degrees(params: GLParams, b: int) -> range:
     """The generator degrees of the mod-l^b Chow ring of BGL(n, F_q), in
-    increasing order, after the refusals of b < 1, of l = 2 and of a field
-    without the l^b-th roots of unity."""
+    increasing order, after the refusals of l = 2 and of a field without
+    the l^b-th roots of unity."""
     base = params.base
-    if b < 1:
-        raise InputError(f"b must be >= 1, got {b}")
     if base.l == 2:
         raise PreconditionError(
             "l must be odd: the mod-l Chow presentation for GL is stated for odd primes only"
@@ -192,7 +190,7 @@ def chow_gl_presentation(params: GLParams, b: int = 1) -> GradedPresentation:
     For b >= 2 the field must contain the l^b-th roots of unity, and the
     result is Z/l^b[c_1, ..., c_n].
     """
-    b = _integer(b, "b")
+    b = _integer(b, "b", 1)
     pairs = tuple((d, f"c_{d}") for d in _chow_gl_degrees(params, b))
     return GradedPresentation("chow", "GL", params.n, params.base, b, pairs)
 
@@ -281,10 +279,8 @@ def render_text(pres: GradedPresentation) -> str:
 
 
 def _latex_name(name: str) -> str:
-    if "_" not in name:
-        return name
-    stem, index = name.rsplit("_", 1)
-    return f"{stem}_{index}" if len(index) == 1 else f"{stem}_{{{index}}}"
+    stem, sep, index = name.rpartition("_")
+    return f"{stem}_{{{index}}}" if sep and len(index) != 1 else name
 
 
 def render_latex(pres: GradedPresentation) -> str:

@@ -49,14 +49,9 @@ class Sweep(_Frozen):
         monomial_limit: int = oracles.DEFAULT_MONOMIAL_LIMIT,
     ):
         primes = tuple(_integer(l, "l") for l in primes)
-        sizes = dict(zip(SIZES, (max_weight_entry, max_weight_len, max_m, cutoff, sp_max_rank)))
-        for name, value in sizes.items():
-            sizes[name] = value = _integer(value, name)
-            if value < 0:
-                raise InputError(f"{name} must be >= 0, got {value}")
-        monomial_limit = _integer(monomial_limit, "monomial_limit")
-        if monomial_limit < 1:
-            raise InputError(f"monomial_limit must be >= 1, got {monomial_limit}")
+        values = (max_weight_entry, max_weight_len, max_m, cutoff, sp_max_rank)
+        sizes = {name: _integer(value, name, 0) for name, value in zip(SIZES, values)}
+        monomial_limit = _integer(monomial_limit, "monomial_limit", 1)
         if not primes:
             raise InputError("primes must not be empty")
         for l in primes:

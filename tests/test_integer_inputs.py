@@ -2,7 +2,12 @@
 integral with an InputError naming it, before any arithmetic on it, and an
 argument outside its domain with an InputError stating the domain."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import chevring
 
 from chevring.arith import (
     galois_params,
@@ -20,6 +25,7 @@ from chevring.oracles import (
     verify_restricted_chern,
 )
 from chevring.poly import (
+    ModPolynomial,
     TruncatedSeries,
     elementary_symmetric,
     generators,
@@ -47,6 +53,8 @@ _P = galois_params(3, 9, 5)
         (lambda: chow_gl_presentation(gl_params(_P, 2), b=1.5), "b", 1.5),
         (lambda: poincare_series(cobordism_presentation(lookup("Sp", 2), _P), 2.5), "cutoff", 2.5),
         (lambda: hilbert_series_of_free_polynomial_ring((1, 2), 4.0), "cutoff", 4.0),
+        (lambda: hilbert_series_of_free_polynomial_ring((1.5,), 3), "generator degree", 1.5),
+        (lambda: hilbert_series_of_free_polynomial_ring(("2",), 3), "generator degree", "2"),
         (lambda: lookup("GL", 2.0), "rank", 2.0),
         (lambda: group_order(lookup("GL", 3), 9.0), "q", 9.0),
         (lambda: prime_power_base(9.0), "q", 9.0),
@@ -72,9 +80,22 @@ def test_a_non_integral_integer_is_refused(call, name, value):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: multiplicative_order(0, 7), "q must be positive, got 0"),
+        (lambda: multiplicative_order(0, 7), "q must be >= 1, got 0"),
+        (lambda: gl_params(_P, 0), "n must be >= 1, got 0"),
+        (lambda: chow_gl_presentation(gl_params(_P, 2), b=0), "b must be >= 1, got 0"),
+        (lambda: GradedActionProblem((1,), 5, 3, -1), "cutoff must be >= 0, got -1"),
         (lambda: GradedActionProblem((1,), 5, 3, 4, monomial_limit=0),
-         "monomial limit must be positive"),
+         "monomial_limit must be >= 1, got 0"),
+        (lambda: hilbert_series_of_free_polynomial_ring((1,), -1), "cutoff must be >= 0, got -1"),
+        (lambda: hilbert_series_of_free_polynomial_ring((0,), 3),
+         "generator degrees must be positive, got 0"),
+        (lambda: ModPolynomial(1, (("x", 1),), 2), "modulus must be >= 2, got 1"),
+        (lambda: packed_monomials((0,), 3), "variable weights must be positive integers"),
+        (lambda: packed_monomials((1.5,), 3),
+         "variable weights must be positive integers: "
+         "'float' object cannot be interpreted as an integer"),
+        (lambda: packed_monomials((1,), -1), "cutoff must be >= 0, got -1"),
+        (lambda: packed_monomials((2,), -1), "cutoff must be >= 0, got -1"),
         (lambda: invariants_hilbert_closedform(GradedActionProblem((1, 1), 5, 3, 4)),
          "invariant oracle needs the full symmetric permutation component"),
         (lambda: verify_restricted_chern(0, _P), "m must be >= 1, got 0"),
@@ -87,3 +108,21 @@ def test_an_argument_outside_its_domain_is_refused(call, message):
     with pytest.raises(InputError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_only_the_integer_check_writes_a_lower_bound_refusal():
+    """Every "must be >= " refusal comes from `errors._integer`: no other
+    module builds an InputError message with that text by hand."""
+    offenders = []
+    for path in sorted(Path(chevring.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "InputError"
+                and "must be >= " in ast.unparse(node)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
