@@ -13,7 +13,10 @@ Three families of checks, all exact over F_l:
   monomial, so an invariant has one free coefficient on each orbit none of
   whose monomials is scaled by a q^{e_0} != 1 mod l, and none on any other
   orbit; the forward images of the m-cycle and a transposition close each
-  orbit, as the group is finite, with no arithmetic over F_l;
+  orbit, as the group is finite, with no arithmetic over F_l; that action
+  reads neither q nor l, so it is built once per (m, cutoff) as index
+  arrays over each degree's monomials, and each call searches them with
+  its own q;
 * the total Chern class of the restricted lift on m blocks,
   prod_j B(eta_j) with one block B(eta) = prod_{i<r} (1 + q^i eta), against
   prod_j (1 + s eta_j^r) with s = (-1)^{r-1}: the two are equal exactly
@@ -33,6 +36,7 @@ r | d rule.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from . import presentations
@@ -168,6 +172,40 @@ def coinvariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSe
 # -- wreath-type invariants -------------------------------------------------
 
 
+# a fixed number of (m, cutoff) shapes stay built; `verify` reads one per m
+@lru_cache(maxsize=32)
+def _action_table(m: int, cutoff: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The action of the symmetric group on the monomials of degree <= cutoff
+    in m variables of weight 1: for each degree, a triple (first, sigma,
+    tau) of tuples over that degree's monomials, in the order of
+    `packed_monomials`.  first[i] is the exponent e_0 of monomial i, and
+    sigma[i] and tau[i] are the indices of its images under the m-cycle and,
+    for m >= 3, the transposition of the first two variables (tau is empty
+    below 3).  The table reads neither q nor l.
+
+    Images are formed on packed keys without unpacking: with B = cutoff + 1
+    and P_i the place of variable i, sigma maps a key to (key - e_0 P_0) B +
+    e_0, and tau adds (e_1 - e_0)(P_0 - P_1) to it.  With m = 0 the one key
+    is 0, and with m = 1 sigma maps each key to itself."""
+    base = cutoff + 1
+    p0 = base ** max(m - 1, 0)
+    p1 = p0 // base
+    shift = p0 - p1
+    table = []
+    for keys in packed_monomials((1,) * m, cutoff):
+        index = {key: i for i, key in enumerate(keys)}
+        first, sigma, tau = [], [], []
+        for key in keys:
+            e0 = key // p0
+            rest = key - e0 * p0
+            first.append(e0)
+            sigma.append(index[rest * base + e0])
+            if m >= 3:
+                tau.append(index[key + (rest // p1 - e0) * shift])
+        table.append((tuple(first), tuple(sigma), tuple(tau)))
+    return tuple(table)
+
+
 def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
     """Series of the ring of invariants under the group generated by the
     coordinate scaling eta_1 -> q*eta_1 and the full symmetric group on the
@@ -190,50 +228,42 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     e - g(e) links e to g(e), (1 - q^{e_0}) e links e to 0, and each set of
     linked monomials not linked to 0 is an orbit, which adds one dimension.
 
-    Each degree is searched from every key not yet seen, following the
-    forward images of sigma and tau.  The group is finite, so the inverse
-    of a generator is one of its powers, and the forward images close the
-    orbit.  Images are formed on packed keys without unpacking: with
-    B = cutoff + 1 and P_i the place of variable i, sigma maps a key to
-    (key - e_0 P_0) B + e_0, and tau adds (e_1 - e_0)(P_0 - P_1) to it.  The
-    only arithmetic mod l is the table of the e_0 with q^{e_0} != 1."""
+    The action of sigma and tau reads neither q nor l, so it is built once
+    per (m, cutoff), as index arrays by `_action_table`, after the monomial
+    limit has admitted the problem.  Each call then searches every degree
+    with its own q: from every monomial not yet seen, it follows the forward
+    images of sigma and tau, marking each in a bytearray.  The group is
+    finite, so the inverse of a generator is one of its powers, and the
+    forward images close the orbit.  The only arithmetic mod l is the
+    call's table of the e_0 with q^{e_0} != 1."""
     if problem.permutation != FULL_SYMMETRIC:
         raise InputError("invariant oracle needs the full symmetric permutation component")
     if any(w != 1 for w in problem.weights):
         raise InputError("invariant oracle expects all variable weights equal to 1")
-    m = len(problem.weights)
-    cutoff = problem.cutoff
-    base = cutoff + 1
     _checked_dimensions(problem)
-    # places of the first two variables in a packed key; with m = 0 the one
-    # key is 0, and with m = 1 sigma maps each key to itself
-    p0 = base ** max(m - 1, 0)
-    p1 = p0 // base
-    shift = p0 - p1
-    scaled = [pow(problem.q, k, problem.l) != 1 for k in range(base)]
+    cutoff = problem.cutoff
+    scaled = [pow(problem.q, k, problem.l) != 1 for k in range(cutoff + 1)]
 
     coeffs = []
-    for basis in packed_monomials(problem.weights, cutoff):
-        seen, orbits = set(), 0
-        for start in basis:
-            if start in seen:
+    for first, sigma, tau in _action_table(len(problem.weights), cutoff):
+        seen, orbits = bytearray(len(first)), 0
+        for start in range(len(first)):
+            if seen[start]:
                 continue
-            seen.add(start)
+            seen[start] = 1
             orbit, free = [start], True
-            # the loop also visits the keys appended while it runs
-            for key in orbit:
-                e0 = key // p0
-                rest = key - e0 * p0
-                if scaled[e0]:
+            # the loop also visits the monomials appended while it runs
+            for i in orbit:
+                if scaled[first[i]]:
                     free = False
-                image = rest * base + e0
-                if image not in seen:
-                    seen.add(image)
+                image = sigma[i]
+                if not seen[image]:
+                    seen[image] = 1
                     orbit.append(image)
-                if m >= 3:
-                    image = key + (rest // p1 - e0) * shift
-                    if image not in seen:
-                        seen.add(image)
+                if tau:
+                    image = tau[i]
+                    if not seen[image]:
+                        seen[image] = 1
                         orbit.append(image)
             orbits += free
         coeffs.append(orbits)

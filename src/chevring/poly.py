@@ -288,17 +288,24 @@ def elementary_symmetric(i: int, values):
 
 
 class TruncatedSeries(_Frozen):
-    """Coefficients c_0, ..., c_D of a Hilbert/Poincare series up to degree D."""
+    """Coefficients c_0, ..., c_D of a Hilbert/Poincare series up to degree D,
+    held as a tuple of ints; a coefficient that is not integral or is below 0
+    is refused."""
 
     _fields = ("cutoff", "coefficients")
 
     def __init__(self, cutoff: int, coefficients: tuple[int, ...]):
         if type(cutoff) is not int or cutoff < 0:  # several are built per oracle call
             cutoff = _integer(cutoff, "cutoff", 0)
+        coefficients = tuple(coefficients)
         if len(coefficients) != cutoff + 1:
             raise InputError(f"expected {cutoff + 1} coefficients, got {len(coefficients)}")
-        if any(c < 0 for c in coefficients):
-            raise InputError("series coefficients must be nonnegative")
+        # one plain loop when every coefficient is a nonnegative int, as the
+        # oracles give; it is cheaper than any() over a generator
+        for c in coefficients:
+            if type(c) is not int or c < 0:
+                coefficients = tuple(_integer(c, "series coefficient", 0) for c in coefficients)
+                break
         self._set(cutoff=cutoff, coefficients=coefficients)
 
     def __getitem__(self, d: int) -> int:
@@ -312,7 +319,7 @@ class TruncatedSeries(_Frozen):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruncatedSeries":
-        return cls(cutoff=int(d["cutoff"]), coefficients=tuple(int(c) for c in d["coefficients"]))
+        return cls(cutoff=d["cutoff"], coefficients=d["coefficients"])
 
 
 def hilbert_series_of_free_polynomial_ring(degrees: Iterable[int], cutoff: int) -> TruncatedSeries:

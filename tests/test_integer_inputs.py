@@ -66,6 +66,12 @@ _P = galois_params(3, 9, 5)
         (lambda: require_prime(7.0), "n", 7.0),
         (lambda: require_prime(7.0, "l"), "l", 7.0),
         (lambda: TruncatedSeries(2.0, (1, 1, 1)), "cutoff", 2.0),
+        (lambda: TruncatedSeries(2, (1, 1.5, 1)), "series coefficient", 1.5),
+        (lambda: TruncatedSeries(2, (1, "a", 1)), "series coefficient", "a"),
+        (lambda: TruncatedSeries.from_json_dict({"cutoff": 1.7, "coefficients": [1, 2]}),
+         "cutoff", 1.7),
+        (lambda: TruncatedSeries.from_json_dict({"cutoff": 1, "coefficients": [1, 1.5]}),
+         "series coefficient", 1.5),
         (lambda: elementary_symmetric(1.5, [1, 2]), "i", 1.5),
         (lambda: packed_monomials((1,), 2.5), "cutoff", 2.5),
         (lambda: generators(5, (("x", 1),), 4)[0] ** 2.0, "n", 2.0),
@@ -102,12 +108,23 @@ def test_a_non_integral_integer_is_refused(call, name, value):
         (lambda: generators(5, (("x", 1),), 4)[0] ** -1,
          "negative polynomial powers are not defined"),
         (lambda: TruncatedSeries(-1, ()), "cutoff must be >= 0, got -1"),
+        (lambda: TruncatedSeries(1, (1, -1)), "series coefficient must be >= 0, got -1"),
     ],
 )
 def test_an_argument_outside_its_domain_is_refused(call, message):
     with pytest.raises(InputError) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_a_series_holds_its_coefficients_as_a_tuple_of_ints():
+    """An integral coefficient of another type is stored as its int, and a
+    list of coefficients as a tuple, so the series hashes."""
+    for coefficients in ([1, 1, 1], (1, True, 1)):
+        series = TruncatedSeries(2, coefficients)
+        assert series.coefficients == (1, 1, 1)
+        assert {type(c) for c in series.coefficients} == {int}
+        assert hash(series) == hash(TruncatedSeries(2, (1, 1, 1)))
 
 
 def test_only_the_integer_check_writes_a_lower_bound_refusal():

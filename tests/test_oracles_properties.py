@@ -5,9 +5,11 @@ tests of the invariant oracle's orbit count: against term-by-term
 reduction of every row of (g - id), with the generator images found by
 unpack -> permute -> repack, and against sympy's joint nullspace over
 GF(l) of the matrices (g - id); a differential test of the coinvariant
-oracle against the enumeration of every monomial pair; and a differential
-test of the restricted Chern clauses, read off one drawn block, against
-sympy's expansion of the m-block product over GF(l).
+oracle against the enumeration of every monomial pair; tests that the
+invariant oracle's action table, built once per (m, cutoff), changes no
+series and no refusal; and a differential test of the restricted Chern
+clauses, read off one drawn block, against sympy's expansion of the
+m-block product over GF(l).
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the nullspace and
@@ -27,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chevring import oracles  # noqa: E402
 from chevring.arith import galois_params  # noqa: E402
-from chevring.errors import InputError  # noqa: E402
+from chevring.errors import InputError, ResourceLimitError  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
@@ -263,6 +265,67 @@ def test_the_invariant_series_is_sympys_joint_nullspace(m, l):
             )
             series = invariants_hilbert_bruteforce(problem)
             assert series.coefficients == tuple(kernel[: cutoff + 1]), (q, cutoff)
+
+
+def _sweep_of_the_nullspace_grid():
+    """The oracle's series over the grid of the sympy nullspace test: every
+    m <= 3, l <= 13, q < l and cutoff <= 6."""
+    return [
+        invariants_hilbert_bruteforce(
+            GradedActionProblem(
+                weights=(1,) * m, l=l, q=q, cutoff=cutoff, permutation=FULL_SYMMETRIC
+            )
+        )
+        for m in (1, 2, 3)
+        for l in (2, 3, 5, 7, 11, 13)
+        for q in range(1, l)
+        for cutoff in range(7)
+    ]
+
+
+def test_a_cold_and_a_warm_action_table_give_the_same_series():
+    oracles._action_table.cache_clear()
+    cold = _sweep_of_the_nullspace_grid()
+    assert oracles._action_table.cache_info().misses == 3 * 7
+    warm = _sweep_of_the_nullspace_grid()
+    assert warm == cold
+
+
+def test_each_call_on_a_warm_table_searches_with_its_own_q():
+    """The table is shared by (m, cutoff), the orbit search is not: q = 1
+    keeps every orbit of F_5[eta_1, eta_2], and q = 2, of order 4, only
+    the degrees divisible by 4."""
+    oracles._action_table.cache_clear()
+    series = {}
+    for q in (1, 2):
+        problem = GradedActionProblem((1, 1), 5, q, 4, permutation=FULL_SYMMETRIC)
+        series[q] = invariants_hilbert_bruteforce(problem).coefficients
+    assert oracles._action_table.cache_info().misses == 1
+    assert series == {1: (1, 1, 2, 2, 3), 2: (1, 0, 0, 0, 1)}
+
+
+def test_the_monomial_limit_refuses_before_a_table_and_beside_a_warm_one():
+    """A refused problem builds no table, and one whose (m, cutoff) table is
+    already built is still refused, with the same text."""
+    refused = GradedActionProblem(
+        (1, 1, 1), 7, 3, 6, permutation=FULL_SYMMETRIC, monomial_limit=27
+    )
+    text = "degree 6: 28 monomials exceed the configured limit of 27"
+    oracles._action_table.cache_clear()
+    with pytest.raises(ResourceLimitError) as cold:
+        invariants_hilbert_bruteforce(refused)
+    assert oracles._action_table.cache_info().currsize == 0
+    invariants_hilbert_bruteforce(
+        GradedActionProblem((1, 1, 1), 7, 3, 6, permutation=FULL_SYMMETRIC)
+    )
+    with pytest.raises(ResourceLimitError) as warm:
+        invariants_hilbert_bruteforce(refused)
+    assert oracles._action_table.cache_info().currsize == 1
+    assert str(cold.value) == str(warm.value) == text
+
+
+def test_the_action_table_cache_is_bounded():
+    assert oracles._action_table.cache_info().maxsize is not None
 
 
 # -- the coinvariant oracle -----------------------------------------------------

@@ -3,7 +3,8 @@
 Each case rebinds one function of the engines the CLI prints with a wrong
 version, and `verify.run` on a small sweep must then report the clause that
 catches it as failed.  `verify` looks the engines up on their modules at
-each call, so rebinding the module attribute is enough.
+each call, so rebinding the module attribute is enough.  One more test counts
+the action tables of the invariant oracle that a default run builds.
 """
 
 import pytest
@@ -207,3 +208,14 @@ def test_a_chow_engine_that_drops_its_top_generator_past_the_presentation_clause
     monkeypatch.setattr(presentations, "_chow_gl_degrees", drop_top)
     sweep = verify.Sweep(primes=(3, 5, 7), max_m=2, cutoff=4, sp_max_rank=0)
     assert {c.name for c in verify.run(sweep) if not c.passed} == {"restricted-chern-class"}
+
+
+def test_the_default_sweep_builds_one_action_table_per_m():
+    """`verify` calls the invariant oracle once per field and m, and the
+    action of the symmetric group is built once per (m, cutoff): two tables
+    at the default max_m of 2, for the clause's 38 instances."""
+    oracles._action_table.cache_clear()
+    clauses = {c.name: c for c in verify.run(verify.Sweep())}
+    invariants = clauses["invariants-oracle-vs-closed-form"]
+    assert (invariants.passed, invariants.instances) == (True, 38)
+    assert oracles._action_table.cache_info().misses == 2
