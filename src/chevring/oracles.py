@@ -6,7 +6,9 @@ Three families of checks, all exact over F_l:
   graded piece J_d of the ideal J = (a - gamma.a) from its generators of
   degree d and the products x_i * J_{d - w_i}, which span J_d for every
   ideal with homogeneous generators; both are monomials, so J_d is closed
-  as a set of monomials, with no row reduction;
+  as a set of monomials, with no row reduction; J_d is all of R_d at a
+  degree with q^d != 1 mod l, kept as the enumerated monomials, and R is
+  enumerated only when some degree has one;
 * invariants of the wreath-type action (coordinate scaling plus the full
   symmetric group on the variables), by an orbit search over the monomials
   of each degree: every generator sends a monomial to a scalar times a
@@ -136,24 +138,28 @@ def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSe
     This holds for every ideal generated by homogeneous elements g: a
     product M*g with deg M > 0 is x_i*(M'*g) for some variable x_i dividing
     M, and M'*g lies in J_{d - w_i}.  Every generator is a monomial times a
-    scalar, so every J_d is spanned by the monomials it holds, and is held
-    as that set of packed keys.  When v_d != 0, J_d is all of R_d.
-    Otherwise it is the union over i of J_{d - w_i} shifted by the place of
-    x_i, which on packed keys is the product by x_i.  Degree d thus forms at
-    most dim R_d + sum_i dim R_{d - w_i} keys, linear in the monomials the
-    limit admits.
+    scalar, so every J_d is spanned by the monomials it holds.  When
+    v_d != 0, J_d is all of R_d, held as the enumerated list of its packed
+    keys, whose length is dim R_d.  Otherwise it is the set union over i of
+    J_{d - w_i} shifted by the place of x_i, which on packed keys is the
+    product by x_i.  R is enumerated once, at the first degree with
+    v_d != 0, and never when q = 1 mod l, as every J_d is then empty.  A
+    degree with v_d != 0 thus forms no key, and any other forms at most
+    sum_i dim R_{d - w_i}, linear in the monomials the limit admits.
     """
     _require_cyclic(problem)
     weights, l, q, cutoff = problem.weights, problem.l, problem.q, problem.cutoff
     dims = _checked_dimensions(problem)
-    basis = packed_monomials(weights, cutoff)
+    basis = None  # R by degree, enumerated when a degree first needs it
     k = len(weights)
     shifts = [(w, (cutoff + 1) ** (k - 1 - i)) for i, w in enumerate(weights)]
 
-    spans = []  # J_0, ..., J_{d-1} as sets of keys
+    spans = []  # J_0, ..., J_{d-1} as the keys each holds
     for d in range(cutoff + 1):
         if pow(q, d, l) != 1:
-            spans.append(set(basis[d]))
+            if basis is None:
+                basis = packed_monomials(weights, cutoff)
+            spans.append(basis[d])  # distinct keys, and only iterated later
         else:
             spans.append({a + place for w, place in shifts if w <= d for a in spans[d - w]})
     return TruncatedSeries(cutoff, tuple(dim - len(span) for dim, span in zip(dims, spans)))

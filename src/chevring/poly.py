@@ -289,15 +289,18 @@ def elementary_symmetric(i: int, values):
 
 class TruncatedSeries(_Frozen):
     """Coefficients c_0, ..., c_D of a Hilbert/Poincare series up to degree D,
-    held as a tuple of ints; a coefficient that is not integral or is below 0
-    is refused."""
+    held as a tuple of ints; coefficients that are not an iterable, or a
+    coefficient that is not integral or is below 0, are refused."""
 
     _fields = ("cutoff", "coefficients")
 
     def __init__(self, cutoff: int, coefficients: tuple[int, ...]):
         if type(cutoff) is not int or cutoff < 0:  # several are built per oracle call
             cutoff = _integer(cutoff, "cutoff", 0)
-        coefficients = tuple(coefficients)
+        try:
+            coefficients = tuple(coefficients)
+        except TypeError:
+            raise InputError("series coefficients must be an iterable of integers") from None
         if len(coefficients) != cutoff + 1:
             raise InputError(f"expected {cutoff + 1} coefficients, got {len(coefficients)}")
         # one plain loop when every coefficient is a nonnegative int, as the

@@ -109,6 +109,8 @@ def test_a_non_integral_integer_is_refused(call, name, value):
          "negative polynomial powers are not defined"),
         (lambda: TruncatedSeries(-1, ()), "cutoff must be >= 0, got -1"),
         (lambda: TruncatedSeries(1, (1, -1)), "series coefficient must be >= 0, got -1"),
+        (lambda: TruncatedSeries(2, 5), "series coefficients must be an iterable of integers"),
+        (lambda: TruncatedSeries(2, None), "series coefficients must be an iterable of integers"),
     ],
 )
 def test_an_argument_outside_its_domain_is_refused(call, message):

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from chevring import oracles, presentations
 from chevring.arith import galois_params, is_prime, prime_power_base, residues_one_per_order
 from chevring.errors import InputError, ResourceLimitError
 from chevring.oracles import (
@@ -76,6 +77,44 @@ def test_resource_limit_names_the_offending_degree():
     # 15 monomials of degree 4 in three variables
     with pytest.raises(ResourceLimitError, match="^degree 4: 15 monomials exceed"):
         coinvariants_hilbert_bruteforce(problem)
+
+
+def _refuse_to_read_r(*args):
+    raise AssertionError("r was read")
+
+
+def test_the_brute_force_oracles_never_read_r(monkeypatch):
+    """The brute-force oracles answer from the powers of q alone: with the
+    order of q and the r | d rule patched to raise, both still give the
+    closed forms' series, read before the patch, and both closed forms
+    raise."""
+    grid = [
+        (l, q, cutoff, m)
+        for l in (3, 5, 7)
+        for q in range(1, l)
+        for cutoff in range(9)
+        for m in (1, 2, 3)
+    ]
+    weights = (1, 2, 3, 4)
+    problems = {}
+    for l, q, cutoff, m in grid:
+        cyclic = GradedActionProblem(weights, l, q, cutoff)
+        wreath = GradedActionProblem((1,) * m, l, q, cutoff, permutation=FULL_SYMMETRIC)
+        problems[cyclic] = coinvariants_hilbert_closedform(cyclic)
+        problems[wreath] = invariants_hilbert_closedform(wreath)
+    monkeypatch.setattr(oracles, "multiplicative_order", _refuse_to_read_r)
+    monkeypatch.setattr(presentations, "_divisible_degrees", _refuse_to_read_r)
+    for problem, expected in problems.items():
+        if problem.permutation == FULL_SYMMETRIC:
+            assert invariants_hilbert_bruteforce(problem) == expected, problem
+        else:
+            assert coinvariants_hilbert_bruteforce(problem) == expected, problem
+    with pytest.raises(AssertionError, match="r was read"):
+        coinvariants_hilbert_closedform(GradedActionProblem(weights, 5, 2, 8))
+    with pytest.raises(AssertionError, match="r was read"):
+        invariants_hilbert_closedform(
+            GradedActionProblem((1, 1), 5, 2, 8, permutation=FULL_SYMMETRIC)
+        )
 
 
 # -- invariants ---------------------------------------------------------------

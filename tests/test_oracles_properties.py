@@ -6,10 +6,12 @@ reduction of every row of (g - id), with the generator images found by
 unpack -> permute -> repack, and against sympy's joint nullspace over
 GF(l) of the matrices (g - id); a differential test of the coinvariant
 oracle against the enumeration of every monomial pair; tests that the
-invariant oracle's action table, built once per (m, cutoff), changes no
-series and no refusal; and a differential test of the restricted Chern
-clauses, read off one drawn block, against sympy's expansion of the
-m-block product over GF(l).
+coinvariant oracle enumerates the monomials once when some degree needs
+them and never when q = 1 mod l; tests that the invariant oracle's
+action table, built once per (m, cutoff), changes no series and no
+refusal; and a differential test of the restricted Chern clauses, read
+off one drawn block, against sympy's expansion of the m-block product
+over GF(l).
 
 hypothesis and sympy are test-only dependencies (the `test` extra); the
 module is skipped where hypothesis is missing, and the nullspace and
@@ -42,6 +44,7 @@ from chevring.poly import (  # noqa: E402
     ModPolynomial,
     TruncatedSeries,
     generators,
+    hilbert_series_of_free_polynomial_ring,
     packed_monomials,
 )
 
@@ -376,6 +379,42 @@ def test_coinvariants_match_the_all_pairs_enumeration(weights, lq, cutoff):
     l, q = lq
     problem = GradedActionProblem(weights=weights, l=l, q=q, cutoff=cutoff)
     assert coinvariants_hilbert_bruteforce(problem) == _coinvariants_all_pairs(problem)
+
+
+def _counted_monomials():
+    """Patch the coinvariant oracle's enumerator to count its calls."""
+    return patch.object(oracles, "packed_monomials", wraps=packed_monomials)
+
+
+@pytest.mark.parametrize("q", [1, 11])
+def test_q_one_mod_l_enumerates_no_monomial(q):
+    """With q = 1 mod l every J_d is empty: R is never enumerated and the
+    series is that of the free ring on the weights."""
+    weights = (1, 2, 2, 3)
+    problem = GradedActionProblem(weights, 5, q, 12)
+    with _counted_monomials() as counted:
+        series = coinvariants_hilbert_bruteforce(problem)
+    assert counted.call_count == 0
+    assert series == hilbert_series_of_free_polynomial_ring(weights, 12)
+
+
+@pytest.mark.parametrize("l, q", [(5, 2), (5, 4), (5, 12), (7, 2), (7, 6), (13, 3)])
+def test_q_not_one_mod_l_enumerates_the_monomials_once(l, q):
+    problem = GradedActionProblem((1, 2, 2, 3), l, q, 12)
+    with _counted_monomials() as counted:
+        series = coinvariants_hilbert_bruteforce(problem)
+    assert counted.call_count == 1
+    assert series == _coinvariants_all_pairs(problem)
+
+
+def test_the_monomial_limit_refuses_q_one_mod_l_before_any_enumeration():
+    """No degree needs the monomials when q = 1 mod l, and an oversize
+    problem is still refused, with the same text, before any is formed."""
+    problem = GradedActionProblem((1, 1, 1), 7, 8, 6, monomial_limit=27)
+    with _counted_monomials() as counted, pytest.raises(ResourceLimitError) as refused:
+        coinvariants_hilbert_bruteforce(problem)
+    assert counted.call_count == 0
+    assert str(refused.value) == "degree 6: 28 monomials exceed the configured limit of 27"
 
 
 # -- the reference rank ----------------------------------------------------------
