@@ -30,7 +30,6 @@ _EXPORTS = {
     "invariants_hilbert_bruteforce": "oracles",
     "invariants_hilbert_closedform": "oracles",
     "verify_restricted_chern": "oracles",
-    "ModPolynomial": "poly",
     "TruncatedSeries": "poly",
     "elementary_symmetric": "poly",
     "hilbert_series_of_free_polynomial_ring": "poly",

@@ -9,7 +9,7 @@ SCHEMA_VERSION = 1
 
 class InputError(ValueError):
     """Malformed or inconsistent input: bad integers, unknown families,
-    mismatched polynomial contexts, out-of-range indices."""
+    out-of-range indices."""
 
 
 class PreconditionError(ValueError):

@@ -48,6 +48,7 @@ from .poly import (
     TruncatedSeries,
     _checked_weights,
     hilbert_series_of_free_polynomial_ring,
+    multiply,
     packed_monomials,
 )
 
@@ -123,6 +124,11 @@ def _checked_dimensions(problem: GradedActionProblem) -> list[int]:
 def _require_cyclic(problem: GradedActionProblem):
     if problem.permutation != NO_PERMUTATION:
         raise InputError("coinvariant oracles handle the cyclic (diagonal) action only")
+
+
+def _require_full_symmetric(problem: GradedActionProblem):
+    if problem.permutation != FULL_SYMMETRIC:
+        raise InputError("invariant oracle needs the full symmetric permutation component")
 
 
 def coinvariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeries:
@@ -242,8 +248,7 @@ def invariants_hilbert_bruteforce(problem: GradedActionProblem) -> TruncatedSeri
     finite, so the inverse of a generator is one of its powers, and the
     forward images close the orbit.  The only arithmetic mod l is the
     call's table of the e_0 with q^{e_0} != 1."""
-    if problem.permutation != FULL_SYMMETRIC:
-        raise InputError("invariant oracle needs the full symmetric permutation component")
+    _require_full_symmetric(problem)
     if any(w != 1 for w in problem.weights):
         raise InputError("invariant oracle expects all variable weights equal to 1")
     _checked_dimensions(problem)
@@ -281,8 +286,7 @@ def invariants_hilbert_closedform(problem: GradedActionProblem) -> TruncatedSeri
     r, 2r, ..., m*r (the elementary symmetric functions of the eta_j^r),
     the degrees in 1..m*r that the engine's rule keeps.  The series ignores
     the degrees above its cutoff, so only 1..min(m*r, cutoff) are read."""
-    if problem.permutation != FULL_SYMMETRIC:
-        raise InputError("invariant oracle needs the full symmetric permutation component")
+    _require_full_symmetric(problem)
     r = multiplicative_order(problem.q, problem.l)
     degrees = range(1, min(len(problem.weights) * r, problem.cutoff) + 1)
     kept = [d for _, d in presentations._divisible_degrees(degrees, r)]
@@ -319,10 +323,10 @@ def _clause(name: str, failures: list[str]) -> Clause:
 def _chern_block(q: int, r: int, l: int) -> list[int]:
     """The coefficients b_0, ..., b_r of one block of the restricted lift,
     B(eta) = prod_{i<r} (1 + q^i eta) mod l, multiplied in factor by
-    factor."""
+    factor by `poly.multiply`."""
     block, power = [1], 1
     for _ in range(r):
-        block = [(b + power * lower) % l for b, lower in zip(block + [0], [0] + block)]
+        block = multiply(block, [1, power], l)
         power = power * q % l
     return block
 

@@ -112,6 +112,13 @@ def _fixed(family: str, degrees: tuple[int, ...], weyl: int, roots: int, torsion
                    lambda n: roots, frozenset(torsion))
 
 
+def _type_bc(family: str, torsion: tuple[int, ...]):
+    """The record of a type B_n or C_n, n >= 1, which share their Weyl group:
+    degrees 2, 4, ..., 2n, |W| = 2^n n! and N = n^2."""
+    return _Record(family, 1, False, lambda n: range(2, 2 * n + 1, 2),
+                   lambda n: factorial(n) << n, lambda n: n * n, frozenset(torsion))
+
+
 # Rank conventions (rank = dimension of a split maximal torus):
 #   GL       rank n <-> GL_n             (reductive, center included)
 #   SL       rank n <-> SL_{n+1}         (type A_n)
@@ -130,14 +137,11 @@ _RECORDS = (
             lambda n: n * (n - 1) // 2, frozenset()),
     _Record("SL", 1, False, lambda n: range(2, n + 2), lambda n: factorial(n + 1),
             lambda n: n * (n + 1) // 2, frozenset()),
-    _Record("Sp", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
-            lambda n: n * n, frozenset()),
-    _Record("SO_odd", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
-            lambda n: n * n, frozenset({2})),
+    _type_bc("Sp", ()),
+    _type_bc("SO_odd", (2,)),
     _Record("SO_even", 2, False, lambda n: (*range(2, 2 * n - 1, 2), n),
             lambda n: factorial(n) << (n - 1), lambda n: n * (n - 1), frozenset({2})),
-    _Record("Spin", 1, False, lambda n: range(2, 2 * n + 1, 2), lambda n: factorial(n) << n,
-            lambda n: n * n, frozenset({2})),
+    _type_bc("Spin", (2,)),
     _fixed("G2", (2, 6), 12, 6, (2,)),
     _fixed("F4", (2, 6, 8, 12), 1152, 24, (2, 3)),
     _fixed("E6", (2, 5, 6, 8, 9, 12), 51840, 36, (2, 3)),

@@ -41,23 +41,28 @@ def test_the_tracer_wraps_and_restores_the_targets(spans):
     try:
         assert cli.parse_args is not parse_args
         code, _, _ = cli.run(cli.parse_args(["params", "--q", "3", "--l", "5"]))
-        report = oracles.verify_restricted_chern(2, arith.galois_params(3, 3, 5))
+        params = arith.galois_params(3, 3, 5)
+        multiplies = []
+        for m in (1, 2, 5):
+            assert oracles.verify_restricted_chern(m, params).passed
+            multiplies.append(tracer.summary()["poly.multiply"]["calls"])
         problem = oracles.GradedActionProblem(
             weights=(1, 1, 1), l=5, q=3, cutoff=4, permutation=oracles.FULL_SYMMETRIC
         )
         oracles.invariants_hilbert_bruteforce(problem)
     finally:
         tracer.uninstall()
-    assert code == 0 and report.passed
+    assert code == 0
     assert cli.parse_args is parse_args
     summary = tracer.summary()
     assert summary["cli.parse_args"]["calls"] == 1
     assert summary["arith.galois_params"]["calls"] == 2
-    assert summary["oracles.verify_restricted_chern"]["calls"] == 1
+    assert summary["oracles.verify_restricted_chern"]["calls"] == 3
     assert summary["oracles.invariants_hilbert_bruteforce"]["calls"] == 1
-    # the Chern check reads its clauses off one block of r + 1 integer
-    # coefficients, so it multiplies no polynomial
-    assert summary["poly.multiply"]["calls"] == 0
+    # the Chern check multiplies out one block, one linear factor at a time:
+    # r = 4 products at every m, so it never expands the m-variable class
+    assert multiplies == [4, 8, 12]
+    assert summary["poly.multiply"]["calls"] == 12
 
 
 def test_the_coinvariants_workload_shape():

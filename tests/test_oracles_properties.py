@@ -1,9 +1,9 @@
-"""Property tests of the packed monomial enumerator behind both oracles
-and of the degree-led keys ModPolynomial stores, driven by hypothesis
-against a brute-force enumeration of exponent tuples; two differential
-tests of the invariant oracle's orbit count: against term-by-term
-reduction of every row of (g - id), with the generator images found by
-unpack -> permute -> repack, and against sympy's joint nullspace over
+"""Property tests of the packed monomial enumerator behind both oracles,
+driven by hypothesis against a brute-force enumeration of exponent tuples
+and against the decoding of its keys; two differential tests of the
+invariant oracle's orbit count: against term-by-term reduction of every
+row of (g - id), with the generator images found by unpack -> permute ->
+repack, and against sympy's joint nullspace over
 GF(l) of the matrices (g - id); a differential test of the coinvariant
 oracle against the enumeration of every monomial pair; tests that the
 coinvariant oracle enumerates the monomials once when some degree needs
@@ -31,7 +31,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chevring import oracles  # noqa: E402
 from chevring.arith import galois_params  # noqa: E402
-from chevring.errors import InputError, ResourceLimitError  # noqa: E402
+from chevring.errors import ResourceLimitError  # noqa: E402
 from chevring.oracles import (  # noqa: E402
     FULL_SYMMETRIC,
     GradedActionProblem,
@@ -41,9 +41,7 @@ from chevring.oracles import (  # noqa: E402
     verify_restricted_chern,
 )
 from chevring.poly import (  # noqa: E402
-    ModPolynomial,
     TruncatedSeries,
-    generators,
     hilbert_series_of_free_polynomial_ring,
     packed_monomials,
 )
@@ -127,27 +125,24 @@ def test_packed_monomials_match_exponent_tuples(weights, cutoff, data):
 @example(weights=(1,), cutoff=14)
 @example(weights=(1, 1), cutoff=1)
 @example(weights=(3, 1, 2, 1), cutoff=9)
-def test_polynomial_keys_are_degree_then_packed_exponents(weights, cutoff):
-    """The ModPolynomial monomial with exponents e of degree d, a product of
-    generator powers, is stored under d * (cutoff + 1)^n plus the
-    packed_monomials key of e: both sides share one layout.  A context with
-    a weight above the cutoff refuses its generators, so there only 1 is
-    built, under key 0."""
+def test_packed_keys_are_the_exponents_of_their_degree(weights, cutoff):
+    """Each key of degree d decodes to exponents e of weighted degree d, and
+    re-encodes as sum e_i * B^(n-1-i); each degree holds as many keys as its
+    free-ring Hilbert coefficient; and key order is the lexicographic order
+    of the exponent tuples."""
     n, base = len(weights), cutoff + 1
-    variables = tuple((f"x{i}", w) for i, w in enumerate(weights))
-    one = ModPolynomial(7, variables, cutoff).one()
-    assert one.terms == {0: 1}
-    if max(weights) > cutoff:
-        with pytest.raises(InputError, match="exceeds the cutoff"):
-            generators(7, variables, cutoff)
-        return
-    gens = generators(7, variables, cutoff)
-    for d, keys in enumerate(packed_monomials(weights, cutoff)):
+    packed = packed_monomials(weights, cutoff)
+    series = hilbert_series_of_free_polynomial_ring(weights, cutoff)
+    decoded = []
+    for d, keys in enumerate(packed):
+        assert len(keys) == series[d]
         for k in keys:
-            monomial = one
-            for x, e in zip(gens, _exponents(k, n, base)):
-                monomial = monomial * x**e
-            assert monomial.terms == {d * base**n + k: 1}
+            e = _exponents(k, n, base)
+            assert sum(x * w for x, w in zip(e, weights)) == d
+            assert sum(x * base ** (n - 1 - i) for i, x in enumerate(e)) == k
+            decoded.append((k, e))
+    decoded.sort()
+    assert [e for _, e in decoded] == sorted(e for _, e in decoded)
 
 
 def _generator_rows(m, l, q, cutoff):

@@ -1,82 +1,41 @@
-import random
 from itertools import product
 
 import pytest
 
 from chevring.errors import InputError
 from chevring.poly import (
-    ModPolynomial,
     TruncatedSeries,
     elementary_symmetric,
-    generators,
     hilbert_series_of_free_polynomial_ring,
     multiply,
 )
 
-ETA = (("eta", 1),)
-
-
-def eta_poly(modulus=5, cutoff=8):
-    (g,) = generators(modulus, ETA, cutoff)
-    return g
-
 
 def test_multiply_example_mod5():
-    eta = eta_poly()
-    f = 1 + eta
-    g = 1 + 4 * eta
-    assert f * g == 1 + 4 * eta**2  # the cross terms 5*eta vanish mod 5
+    # (1 + eta)(1 + 4 eta) = 1 + 4 eta^2: the cross terms 5 eta vanish mod 5
+    assert multiply([1, 1], [1, 4], 5) == [1, 0, 4]
 
 
 def test_multiply_identity_and_squares():
-    eta = eta_poly()
-    f = 2 + 3 * eta + eta**2
-    assert f * f.one() == f
-    assert eta * eta == eta**2
-
-
-def test_multiply_rejects_mixed_contexts():
-    a = eta_poly(5)
-    b = eta_poly(7)
-    with pytest.raises(InputError):
-        multiply(a, b)
-    c = generators(5, (("x", 1), ("y", 2)), 8)[0]
-    with pytest.raises(InputError):
-        a * c
-    with pytest.raises(InputError):
-        a + eta_poly(5, cutoff=9)
-    assert a.one() != eta_poly(5, cutoff=9).one()
-
-
-def test_products_above_the_cutoff_are_refused():
-    eta = eta_poly(cutoff=4)
-    assert (1 + eta) ** 4 == (1 + eta) ** 2 * (1 + eta) ** 2
-    with pytest.raises(InputError, match="degree 5 exceeds the cutoff 4"):
-        multiply(eta**3, 1 + eta**2)
-    with pytest.raises(InputError, match="cutoff 4"):
-        eta**5
-    # with two variables and cutoff 3, the key of x^3 * x carries from the
-    # exponent digits into the degree digit, which then reads 5
-    x, y = generators(5, (("x", 1), ("y", 1)), 3)
-    assert x**2 * y == multiply(x**2, y)
-    with pytest.raises(InputError) as refused:
-        x**3 * x
-    assert "degree 4 exceeds the cutoff 3" in str(refused.value)
-    assert "5" not in str(refused.value)
-    with pytest.raises(InputError, match="cutoff 3"):
-        generators(5, (("x", 1), ("y", 4)), 3)
+    f = [2, 3, 1]
+    assert multiply(f, [1], 5) == multiply([1], f, 5) == f
+    assert multiply(f, [], 5) == multiply([], f, 5) == multiply([], [], 5) == []
+    assert multiply([0, 1], [0, 1], 5) == [0, 0, 1]
+    # coefficients of either sign are reduced, and trailing zeros are kept
+    assert multiply([-1, 7], [3, 5], 5) == [2, 1, 0]
 
 
 def test_elementary_symmetric_polynomials():
-    e1, e2 = generators(5, (("eta_1", 1), ("eta_2", 1)), 8)
-    assert elementary_symmetric(1, [e1**4, e2**4]) == e1**4 + e2**4
-    assert elementary_symmetric(2, [e1, e2]) == e1 * e2
-    assert elementary_symmetric(0, [e1, e2]) == 1
+    assert elementary_symmetric(1, [2, 3, 4]) == 9
+    assert elementary_symmetric(2, [2, 3, 4]) == 2 * 3 + 2 * 4 + 3 * 4
+    assert elementary_symmetric(3, [2, 3, 4]) == 24
+    assert elementary_symmetric(2, [-1, 5]) == -5
+    assert elementary_symmetric(0, [2, 3]) == 1
     assert elementary_symmetric(0, []) == 1
     with pytest.raises(InputError):
-        elementary_symmetric(3, [e1, e2])
+        elementary_symmetric(3, [2, 3])
     with pytest.raises(InputError):
-        elementary_symmetric(-1, [e1])
+        elementary_symmetric(-1, [2])
 
 
 def test_elementary_symmetric_scalar_roots_of_unity():
@@ -85,82 +44,6 @@ def test_elementary_symmetric_scalar_roots_of_unity():
     assert elementary_symmetric(2, values) % 5 == 0
     assert elementary_symmetric(1, values) % 5 == 0
     assert elementary_symmetric(3, values) % 5 == 0
-
-
-def test_ring_axioms_on_random_triples():
-    rng = random.Random(20250809)
-    vars_ = (("x", 1), ("y", 2))
-    x, y = generators(7, vars_, 21)
-
-    def random_poly():
-        f = ModPolynomial(7, vars_, 21)
-        for _ in range(rng.randrange(1, 5)):
-            f = f + rng.randrange(7) * x ** rng.randrange(4) * y ** rng.randrange(3)
-        return f
-
-    for _ in range(1000):
-        f, g, h = random_poly(), random_poly(), random_poly()
-        assert f * g == g * f
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-        assert f + g == g + f
-        assert (f + g) + h == f + (g + h)
-
-
-def test_polynomial_inspection_helpers():
-    x, y = generators(5, (("x", 1), ("y", 2)), 6)
-    f = 1 + x * y + 3 * x**2
-    assert f.homogeneous_components() == {0: f.one(), 2: 3 * x**2, 3: x * y}
-    assert f.coefficient((2, 0)) == 3
-    assert f.coefficient((5, 5)) == 0
-    # an exponent tuple outside the context names no monomial of it
-    assert f.coefficient((2,)) == f.coefficient((1, 1, 0)) == f.coefficient((-1, 1)) == 0
-
-
-def test_rendering_is_graded_lex_and_explicit():
-    x, y = generators(5, (("x", 1), ("y", 2)), 4)
-    f = 4 * x**2 * y + x + 3
-    assert str(f) == "3 + x + 4*x^2*y"
-    assert str(ModPolynomial(5, (("x", 1),), 0)) == "0"
-    eta = eta_poly()
-    assert str(1 + 4 * eta**4) == "1 + 4*eta^4"
-
-
-def test_polynomial_equality_and_scalars():
-    eta = eta_poly()
-    zero = ModPolynomial(5, ETA, 8)
-    assert 5 * eta == eta * 0 == eta + 4 * eta == zero
-    assert 2 + (3 + eta) == eta
-    assert 7 * eta == eta * 2 == eta + eta
-    # a polynomial equals no int, not even its constant
-    assert zero != 0 and eta.one() != 1
-
-
-def test_a_polynomial_takes_no_str_and_shows_its_ring():
-    eta = eta_poly()
-    for bad in (lambda: eta + "x", lambda: "x" + eta, lambda: eta * "x", lambda: "x" * eta):
-        with pytest.raises(TypeError):
-            bad()
-    assert repr(1 + 4 * eta**2) == "<ModPolynomial mod 5: 1 + 4*eta^2>"
-
-
-def test_constructor_validation():
-    with pytest.raises(InputError):
-        ModPolynomial(1, ETA, 4)
-    with pytest.raises(InputError):
-        ModPolynomial(5, (("x", 0),), 4)
-    with pytest.raises(InputError):
-        ModPolynomial(5, (("x", 1.5),), 4)  # not truncated to weight 1
-    with pytest.raises(InputError):
-        ModPolynomial(5, (("x", 1), ("x", 2)), 4)
-    with pytest.raises(InputError, match="cutoff must be >= 0"):
-        ModPolynomial(5, ETA, -1)
-    with pytest.raises(InputError, match="cutoff must be an integer"):
-        ModPolynomial(5, ETA, 4.5)
-    with pytest.raises(InputError, match="modulus must be an integer"):
-        ModPolynomial(5.5, ETA, 4)
-    zero = ModPolynomial(5, ETA, 4)
-    assert zero.terms == {} and zero == 0 * eta_poly(5, 4)
 
 
 def test_hilbert_series_examples():
