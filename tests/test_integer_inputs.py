@@ -74,6 +74,7 @@ _P = galois_params(3, 9, 5)
         (lambda: elementary_symmetric(1.5, [1, 2]), "i", 1.5),
         (lambda: packed_monomials((1,), 2.5), "cutoff", 2.5),
         (lambda: multiply([1, 1], [1], 1.5), "modulus", 1.5),
+        (lambda: multiply([1, 1], [1], "5"), "modulus", "5"),
     ],
 )
 def test_a_non_integral_integer_is_refused(call, name, value):
@@ -95,6 +96,7 @@ def test_a_non_integral_integer_is_refused(call, name, value):
         (lambda: hilbert_series_of_free_polynomial_ring((0,), 3),
          "generator degrees must be positive, got 0"),
         (lambda: multiply([1, 1], [1], 1), "modulus must be >= 2, got 1"),
+        (lambda: multiply([1], [1], -3), "modulus must be >= 2, got -3"),
         (lambda: packed_monomials((0,), 3), "variable weights must be positive integers"),
         (lambda: packed_monomials((1.5,), 3),
          "variable weights must be positive integers: "
